@@ -10,15 +10,15 @@ from .dataset import (Pose, SceneDataset, SyntheticConfig, generate_synthetic, l
 from .features import (HistogramConfig, PpmImage, histogram_descriptor, load_ppm,
                        random_projection, save_ppm)
 from .metrics import DivergenceCurve, auc, divergence, divergence_curve, similar_pair_count
-from .selector import (AutoencoderParams, PooledFeature, SummaryResult, TrainConfig, cosine_sim,
-                       decode, encode, grad, infonce_pair, init_params, load_params, pool,
-                       recon_loss, save_params, select_keyframes, total_loss, train)
+from .selector import (AutoencoderParams, SummaryResult, TrainConfig, cosine_sim, decode, encode,
+                       grad, infonce_pair, init_params, load_params, pool, recon_loss, save_params,
+                       select_keyframes, total_loss, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AutoencoderParams", "ClusterPartition", "ClusterSample", "DivergenceCurve",
-    "HistogramConfig", "PooledFeature", "Pose", "PpmImage", "SceneDataset", "SummaryResult",
+    "HistogramConfig", "Pose", "PpmImage", "SceneDataset", "SummaryResult",
     "SyntheticConfig", "TrainConfig", "auc", "balance_assignment", "change_detect_summary",
     "cluster_features", "cosine_sim", "decode", "divergence", "divergence_curve", "encode",
     "generate_synthetic", "grad", "gt_pose_clustering", "histogram_descriptor", "infonce_pair",

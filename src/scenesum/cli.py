@@ -25,21 +25,23 @@ from .svgchart import render_line_chart
 METHODS = ("scenesum", "scenesum-supervised", "uniform", "random", "vsumm", "change")
 GENERATE_MODES = {"pose-correlated": "pose_correlated", "appearance-only": "appearance_only"}
 
+_SYNTH = SyntheticConfig()
+_TRAIN = TrainConfig()
 _DEFAULTS = {
-    "frames": 500,
-    "dim": 64,
+    "frames": _SYNTH.n_frames,
+    "dim": _SYNTH.dim,
     "mode": "pose-correlated",
-    "seed": 0,
-    "box_side": 20.0,
-    "step_sigma": 1.0,
-    "noise_sigma": 0.8,
+    "seed": _SYNTH.seed,
+    "box_side": _SYNTH.box_side,
+    "step_sigma": _SYNTH.step_sigma,
+    "noise_sigma": _SYNTH.noise_sigma,
     "method": "scenesum",
     "k": 10,
-    "n_sample": 8,
-    "epochs": 100,
-    "lr": 0.001,
-    "latent": 64,
-    "batch_size": 64,
+    "n_sample": _TRAIN.sample_size,
+    "epochs": _TRAIN.epochs,
+    "lr": _TRAIN.learning_rate,
+    "latent": _TRAIN.latent_dim,
+    "batch_size": _TRAIN.batch_size,
     "r_max": 3.0,
     "steps": 100,
     "methods": "scenesum,uniform,random,vsumm,change",
@@ -66,6 +68,9 @@ def _resolve(args, keys) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        if unknown:
+            raise UsageError(f"config file {args.config} has unknown keys {unknown}")
         from_file = loaded
     resolved = {}
     for key in keys:
@@ -169,6 +174,8 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"steps must be >= 2, got {resolved['steps']}")
     with open(args.summary) as fh:
         summary = json.load(fh)
+    if not isinstance(summary, dict):
+        raise ValueError(f"summary file {args.summary} must hold a JSON object")
     for key in ("method", "k", "frames"):
         if key not in summary:
             raise ValueError(f"summary file {args.summary} missing key {key!r}")
@@ -176,8 +183,13 @@ def cmd_evaluate(args) -> int:
     if ds.poses is None:
         raise CapabilityError("evaluate requires a dataset with poses")
     frames = summary["frames"]
+    # bool is a subclass of int, and JSON floats would truncate silently: ask for int exactly.
+    if not isinstance(frames, list) or any(type(f) is not int for f in frames):
+        raise ValueError("summary frames must be a list of integer frame indices")
     if any(not 0 <= f < ds.n_frames for f in frames):
         raise ValueError("summary frame indices fall outside the dataset")
+    if len(set(frames)) != len(frames):
+        raise ValueError("summary frame indices must be distinct")
 
     curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
                                      resolved["steps"])

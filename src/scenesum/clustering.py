@@ -8,9 +8,7 @@ results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -243,26 +241,3 @@ def sample_cluster(partition: ClusterPartition, cluster_id: int, n_sample: int,
     replace = n_sample > members.size
     picks = rng.choice(members, size=n_sample, replace=replace)
     return ClusterSample(cluster_id=cluster_id, frame_indices=picks)
-
-
-def save_partition(partition: ClusterPartition, path) -> None:
-    """Export the partition as JSON: cluster count, labels, optional gt keyframes."""
-    payload = {"k": partition.k, "labels": partition.labels.tolist()}
-    if partition.gt_keyframes is not None:
-        payload["gt_keyframes"] = partition.gt_keyframes.tolist()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def load_partition(path, centroids=None) -> ClusterPartition:
-    """Rebuild a partition from its JSON export.  Centroids may be supplied separately."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    k = int(payload["k"])
-    labels = np.asarray(payload["labels"], dtype=np.int64)
-    if centroids is None:
-        centroids = np.zeros((k, 0))
-    gt = payload.get("gt_keyframes")
-    return partition_from_labels(labels, k, centroids,
-                                 gt_keyframes=None if gt is None else np.asarray(gt, dtype=np.int64))

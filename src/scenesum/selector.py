@@ -27,7 +27,6 @@ _TINY = np.finfo(np.float64).tiny
 _MAGIC = b"SSAE"
 _CHECKPOINT_VERSION = 1
 _MODES = ("self_supervised", "supervised")
-_POOLINGS = ("mean", "max")
 
 
 @dataclass
@@ -36,6 +35,9 @@ class AutoencoderParams:
 
     Each layer is a (weight, bias) pair with weight shape (fan_in, fan_out).
     Hidden layers use tanh; the encoder output and decoder output are linear.
+    The arrays are copied into one float64 buffer, `flat`, encoder layers
+    first; the (weight, bias) pairs are views into it, so an update of `flat`
+    is an update of every layer.
     """
 
     input_dim: int
@@ -43,6 +45,7 @@ class AutoencoderParams:
     latent_dim: int
     encoder: list[tuple[np.ndarray, np.ndarray]]
     decoder: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
@@ -58,6 +61,15 @@ class AutoencoderParams:
                                      f"expected {(din, dout)}/{(dout,)}")
                 if not (np.isfinite(w).all() and np.isfinite(b).all()):
                     raise ValueError(f"{name} layer {i} contains NaN or Inf")
+        self.flat = np.concatenate([a.ravel() for w, b in [*self.encoder, *self.decoder]
+                                    for a in (w, b)], dtype=np.float64)
+        views, pos = [], 0
+        for din, dout in enc_dims + dec_dims:
+            w = self.flat[pos:pos + din * dout].reshape(din, dout)
+            pos += din * dout
+            views.append((w, self.flat[pos:pos + dout]))
+            pos += dout
+        self.encoder, self.decoder = views[:len(enc_dims)], views[len(enc_dims):]
 
 
 def _dim_chain(first: int, middles: tuple[int, ...], last: int) -> list[tuple[int, int]]:
@@ -141,15 +153,6 @@ def pool(h) -> np.ndarray:
     return h.mean(axis=0)
 
 
-def _pool_rows(h: np.ndarray, pooling: str):
-    if pooling == "mean":
-        return h.mean(axis=0), None
-    if pooling == "max":
-        amax = np.argmax(h, axis=0)  # first (lowest) row on ties
-        return h[amax, np.arange(h.shape[1])], amax
-    raise ValueError(f"pooling must be one of {_POOLINGS}, got {pooling!r}")
-
-
 def recon_loss(x, x_hat) -> float:
     """Mean over samples of the squared L2 reconstruction error."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -182,62 +185,50 @@ def infonce_pair(p_a, p_b) -> float:
     return float(np.log1p(np.exp(s - 1.0)))
 
 
-def _zero_grads(layers):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_gt, want_grad):
+    """Loss over one batch of cluster samples, and optionally its gradient.
 
-
-def _accumulate(target, grads):
-    for (tw, tb), (gw, gb) in zip(target, grads):
-        tw += gw
-        tb += gb
-
-
-def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_gt,
-              pooling, want_grad):
+    All sampled rows (then, in supervised mode, the k gt rows) go through the
+    encoder as one stack, the sampled latents through the decoder as another.
+    Returns (total, breakdown, grads) with grads a pair of per-layer
+    (weight, bias) gradient lists for the encoder and decoder, or None.
+    """
     k = len(samples)
     if k < 2:
         raise ValueError(f"need at least 2 clusters for the contrastive term, got {k}")
-    xs = [features[s.frame_indices] for s in samples]
-    enc_acts = [_forward(params.encoder, x) for x in xs]
-    dec_acts = [_forward(params.decoder, acts[-1]) for acts in enc_acts]
+    sizes = np.array([s.frame_indices.size for s in samples])
+    if not sizes.all():
+        raise ValueError("every cluster sample needs at least one frame")
+    rows = np.concatenate([s.frame_indices for s in samples])
+    n_total = rows.size
+    supervised = gt_keyframes is not None
+    if supervised:
+        gt_idx = np.asarray([gt_keyframes[s.cluster_id] for s in samples], dtype=np.int64)
+        rows = np.concatenate([rows, gt_idx])
+    enc_acts = _forward(params.encoder, features[rows])
+    h = enc_acts[-1][:n_total]
+    x = enc_acts[0][:n_total]
+    dec_acts = _forward(params.decoder, h)
+    recon = float(((x - dec_acts[-1]) ** 2).sum()) / n_total
 
-    pooled = []
-    amaxes = []
-    for acts in enc_acts:
-        p, amax = _pool_rows(acts[-1], pooling)
-        pooled.append(p)
-        amaxes.append(amax)
-    pools = np.stack(pooled)
-
-    n_total = sum(x.shape[0] for x in xs)
-    recon = sum(float(((x - acts[-1]) ** 2).sum()) for x, acts in zip(xs, dec_acts)) / n_total
+    # avg is the k x n averaging matrix: row q holds 1/size_q over cluster q's rows.
+    avg = np.zeros((k, n_total))
+    avg[np.repeat(np.arange(k), sizes), np.arange(n_total)] = np.repeat(1.0 / sizes, sizes)
+    pools = avg @ h
 
     # Pairwise contrastive term over ordered cluster pairs, with guarded norms.
     norms = np.sqrt((pools * pools).sum(axis=1))
     guarded = norms + _COS_EPS
-    nce = 0.0
-    d_pools = np.zeros_like(pools) if want_grad else None
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            s = float(pools[a] @ pools[b]) / (guarded[a] * guarded[b])
-            e = math.exp(s - 1.0)
-            nce += math.log1p(e)
-            if want_grad:
-                w = lam_nce * e / (1.0 + e)
-                d_pools[a] += w * (pools[b] / (guarded[a] * guarded[b])
-                                   - s * pools[a] / (guarded[a] * max(norms[a], _TINY)))
-                d_pools[b] += w * (pools[a] / (guarded[a] * guarded[b])
-                                   - s * pools[b] / (guarded[b] * max(norms[b], _TINY)))
+    gg = np.outer(guarded, guarded)
+    sim = (pools @ pools.T) / gg
+    e = np.exp(sim - 1.0)
+    off_diag = ~np.eye(k, dtype=bool)
+    nce = float(np.log1p(e[off_diag]).sum())
 
-    supervised = gt_keyframes is not None
     breakdown = {"recon": recon, "infonce": nce}
     total = lam_recon * recon + lam_nce * nce
     if supervised:
-        gt_idx = np.asarray([gt_keyframes[s.cluster_id] for s in samples], dtype=np.int64)
-        gt_acts = _forward(params.encoder, features[gt_idx])
-        gt_diff = gt_acts[-1] - pools
+        gt_diff = enc_acts[-1][n_total:] - pools
         gt_term = float((gt_diff * gt_diff).sum()) / k
         breakdown["gt"] = gt_term
         total += lam_gt * gt_term
@@ -245,33 +236,31 @@ def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_g
     if not want_grad:
         return total, breakdown, None
 
-    enc_grads = _zero_grads(params.encoder)
-    dec_grads = _zero_grads(params.decoder)
+    # Both orders of a pair carry the same weight, hence the factor 2.
+    wts = np.where(off_diag, lam_nce * e / (1.0 + e), 0.0)
+    d_pools = 2.0 * ((wts / gg) @ pools
+                     - ((wts * sim).sum(axis=1) / (guarded * np.maximum(norms, _TINY)))[:, None]
+                     * pools)
+    dxp = lam_recon * (2.0 / n_total) * (dec_acts[-1] - x)
+    dec_grads, dh = _backward(params.decoder, dec_acts, dxp)
     if supervised:
-        d_pools += lam_gt * (-2.0 / k) * gt_diff
-        g, _ = _backward(params.encoder, gt_acts, lam_gt * (2.0 / k) * gt_diff)
-        _accumulate(enc_grads, g)
-    for q in range(k):
-        x, e_acts, d_acts = xs[q], enc_acts[q], dec_acts[q]
-        dxp = lam_recon * (2.0 / n_total) * (d_acts[-1] - x)
-        g, dh = _backward(params.decoder, d_acts, dxp)
-        _accumulate(dec_grads, g)
-        if pooling == "mean":
-            dh = dh + d_pools[q] / x.shape[0]
-        else:
-            dh = dh.copy()
-            dh[amaxes[q], np.arange(dh.shape[1])] += d_pools[q]
-        g, _ = _backward(params.encoder, e_acts, dh)
-        _accumulate(enc_grads, g)
+        d_gt = lam_gt * (2.0 / k) * gt_diff
+        d_pools -= d_gt
+        dh = np.concatenate([dh + avg.T @ d_pools, d_gt])
+    else:
+        dh += avg.T @ d_pools
+    enc_grads, _ = _backward(params.encoder, enc_acts, dh)
+    return total, breakdown, (enc_grads, dec_grads)
 
-    grads = AutoencoderParams(input_dim=params.input_dim, hidden_dims=params.hidden_dims,
-                              latent_dim=params.latent_dim, encoder=enc_grads, decoder=dec_grads)
-    return total, breakdown, grads
+
+def _as_params(params: AutoencoderParams, layer_grads) -> AutoencoderParams:
+    enc_grads, dec_grads = layer_grads
+    return AutoencoderParams(input_dim=params.input_dim, hidden_dims=params.hidden_dims,
+                             latent_dim=params.latent_dim, encoder=enc_grads, decoder=dec_grads)
 
 
 def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
-               lambda_recon: float = 1.0, lambda_nce: float = 1.0, lambda_gt: float = 1.0,
-               pooling: str = "mean"):
+               lambda_recon: float = 1.0, lambda_nce: float = 1.0, lambda_gt: float = 1.0):
     """Weighted training loss over one batch of cluster samples.
 
     Returns (total, breakdown) where breakdown holds the unweighted terms under
@@ -279,18 +268,18 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
     """
     features = np.asarray(features, dtype=np.float64)
     total, breakdown, _ = _evaluate(params, features, samples, gt_keyframes,
-                                    lambda_recon, lambda_nce, lambda_gt, pooling, False)
+                                    lambda_recon, lambda_nce, lambda_gt, False)
     return total, breakdown
 
 
 def grad(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
-         lambda_recon: float = 1.0, lambda_nce: float = 1.0, lambda_gt: float = 1.0,
-         pooling: str = "mean") -> AutoencoderParams:
+         lambda_recon: float = 1.0, lambda_nce: float = 1.0,
+         lambda_gt: float = 1.0) -> AutoencoderParams:
     """Analytic gradient of total_loss, shaped exactly like params."""
     features = np.asarray(features, dtype=np.float64)
     _, _, g = _evaluate(params, features, samples, gt_keyframes,
-                        lambda_recon, lambda_nce, lambda_gt, pooling, True)
-    return g
+                        lambda_recon, lambda_nce, lambda_gt, True)
+    return _as_params(params, g)
 
 
 @dataclass
@@ -311,7 +300,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    pooling: str = "mean"
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
@@ -339,24 +327,19 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
         if self.adam_eps <= 0:
             raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.pooling not in _POOLINGS:
-            raise ValueError(f"pooling must be one of {_POOLINGS}, got {self.pooling!r}")
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators over the flat parameter buffer."""
 
-    m_encoder: list
-    v_encoder: list
-    m_decoder: list
-    v_decoder: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: AutoencoderParams) -> "AdamState":
-        return cls(m_encoder=_zero_grads(params.encoder), v_encoder=_zero_grads(params.encoder),
-                   m_decoder=_zero_grads(params.decoder), v_decoder=_zero_grads(params.decoder))
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamState, *,
@@ -366,15 +349,12 @@ def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamSt
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for layers, gs, ms, vs in ((params.encoder, grads.encoder, state.m_encoder, state.v_encoder),
-                               (params.decoder, grads.decoder, state.m_decoder, state.v_decoder)):
-        for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(layers, gs, ms, vs):
-            for theta, g, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-                m *= beta1
-                m += (1.0 - beta1) * g
-                v *= beta2
-                v += (1.0 - beta2) * g * g
-                theta -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    g, m, v = grads.flat, state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    params.flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
@@ -407,45 +387,19 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     steps = max(1, math.ceil(ds.n_frames / (k * n_sample)))
 
     history = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         step_losses = []
-        for _ in range(steps):
+        for step in range(steps):
             samples = [sample_cluster(partition, j, n_sample, rng) for j in range(k)]
             total, _, g = _evaluate(params, features, samples, gt, cfg.lambda_recon,
-                                    cfg.lambda_nce, cfg.lambda_gt, cfg.pooling, True)
-            adam_step(params, g, state, learning_rate=cfg.learning_rate,
+                                    cfg.lambda_nce, cfg.lambda_gt, True)
+            if not math.isfinite(total):
+                raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
+            adam_step(params, _as_params(params, g), state, learning_rate=cfg.learning_rate,
                       beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
             step_losses.append(total)
         history.append(float(np.mean(step_losses)))
     return params, history
-
-
-@dataclass
-class PooledFeature:
-    """Pooled latent vector representing one cluster."""
-
-    cluster_id: int
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if self.p.ndim != 1 or not np.isfinite(self.p).all():
-            raise ValueError("pooled feature must be a finite 1-d vector")
-
-
-def cluster_pools(params: AutoencoderParams, features, partition: ClusterPartition,
-                  pooling: str = "mean") -> list[PooledFeature]:
-    """Encode every member of each cluster and pool, in cluster-id order."""
-    features = np.asarray(features, dtype=np.float64)
-    out = []
-    for j in range(partition.k):
-        members = partition.members[j]
-        if members.size == 0:
-            raise ValueError(f"cluster {j} is empty")
-        h = encode(params, features[members])
-        p, _ = _pool_rows(h, pooling)
-        out.append(PooledFeature(cluster_id=j, p=p))
-    return out
 
 
 @dataclass
@@ -473,19 +427,19 @@ class SummaryResult:
 
 
 def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: ClusterPartition,
-                     method: str = "scenesum", pooling: str = "mean",
-                     config: dict | None = None) -> SummaryResult:
-    """Per cluster, the frame whose encoding is nearest the pooled cluster vector.
+                     method: str = "scenesum", config: dict | None = None) -> SummaryResult:
+    """Per cluster, the frame whose encoding is nearest the mean cluster encoding.
 
-    Pooling runs over the full cluster membership.  Ties go to the lowest
+    The mean runs over the full cluster membership.  Ties go to the lowest
     frame index.  Frames are listed in cluster-id order.
     """
-    features = np.asarray(ds.features, dtype=np.float64)
+    h = encode(params, np.asarray(ds.features, dtype=np.float64))
     frames = []
-    for pf in cluster_pools(params, features, partition, pooling):
-        members = partition.members[pf.cluster_id]
-        h = encode(params, features[members])
-        d = ((h - pf.p) ** 2).sum(axis=1)
+    for j, members in enumerate(partition.members):
+        if members.size == 0:
+            raise ValueError(f"cluster {j} is empty")
+        hm = h[members]
+        d = ((hm - hm.mean(axis=0)) ** 2).sum(axis=1)
         frames.append(int(members[int(np.argmin(d))]))
     return SummaryResult(method=method, frame_indices=frames, config=dict(config or {}))
 
@@ -510,17 +464,22 @@ def load_params(path) -> AutoencoderParams:
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ValueError(f"not an autoencoder checkpoint: bad magic {data[:4]!r}")
-    version, n_layers = struct.unpack_from("<II", data, 4)
+    pos = 4
+
+    def advance(nbytes):
+        """Offset of the next nbytes; refuses to read past the end of the file."""
+        nonlocal pos
+        start, pos = pos, pos + nbytes
+        if pos > len(data):
+            raise ValueError("checkpoint truncated")
+        return start
+
+    version, n_layers = struct.unpack_from("<II", data, advance(8))
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     if n_layers < 2 or n_layers % 2:
         raise ValueError(f"layer count must be even and >= 2, got {n_layers}")
-    pos = 12
-    dims = []
-    for _ in range(n_layers):
-        din, dout = struct.unpack_from("<II", data, pos)
-        dims.append((din, dout))
-        pos += 8
+    dims = [struct.unpack_from("<II", data, advance(8)) for _ in range(n_layers)]
 
     half = n_layers // 2
     enc_dims, dec_dims = dims[:half], dims[half:]
@@ -533,13 +492,8 @@ def load_params(path) -> AutoencoderParams:
             raise ValueError("decoder does not mirror the encoder")
 
     def take(count):
-        nonlocal pos
-        end = pos + count * 4
-        if end > len(data):
-            raise ValueError("checkpoint truncated")
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos).astype(np.float64)
-        pos = end
-        return arr
+        offset = advance(count * 4)
+        return np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float64)
 
     layers = []
     for din, dout in dims:

@@ -139,6 +139,15 @@ def test_config_file_must_hold_an_object(scene_dir, tmp_path):
     assert rc == 2
 
 
+def test_config_file_rejects_unknown_keys(scene_dir, tmp_path):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"epoch": 1}))
+    rc = main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
+               "--config", str(cfg), "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert not (tmp_path / "x.json").exists()
+
+
 def _coincident_scene(tmp_path):
     feats = np.random.default_rng(2).normal(size=(4, 3)).astype(np.float32)
     poses = [Pose(2.0, 2.0, 0.0)] * 4
@@ -190,6 +199,24 @@ def test_evaluate_rejects_bad_summary(scene_dir, tmp_path):
     oob = tmp_path / "oob.json"
     oob.write_text(json.dumps({"method": "x", "k": 2, "frames": [0, 400]}))
     rc = main(["evaluate", str(oob), str(scene_dir / "manifest.json"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("frames", [[3, 3, 3], [1.7, 5], [True, 4]])
+def test_evaluate_rejects_malformed_frames(scene_dir, tmp_path, frames):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"method": "x", "k": len(frames), "frames": frames}))
+    rc = main(["evaluate", str(bad), str(scene_dir / "manifest.json"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 1
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_evaluate_rejects_non_object_summary(scene_dir, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("5")
+    rc = main(["evaluate", str(bad), str(scene_dir / "manifest.json"),
                "--out", str(tmp_path / "e")])
     assert rc == 1
 

@@ -11,10 +11,8 @@ from scenesum.clustering import (
     cluster_features,
     gt_pose_clustering,
     kmeans,
-    load_partition,
     partition_from_labels,
     sample_cluster,
-    save_partition,
 )
 from scenesum.dataset import Pose, SyntheticConfig, generate_synthetic
 
@@ -232,25 +230,3 @@ def test_partition_validation_errors():
                          centroids=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         partition_from_labels([0, 0, 1], 2, np.zeros((2, 1)), gt_keyframes=[2, 1])
-
-
-def test_partition_json_round_trip(tmp_path):
-    poses = [Pose(float(i), float(i % 3)) for i in range(12)]
-    part = gt_pose_clustering(poses, 3, seed=1)
-    path = tmp_path / "partition.json"
-    save_partition(part, path)
-    back = load_partition(path)
-    assert back.k == part.k
-    assert np.array_equal(back.labels, part.labels)
-    assert np.array_equal(back.gt_keyframes, part.gt_keyframes)
-    assert back.centroids.shape == (3, 0)
-
-
-def test_partition_json_round_trip_without_gt(tmp_path):
-    part = partition_from_labels([0, 1, 0, 1], 2, np.zeros((2, 2)))
-    path = tmp_path / "partition.json"
-    save_partition(part, path)
-    back = load_partition(path, centroids=np.ones((2, 2)))
-    assert back.gt_keyframes is None
-    assert np.array_equal(back.labels, part.labels)
-    assert np.array_equal(back.centroids, np.ones((2, 2)))

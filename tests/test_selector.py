@@ -14,7 +14,6 @@ from scenesum.selector import (
     AutoencoderParams,
     TrainConfig,
     adam_step,
-    cluster_pools,
     cosine_sim,
     decode,
     encode,
@@ -69,6 +68,15 @@ def _oracle_setup():
                                encoder=encoder, decoder=decoder)
     feats = rng.normal(0.0, 1.0, size=(8, 3))
     samples = [ClusterSample(0, [0, 1]), ClusterSample(1, [2, 3]), ClusterSample(2, [4, 5])]
+    return params, feats, samples
+
+
+def _unequal_setup():
+    """The oracle net on clusters of 3, 1 and 5 sampled frames."""
+    params, _, _ = _oracle_setup()
+    feats = np.random.default_rng(8).normal(0.0, 1.0, size=(10, 3))
+    samples = [ClusterSample(0, [0, 1, 2]), ClusterSample(1, [3]),
+               ClusterSample(2, [4, 5, 6, 7, 8])]
     return params, feats, samples
 
 
@@ -265,6 +273,28 @@ def test_total_loss_is_linear_in_weights():
     assert abs(no_recon - bd["infonce"]) < 1e-12
 
 
+@pytest.mark.parametrize("gt", [None, [1, 3, 9]])
+def test_total_loss_matches_per_cluster_loop_on_unequal_samples(gt):
+    # The scalar helpers summed cluster by cluster are the reference for the
+    # batched loss.
+    params, feats, samples = _unequal_setup()
+    lams = {"lambda_recon": 0.7, "lambda_nce": 1.3, "lambda_gt": 2.1}
+    batched, _ = total_loss(params, feats, samples, gt, **lams)
+
+    xs = [feats[s.frame_indices] for s in samples]
+    pools = [pool(encode(params, x)) for x in xs]
+    n_total = sum(len(x) for x in xs)
+    recon = sum(len(x) * recon_loss(x, decode(params, encode(params, x))) for x in xs) / n_total
+    nce = sum(infonce_pair(pa, pb) for a, pa in enumerate(pools)
+              for b, pb in enumerate(pools) if a != b)
+    expected = lams["lambda_recon"] * recon + lams["lambda_nce"] * nce
+    if gt is not None:
+        gt_term = sum(float(((encode(params, feats[f]) - p) ** 2).sum())
+                      for f, p in zip(gt, pools)) / len(pools)
+        expected += lams["lambda_gt"] * gt_term
+    assert abs(batched - expected) <= 1e-12 * abs(expected)
+
+
 def test_total_loss_needs_two_clusters():
     params = init_params(2, (2,), 1, rng=0)
     with pytest.raises(ValueError):
@@ -291,10 +321,11 @@ def test_grad_matches_finite_differences_supervised():
     assert np.max(np.abs(g - fd) / denom) < 1e-6
 
 
-def test_grad_matches_finite_differences_max_pooling():
-    params, feats, samples = _oracle_setup()
-    g = _flatten(grad(params, feats, samples, pooling="max"))
-    fd = _fd_grad(params, feats, samples, None, pooling="max")
+@pytest.mark.parametrize("gt", [None, [1, 3, 9]])
+def test_grad_matches_finite_differences_unequal_samples(gt):
+    params, feats, samples = _unequal_setup()
+    g = _flatten(grad(params, feats, samples, gt))
+    fd = _fd_grad(params, feats, samples, gt)
     denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
     assert np.max(np.abs(g - fd) / denom) < 1e-6
 
@@ -347,6 +378,30 @@ def test_adam_first_step_moves_by_learning_rate():
     assert params.decoder[0][0][0, 0] == 1.0
 
 
+def test_adam_flat_update_equals_per_array_reference():
+    # The fused update over the flat buffer does the per-array arithmetic in
+    # the same order, so every entry must match bit for bit.
+    params = init_params(3, (4,), 2, rng=3)
+    ref = [a.copy() for layer in params.encoder + params.decoder for a in layer]
+    ref_m = [np.zeros_like(a) for a in ref]
+    ref_v = [np.zeros_like(a) for a in ref]
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(4)
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        g = init_params(3, (4,), 2, rng=rng)
+        adam_step(params, g, state, learning_rate=lr)
+        g_arrays = [a for layer in g.encoder + g.decoder for a in layer]
+        for theta, gr, m, v in zip(ref, g_arrays, ref_m, ref_v):
+            m *= beta1
+            m += (1.0 - beta1) * gr
+            v *= beta2
+            v += (1.0 - beta2) * gr * gr
+            theta -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(ref, [a for layer in params.encoder + params.decoder for a in layer]))
+
+
 # ------------------------------------------------------------------- training
 
 
@@ -382,6 +437,16 @@ def test_train_reduces_loss():
     cfg = TrainConfig(epochs=40, latent_dim=4, hidden_dims=(8,), sample_size=4, seed=0)
     _, history = train(ds, part, cfg)
     assert history[-1] < history[0]
+
+
+def test_train_rejects_non_finite_loss():
+    ds = _toy_scene(n=60, dim=6, seed=2)
+    part = partition_from_labels(np.arange(60) % 3, 3, np.zeros((3, 6)))
+    cfg = TrainConfig(epochs=3, learning_rate=1e300, latent_dim=4, hidden_dims=(8,),
+                      sample_size=4, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"training loss is .* at epoch \d+, step \d+"):
+            train(ds, part, cfg)
 
 
 def test_train_warns_when_batch_cannot_hold_samples():
@@ -420,27 +485,10 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
-        TrainConfig(pooling="median")
-    with pytest.raises(ValueError):
         TrainConfig(sample_size=0)
 
 
 # ------------------------------------------------------------------ selection
-
-
-def test_cluster_pools_identity_net_reduce_to_feature_means():
-    feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [0.0, 6.0]])
-    part = partition_from_labels([0, 0, 1, 1], 2, np.zeros((2, 2)))
-    pools = cluster_pools(_identity_net(2), feats, part)
-    assert np.allclose(pools[0].p, [1.0, 0.0])
-    assert np.allclose(pools[1].p, [0.0, 5.0])
-
-
-def test_cluster_pools_max_pooling_takes_columnwise_max():
-    feats = np.array([[1.0, -2.0], [0.0, 3.0], [9.0, 9.0]])
-    part = partition_from_labels([0, 0, 1], 2, np.zeros((2, 2)))
-    pools = cluster_pools(_identity_net(2), feats, part, pooling="max")
-    assert np.allclose(pools[0].p, [1.0, 3.0])
 
 
 def test_select_keyframes_identity_net_hand_case():
@@ -516,9 +564,11 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path = tmp_path / "short.bin"
     save_params(init_params(3, (2,), 2, rng=0), path)
     data = path.read_bytes()
-    path.write_bytes(data[:-5])
-    with pytest.raises(ValueError, match="truncated"):
-        load_params(path)
+    # cut in the weights, in the version/count header, and inside the dims table
+    for cut in (data[:-5], b"SSAE\x01\x00", data[:12 + 8 + 3]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match="truncated"):
+            load_params(path)
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
