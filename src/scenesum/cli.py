@@ -182,14 +182,14 @@ def cmd_evaluate(args) -> int:
     ds = load_dataset(args.manifest)
     if ds.poses is None:
         raise CapabilityError("evaluate requires a dataset with poses")
-    frames = summary["frames"]
-    # bool is a subclass of int, and JSON floats would truncate silently: ask for int exactly.
-    if not isinstance(frames, list) or any(type(f) is not int for f in frames):
+    if not isinstance(summary["frames"], list):
         raise ValueError("summary frames must be a list of integer frame indices")
-    if any(not 0 <= f < ds.n_frames for f in frames):
+    frames = SummaryResult(str(summary["method"]), summary["frames"]).frame_indices
+    if any(f >= ds.n_frames for f in frames):
         raise ValueError("summary frame indices fall outside the dataset")
-    if len(set(frames)) != len(frames):
-        raise ValueError("summary frame indices must be distinct")
+    k = summary["k"]
+    if type(k) is not int or k != len(frames):
+        raise ValueError(f"summary k {k!r} does not match its {len(frames)} frames")
 
     curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
                                      resolved["steps"])

@@ -14,6 +14,9 @@ import numpy as np
 
 from .dataset import Pose, pose_matrix
 
+_MAX_ITER = 100  # Lloyd iterations per k-means run
+_TOL = 1e-6  # stop once no centroid moves farther than this
+
 
 @dataclass
 class ClusterPartition:
@@ -100,8 +103,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return x[chosen].copy()
 
 
-def kmeans(features, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-6,
-           return_history: bool = False):
+def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
     """Lloyd's algorithm with k-means++ seeding.
 
     Ties in the assignment step go to the lowest centroid id.  A cluster that
@@ -129,7 +131,7 @@ def kmeans(features, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e
         lab = np.argmin(d2, axis=1)  # argmin keeps the lowest id on ties
         return lab, d2[np.arange(n), lab]
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         labels, dmin = assign(centroids)
         history.append(float(dmin.sum()))
         counts = np.bincount(labels, minlength=k)
@@ -145,7 +147,7 @@ def kmeans(features, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e
                 new_centroids[j] = x[idx]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOL:
             break
 
     labels, dmin = assign(centroids)
@@ -155,22 +157,19 @@ def kmeans(features, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e
     return centroids, labels
 
 
-def balance_assignment(features, centroids, cap: int | None = None) -> np.ndarray:
-    """Reassign frames so every cluster ends with floor(n/k) to cap members.
+def balance_assignment(features, centroids) -> np.ndarray:
+    """Reassign frames so every cluster ends with floor(n/k) or ceil(n/k) members.
 
     Frames are processed in descending margin order (distance to second-nearest
     centroid minus distance to nearest); each goes to its nearest centroid that
-    still has room.  Room means the cluster is below cap and, once the n mod k
-    above-floor slots are spoken for, below floor(n/k).
+    still has room.  Room means the cluster is below ceil(n/k) and, once the
+    n mod k above-floor slots are spoken for, below floor(n/k).
     """
     x = np.asarray(features, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
     n, k = x.shape[0], c.shape[0]
     floor, extra = divmod(n, k)
-    if cap is None:
-        cap = floor + (1 if extra else 0)
-    if cap * k < n:
-        raise ValueError(f"infeasible capacity: cap {cap} * k {k} < n {n}")
+    cap = floor + (1 if extra else 0)
 
     labels = np.zeros(n, dtype=np.int64)
     if k == 1:
@@ -200,11 +199,10 @@ def balance_assignment(features, centroids, cap: int | None = None) -> np.ndarra
     return labels
 
 
-def cluster_features(features, k: int, seed: int = 0, balanced: bool = True) -> ClusterPartition:
-    """Feature-space clustering stage: k-means, then capacity balancing by default."""
+def cluster_features(features, k: int, seed: int = 0) -> ClusterPartition:
+    """Feature-space clustering stage: k-means, then capacity balancing."""
     centroids, labels = kmeans(features, k, seed=seed)
-    if balanced:
-        labels = balance_assignment(features, centroids)
+    labels = balance_assignment(features, centroids)
     return partition_from_labels(labels, k, centroids)
 
 

@@ -208,12 +208,20 @@ def load_dataset(manifest_path) -> SceneDataset:
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {manifest_path} must hold a JSON object")
     for key in ("scene_id", "n_frames", "dim", "features", "dtype"):
         if key not in manifest:
             raise ValueError(f"manifest {manifest_path} missing required key {key!r}")
     if manifest["dtype"] != "f32le":
         raise ValueError(f"unsupported feature dtype {manifest['dtype']!r}, expected 'f32le'")
-    n, d = int(manifest["n_frames"]), int(manifest["dim"])
+    n, d = manifest["n_frames"], manifest["dim"]
+    # bool is an int subclass, and int() would truncate a float: ask for int exactly.
+    if any(type(v) is not int or v < 1 for v in (n, d)):
+        raise ValueError(f"manifest n_frames and dim must be integers >= 1, got {n!r} and {d!r}")
+    for key in ("features", "poses"):
+        if not isinstance(manifest.get(key, ""), str):
+            raise ValueError(f"manifest {key!r} must be a file name, got {manifest[key]!r}")
 
     raw = (manifest_path.parent / manifest["features"]).read_bytes()
     expected = n * d * FEATURE_DTYPE.itemsize

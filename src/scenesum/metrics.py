@@ -84,19 +84,12 @@ def divergence_curve(positions, r_max: float, steps: int = 100) -> DivergenceCur
     return DivergenceCurve(thresholds=thresholds, values=values)
 
 
-def auc(curve: DivergenceCurve, method: str = "trapezoid") -> float:
-    """Unnormalized area under the curve.
-
-    The default is trapezoidal; method='left' switches to a left Riemann sum.
-    """
+def auc(curve: DivergenceCurve) -> float:
+    """Unnormalized area under the curve, by the trapezoid rule."""
     t, v = curve.thresholds, curve.values
     if t.size < 2:
         raise ValueError("auc needs at least 2 curve points")
-    if method == "trapezoid":
-        return float((np.diff(t) * (v[1:] + v[:-1]) / 2.0).sum())
-    if method == "left":
-        return float((v[:-1] * np.diff(t)).sum())
-    raise ValueError(f"method must be 'trapezoid' or 'left', got {method!r}")
+    return float((np.diff(t) * (v[1:] + v[:-1]) / 2.0).sum())
 
 
 def write_curve_csv(curve: DivergenceCurve, path) -> None:

@@ -27,6 +27,7 @@ _TINY = np.finfo(np.float64).tiny
 _MAGIC = b"SSAE"
 _CHECKPOINT_VERSION = 1
 _MODES = ("self_supervised", "supervised")
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # plain Adam
 
 
 @dataclass
@@ -110,16 +111,19 @@ def _forward(layers, x: np.ndarray) -> list[np.ndarray]:
 
 
 def _backward(layers, acts, d_out: np.ndarray):
-    """Backprop d_out through the chain; returns per-layer grads and input grad."""
+    """Backprop d_out through the chain.
+
+    Returns per-layer grads and dz, the gradient at the first layer's affine
+    output; the input gradient is dz @ layers[0][0].T, left to callers that need it.
+    """
     grads = [None] * len(layers)
-    d = d_out
     last = len(layers) - 1
+    dz = d_out
     for i in range(last, -1, -1):
-        w, _ = layers[i]
-        dz = d if i == last else d * (1.0 - acts[i + 1] ** 2)
+        if i < last:
+            dz = (dz @ layers[i + 1][0].T) * (1.0 - acts[i + 1] ** 2)
         grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
-        d = dz @ w.T
-    return grads, d
+    return grads, dz
 
 
 def _check_batch(x, want_dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -242,7 +246,8 @@ def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_g
                      - ((wts * sim).sum(axis=1) / (guarded * np.maximum(norms, _TINY)))[:, None]
                      * pools)
     dxp = lam_recon * (2.0 / n_total) * (dec_acts[-1] - x)
-    dec_grads, dh = _backward(params.decoder, dec_acts, dxp)
+    dec_grads, dz = _backward(params.decoder, dec_acts, dxp)
+    dh = dz @ params.decoder[0][0].T
     if supervised:
         d_gt = lam_gt * (2.0 / k) * gt_diff
         d_pools -= d_gt
@@ -297,9 +302,6 @@ class TrainConfig:
     lambda_nce: float = 1.0
     lambda_gt: float = 1.0
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
@@ -321,12 +323,6 @@ class TrainConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 @dataclass
@@ -343,18 +339,17 @@ class AdamState:
 
 
 def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamState, *,
-              learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              learning_rate: float) -> None:
     """One bias-corrected Adam update, in place.  A zero gradient is a no-op."""
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - _BETA1 ** state.t
+    bc2 = 1.0 - _BETA2 ** state.t
     g, m, v = grads.flat, state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    params.flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    v += (1.0 - _BETA2) * g * g
+    params.flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
@@ -395,8 +390,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
                                     cfg.lambda_nce, cfg.lambda_gt, True)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
-            adam_step(params, _as_params(params, g), state, learning_rate=cfg.learning_rate,
-                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+            adam_step(params, _as_params(params, g), state, learning_rate=cfg.learning_rate)
             step_losses.append(total)
         history.append(float(np.mean(step_losses)))
     return params, history
@@ -411,6 +405,10 @@ class SummaryResult:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # bool is an int subclass and int() would truncate floats: take integers only.
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer))
+               for i in self.frame_indices):
+            raise ValueError("frame indices must be integers")
         self.frame_indices = [int(i) for i in self.frame_indices]
         if any(i < 0 for i in self.frame_indices):
             raise ValueError("frame indices must be non-negative")

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenesum
 from scenesum.cli import main
 from scenesum.dataset import Pose, SceneDataset, save_dataset
 from scenesum.svgchart import render_line_chart
@@ -115,6 +121,18 @@ def test_summarize_missing_manifest_is_io_error(tmp_path):
     assert rc == 1
 
 
+def test_summarize_malformed_manifest_is_data_error(scene_dir, tmp_path):
+    payload = json.loads((scene_dir / "manifest.json").read_text())
+    payload["n_frames"] = 60.7
+    payload["features"] = str(scene_dir / payload["features"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(payload))
+    rc = main(["summarize", str(manifest), "--method", "uniform", "--k", "2",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_config_file_precedence(scene_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5, "method": "uniform"}))
@@ -202,6 +220,14 @@ def test_evaluate_rejects_bad_summary(scene_dir, tmp_path):
                "--out", str(tmp_path / "e")])
     assert rc == 1
 
+    for k in (99, 2.0, True):
+        wrong_k = tmp_path / "wrong_k.json"
+        wrong_k.write_text(json.dumps({"method": "x", "k": k, "frames": [1, 20]}))
+        rc = main(["evaluate", str(wrong_k), str(scene_dir / "manifest.json"),
+                   "--out", str(tmp_path / "e")])
+        assert rc == 1
+    assert not (tmp_path / "e.json").exists()
+
 
 @pytest.mark.parametrize("frames", [[3, 3, 3], [1.7, 5], [True, 4]])
 def test_evaluate_rejects_malformed_frames(scene_dir, tmp_path, frames):
@@ -283,6 +309,22 @@ def test_sweep_requires_poses(poseless_dir, tmp_path):
     rc = main(["sweep", str(poseless_dir / "manifest.json"), "--methods", "uniform",
                "--out", str(tmp_path / "s.csv")])
     assert rc == 3
+
+
+def test_cli_import_reaches_every_module():
+    # A module the CLI never imports is reached by no command: give it a path or delete it.
+    # The package itself must import nothing, or it would hide such a module.
+    src = str(Path(scenesum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, scenesum; package = sorted(sys.modules); import scenesum.cli; "
+            "print(json.dumps([package, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    package, loaded = (set(names) for names in json.loads(out))
+    modules = {f"scenesum.{m.name}" for m in pkgutil.iter_modules(scenesum.__path__)}
+    assert "scenesum.cli" in modules
+    assert sorted(modules & package) == []
+    assert sorted(modules - loaded) == []
 
 
 # ------------------------------------------------------------------ SVG chart

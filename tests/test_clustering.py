@@ -101,19 +101,6 @@ def test_balance_sizes_differ_by_at_most_one():
     assert sorted(sizes.tolist()) == [3, 3, 4]
 
 
-def test_balance_respects_explicit_cap():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(9, 2))
-    c = rng.normal(size=(3, 2))
-    labels = balance_assignment(x, c, cap=4)
-    assert np.bincount(labels, minlength=3).max() <= 4
-
-
-def test_balance_rejects_infeasible_cap():
-    with pytest.raises(ValueError, match="infeasible"):
-        balance_assignment(np.ones((4, 1)), np.ones((2, 1)), cap=1)
-
-
 def test_balance_single_cluster():
     labels = balance_assignment(np.ones((5, 2)), np.ones((1, 2)))
     assert labels.tolist() == [0] * 5
@@ -125,14 +112,6 @@ def test_cluster_features_identical_frames_still_balances():
     sizes = [m.size for m in part.members]
     assert sorted(sizes) == [2, 2, 2]
     assert part.labels.tolist() == [0, 0, 1, 1, 2, 2]
-
-
-def test_cluster_features_unbalanced_matches_kmeans():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(40, 4))
-    part = cluster_features(x, 4, seed=1, balanced=False)
-    _, labels = kmeans(x, 4, seed=1)
-    assert np.array_equal(part.labels, labels)
 
 
 def test_feature_clusters_are_spatially_coherent():

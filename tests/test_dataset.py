@@ -213,6 +213,20 @@ def test_load_rejects_missing_manifest_key(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("change", [
+    lambda payload: 5,
+    lambda payload: {**payload, "features": 5},
+    lambda payload: {**payload, "poses": 7},
+    lambda payload: {**payload, "n_frames": payload["n_frames"] + 0.7},
+], ids=["number", "features-number", "poses-number", "float-n-frames"])
+def test_load_rejects_malformed_manifest(tmp_path, change):
+    ds = generate_synthetic(_small_cfg())
+    manifest = save_dataset(ds, tmp_path / "manifest.json")
+    manifest.write_text(json.dumps(change(json.loads(manifest.read_text()))))
+    with pytest.raises(ValueError, match="manifest"):
+        load_dataset(manifest)
+
+
 def test_load_rejects_malformed_pose_row(tmp_path):
     ds = generate_synthetic(_small_cfg())
     manifest = save_dataset(ds, tmp_path / "manifest.json")

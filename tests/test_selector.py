@@ -483,8 +483,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lambda_nce=-0.5)
     with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(sample_size=0)
 
 
@@ -527,6 +525,10 @@ def test_summary_result_validation():
         SummaryResult(method="x", frame_indices=[1, 1])
     with pytest.raises(ValueError):
         SummaryResult(method="x", frame_indices=[-1])
+    assert SummaryResult(method="x", frame_indices=np.array([3, 1])).frame_indices == [3, 1]
+    for bad in ([1.7, 2.2], [True, 3], ["4"]):
+        with pytest.raises(ValueError):
+            SummaryResult(method="x", frame_indices=bad)
 
 
 # ---------------------------------------------------------------- checkpoints
