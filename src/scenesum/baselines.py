@@ -46,11 +46,13 @@ def vsumm_centroid(features, k: int, seed: int = 0) -> SummaryResult:
     x = np.asarray(features, dtype=np.float64)
     _check_k(x.shape[0], k)
     centroids, labels = kmeans(x, k, seed=seed)
+    # one stable sort groups the frames by cluster, each group ascending
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(1, k))
     frames = []
     used = set()
     fallback = []
-    for j in range(k):
-        members = np.flatnonzero(labels == j)
+    for j, members in enumerate(np.split(order, bounds)):
         if members.size == 0:
             frames.append(None)
             fallback.append(j)

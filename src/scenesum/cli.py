@@ -77,16 +77,17 @@ def _resolve(args, keys) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = from_file.get(key, _DEFAULTS[key])
-        try:
-            if key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
-            else:
-                value = str(value)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for {key}: {value!r}") from exc
-        resolved[key] = value
+        # flags arrive typed by argparse; a file value must already have its
+        # key's type, tested with `type() is` because bool subclasses int
+        if key in _INT_KEYS:
+            ok = type(value) is int
+        elif key in _FLOAT_KEYS:
+            ok = type(value) in (int, float)
+        else:
+            ok = type(value) is str
+        if not ok:
+            raise UsageError(f"bad value for {key}: {value!r}")
+        resolved[key] = float(value) if key in _FLOAT_KEYS else value
     return resolved
 
 

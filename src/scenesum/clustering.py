@@ -80,9 +80,19 @@ def partition_from_labels(labels, k: int, centroids, gt_keyframes=None) -> Clust
                             gt_keyframes=gt_keyframes)
 
 
-def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    d2 = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
-    return np.maximum(d2, 0.0)
+def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances |x_i|^2 + |c_j|^2 - 2 x_i.c_j, clamped at 0.
+
+    x_sq, when given, must be (x * x).sum(axis=1); callers that reuse x
+    against many centroid sets pass it to skip recomputing the row norms.
+    """
+    if x_sq is None:
+        x_sq = (x * x).sum(axis=1)
+    cross = x @ c.T
+    cross *= 2.0
+    d2 = np.add(x_sq[:, None], (c * c).sum(axis=1)[None, :])
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -125,18 +135,26 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, k, rng)
     history = []
+    x_sq = (x * x).sum(axis=1)
+    rows = np.arange(n)
+    # Cluster sums go through one flat bincount: element (i, c) lands in bin
+    # labels[i] * d + c.  bincount adds in index order, row after row, so the
+    # sums equal a sequential np.add.at bit for bit.
+    d = x.shape[1]
+    cols = np.arange(d)
+    x_flat = x.ravel()
 
     def assign(cents):
-        d2 = _pairwise_sq_dists(x, cents)
+        d2 = _pairwise_sq_dists(x, cents, x_sq)
         lab = np.argmin(d2, axis=1)  # argmin keeps the lowest id on ties
-        return lab, d2[np.arange(n), lab]
+        return lab, d2[rows, lab]
 
     for _ in range(_MAX_ITER):
         labels, dmin = assign(centroids)
         history.append(float(dmin.sum()))
         counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, x)
+        bins = (labels[:, None] * d + cols).ravel()
+        sums = np.bincount(bins, weights=x_flat, minlength=k * d).reshape(k, d)
         new_centroids = centroids.copy()
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -150,8 +168,12 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
         if shift < _TOL:
             break
 
-    labels, dmin = assign(centroids)
-    history.append(float(dmin.sum()))
+    if shift == 0.0:
+        # no centroid moved, so the last assignment already is the final one
+        history.append(history[-1])
+    else:
+        labels, dmin = assign(centroids)
+        history.append(float(dmin.sum()))
     if return_history:
         return centroids, labels, history
     return centroids, labels

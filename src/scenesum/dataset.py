@@ -73,10 +73,10 @@ class SceneDataset:
         """Pose coordinates as an (n, 3) array, optionally restricted to some frames."""
         if self.poses is None:
             raise ValueError("dataset has no poses")
-        mat = pose_matrix(self.poses)
         if frame_indices is None:
-            return mat
-        return mat[np.asarray(frame_indices, dtype=np.int64)]
+            return pose_matrix(self.poses)
+        idx = np.asarray(frame_indices, dtype=np.int64)
+        return pose_matrix([self.poses[i] for i in idx.ravel()]).reshape(idx.shape + (3,))
 
 
 @dataclass

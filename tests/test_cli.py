@@ -166,6 +166,32 @@ def test_config_file_rejects_unknown_keys(scene_dir, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("payload", [{"k": 5.7}, {"k": True}, {"k": "5"}, {"lr": True},
+                                     {"lr": "0.01"}, {"method": 3}],
+                         ids=["k-float", "k-bool", "k-string", "lr-bool", "lr-string", "method-int"])
+def test_config_file_values_are_not_coerced(scene_dir, tmp_path, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "uniform", **payload}))
+    rc = main(["summarize", str(scene_dir / "manifest.json"), "--config", str(cfg),
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_config_file_int_accepted_for_float_key(scene_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r_max": 2, "steps": 10}))
+    summary = tmp_path / "s.json"
+    assert main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
+                 "--k", "3", "--out", str(summary)]) == 0
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(summary), str(scene_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert config == {"r_max": 2.0, "steps": 10}
+    assert type(config["r_max"]) is float
+
+
 def _coincident_scene(tmp_path):
     feats = np.random.default_rng(2).normal(size=(4, 3)).astype(np.float32)
     poses = [Pose(2.0, 2.0, 0.0)] * 4

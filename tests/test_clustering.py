@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from scenesum.clustering import (
+    _MAX_ITER,
+    _TOL,
     ClusterPartition,
     balance_assignment,
     cluster_features,
@@ -21,6 +23,89 @@ def _blobs(centers, per_blob=20, sigma=0.1, seed=0):
     rng = np.random.default_rng(seed)
     parts = [c + sigma * rng.standard_normal((per_blob, len(c))) for c in centers]
     return np.vstack(parts)
+
+
+def _reference_kmeans(x, k, seed):
+    """Lloyd's algorithm as first written: np.add.at cluster sums and row norms
+    recomputed on every assignment.  kmeans must reproduce it bit for bit."""
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    taken = set(chosen)
+    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = next(i for i in range(n) if i not in taken)
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        taken.add(idx)
+        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+    centroids = x[chosen].copy()
+    history = []
+
+    def assign(cents):
+        d2 = (x * x).sum(axis=1)[:, None] + (cents * cents).sum(axis=1)[None, :] - 2.0 * (x @ cents.T)
+        d2 = np.maximum(d2, 0.0)
+        lab = np.argmin(d2, axis=1)
+        return lab, d2[np.arange(n), lab]
+
+    for _ in range(_MAX_ITER):
+        labels, dmin = assign(centroids)
+        history.append(float(dmin.sum()))
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, x)
+        new_centroids = centroids.copy()
+        nonempty = counts > 0
+        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        empty = np.flatnonzero(~nonempty)
+        if empty.size:
+            farthest = np.argsort(-dmin, kind="stable")
+            for j, idx in zip(empty, farthest):
+                new_centroids[j] = x[idx]
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < _TOL:
+            break
+    labels, dmin = assign(centroids)
+    history.append(float(dmin.sum()))
+    return centroids, labels, history
+
+
+def _kmeans_cases():
+    rng = np.random.default_rng(11)
+    for case in range(48):
+        n = int(rng.integers(1, 150))
+        d = int(rng.integers(1, 10))
+        k = int(rng.integers(1, min(n, 30) + 1))
+        x = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 10.0])
+        if case % 3 == 1:
+            x = np.round(x)  # coarse grid: distance ties between centroids
+        elif case % 3 == 2:
+            x[n // 2:] = x[:n - n // 2]  # second half repeats the first
+        yield pytest.param(x, k, int(rng.integers(100)), id=f"random{case}")
+    # three distinct rows and k = 5: two centroids start as duplicates, lose
+    # every tie to a lower id, empty, and are reseeded
+    x = np.repeat(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]), [5, 5, 2], axis=0)
+    assert len(np.unique(x, axis=0)) < 5
+    yield pytest.param(x, 5, 0, id="reseed")
+    yield pytest.param(np.ones((6, 3)), 3, 0, id="identical")
+    # centroids move by less than the tolerance but not by zero, so the run
+    # stops with a final assignment against moved centroids
+    yield pytest.param(1e-7 * rng.normal(size=(40, 3)), 4, 2, id="sub-tolerance")
+    scene = generate_synthetic(SyntheticConfig(n_frames=300, dim=16, seed=4))
+    yield pytest.param(scene.features.astype(np.float64), 12, 1, id="scene")
+
+
+@pytest.mark.parametrize("x,k,seed", list(_kmeans_cases()))
+def test_kmeans_matches_reference_bit_for_bit(x, k, seed):
+    want = _reference_kmeans(x, k, seed)
+    got = kmeans(x, k, seed=seed, return_history=True)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
 
 
 def test_kmeans_recovers_separated_blobs():

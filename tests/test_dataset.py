@@ -63,6 +63,12 @@ def test_pose_positions_subset():
     sub = ds.pose_positions([5, 1])
     full = ds.pose_positions()
     assert np.array_equal(sub, full[[5, 1]])
+    for idx in ([], [0, 0, -1], np.array([[2, 3], [4, 1]]), np.int64(7)):
+        got = ds.pose_positions(idx)
+        want = full[np.asarray(idx, dtype=np.int64)]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(IndexError):
+        ds.pose_positions([ds.n_frames])
 
 
 def test_pose_positions_requires_poses():
