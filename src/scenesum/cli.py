@@ -65,7 +65,10 @@ def _resolve(args, keys) -> dict:
     from_file = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
         unknown = sorted(set(loaded) - set(_DEFAULTS))
@@ -87,6 +90,8 @@ def _resolve(args, keys) -> dict:
             ok = type(value) is str
         if not ok:
             raise UsageError(f"bad value for {key}: {value!r}")
+        if key == "seed" and value < 0:
+            raise UsageError(f"seed must be >= 0, got {value}")
         resolved[key] = float(value) if key in _FLOAT_KEYS else value
     return resolved
 
@@ -235,6 +240,8 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"method must be one of {METHODS}, got {m!r}")
     ks = _parse_list(resolved["ks"], int, "k")
     seeds = _parse_list(resolved["seeds"], int, "seed")
+    if min(seeds) < 0:
+        raise UsageError(f"seeds must be >= 0, got {resolved['seeds']!r}")
     if resolved["r_max"] <= 0 or resolved["steps"] < 2:
         raise UsageError("need r_max > 0 and steps >= 2")
 

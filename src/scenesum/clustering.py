@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Pose, pose_matrix
-
 _MAX_ITER = 100  # Lloyd iterations per k-means run
 _TOL = 1e-6  # stop once no centroid moves farther than this
 
@@ -25,7 +23,6 @@ class ClusterPartition:
     k: int
     labels: np.ndarray  # (n,) int64, values in [0, k)
     members: list[np.ndarray]  # per cluster, ascending frame indices
-    centroids: np.ndarray  # (k, d) in whatever space the clustering ran
     gt_keyframes: np.ndarray | None = None  # (k,) frame nearest each pose centroid
 
     def __post_init__(self):
@@ -46,7 +43,6 @@ class ClusterPartition:
         for j, m in enumerate(self.members):
             if m.size and not np.array_equal(labels[m], np.full(m.size, j)):
                 raise ValueError(f"member list of cluster {j} disagrees with labels")
-        self.centroids = np.asarray(self.centroids, dtype=np.float64)
         if self.gt_keyframes is not None:
             gt = np.asarray(self.gt_keyframes, dtype=np.int64)
             if gt.shape != (self.k,):
@@ -72,12 +68,11 @@ class ClusterSample:
         self.frame_indices = np.asarray(self.frame_indices, dtype=np.int64)
 
 
-def partition_from_labels(labels, k: int, centroids, gt_keyframes=None) -> ClusterPartition:
+def partition_from_labels(labels, k: int, gt_keyframes=None) -> ClusterPartition:
     """Build a validated ClusterPartition from a label vector."""
     labels = np.asarray(labels, dtype=np.int64)
     members = [np.flatnonzero(labels == j) for j in range(k)]
-    return ClusterPartition(k=k, labels=labels, members=members, centroids=centroids,
-                            gt_keyframes=gt_keyframes)
+    return ClusterPartition(k=k, labels=labels, members=members, gt_keyframes=gt_keyframes)
 
 
 def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
@@ -225,25 +220,23 @@ def cluster_features(features, k: int, seed: int = 0) -> ClusterPartition:
     """Feature-space clustering stage: k-means, then capacity balancing."""
     centroids, labels = kmeans(features, k, seed=seed)
     labels = balance_assignment(features, centroids)
-    return partition_from_labels(labels, k, centroids)
+    return partition_from_labels(labels, k)
 
 
-def gt_pose_clustering(poses: list[Pose] | None, k: int, seed: int = 0) -> ClusterPartition:
-    """Cluster on ground-truth poses; record the frame nearest each centroid."""
+def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> ClusterPartition:
+    """Cluster an (n, 3) pose array; record the frame nearest each centroid."""
     if poses is None or len(poses) == 0:
         raise ValueError("ground-truth pose clustering requires poses")
-    p = pose_matrix(poses)
-    centroids, labels = kmeans(p, k, seed=seed)
-    part = partition_from_labels(labels, k, centroids)
+    centroids, labels = kmeans(poses, k, seed=seed)
+    part = partition_from_labels(labels, k)
     gt = np.empty(k, dtype=np.int64)
     for j in range(k):
         m = part.members[j]
         if m.size == 0:
             raise ValueError(f"pose cluster {j} is empty; cannot pick a ground-truth keyframe")
-        d = np.sqrt(((p[m] - centroids[j]) ** 2).sum(axis=1))
+        d = np.sqrt(((poses[m] - centroids[j]) ** 2).sum(axis=1))
         gt[j] = m[int(np.argmin(d))]
-    return ClusterPartition(k=k, labels=labels, members=part.members, centroids=centroids,
-                            gt_keyframes=gt)
+    return ClusterPartition(k=k, labels=labels, members=part.members, gt_keyframes=gt)
 
 
 def sample_cluster(partition: ClusterPartition, cluster_id: int, n_sample: int,

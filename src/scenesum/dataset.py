@@ -1,15 +1,15 @@
-"""Pose-tagged frame sequences: in-memory model, disk format, synthetic walkthroughs.
+"""Frame sequences with optional poses: in-memory model, disk format, synthetic walkthroughs.
 
-A scene is an (n_frames, dim) float32 feature matrix plus an optional list of
-odometry poses, one per frame.  On disk a scene is a small JSON manifest next
-to a raw little-endian float32 feature file and an optional pose CSV.
+A scene is an (n_frames, dim) float32 feature matrix plus an optional
+(n_frames, 3) float64 array of odometry positions, one row per frame.  On disk
+a scene is a small JSON manifest next to a raw little-endian float32 feature
+file and an optional pose CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,31 +21,17 @@ POSE_HEADER = ("frame", "x", "y", "z")
 _FEATURE_MODES = ("pose_correlated", "appearance_only")
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Camera position of one frame, in meters.  z stays 0.0 for planar scenes."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError(f"pose coordinates must be finite, got ({self.x}, {self.y}, {self.z})")
-
-
-def pose_matrix(poses) -> np.ndarray:
-    """Stack an iterable of Pose into an (n, 3) float64 array."""
-    return np.array([(p.x, p.y, p.z) for p in poses], dtype=np.float64).reshape(-1, 3)
-
-
 @dataclass
 class SceneDataset:
-    """Frame sequence with features and, when available, ground-truth poses."""
+    """Frame sequence with features and, when available, ground-truth poses.
+
+    poses holds camera positions in meters, one (x, y, z) row per frame; z
+    stays 0.0 for planar scenes.
+    """
 
     scene_id: str
     features: np.ndarray
-    poses: list[Pose] | None = None
+    poses: np.ndarray | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float32)
@@ -55,11 +41,16 @@ class SceneDataset:
             raise ValueError("NaN or Inf detected in feature matrix")
         self.features = feats
         if self.poses is not None:
-            self.poses = list(self.poses)
-            if len(self.poses) != feats.shape[0]:
+            poses = np.ascontiguousarray(self.poses, dtype=np.float64)
+            if poses.ndim != 2 or poses.shape[1] != 3:
+                raise ValueError(f"poses must be an (n_frames, 3) array, got shape {poses.shape}")
+            if poses.shape[0] != feats.shape[0]:
                 raise ValueError(
-                    f"pose count {len(self.poses)} does not match frame count {feats.shape[0]}"
+                    f"pose count {poses.shape[0]} does not match frame count {feats.shape[0]}"
                 )
+            if not np.isfinite(poses).all():
+                raise ValueError("NaN or Inf detected in poses")
+            self.poses = poses
 
     @property
     def n_frames(self) -> int:
@@ -69,14 +60,11 @@ class SceneDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def pose_positions(self, frame_indices=None) -> np.ndarray:
-        """Pose coordinates as an (n, 3) array, optionally restricted to some frames."""
+    def pose_positions(self, frame_indices) -> np.ndarray:
+        """Position rows of the given frames, shaped frame_indices.shape + (3,)."""
         if self.poses is None:
             raise ValueError("dataset has no poses")
-        if frame_indices is None:
-            return pose_matrix(self.poses)
-        idx = np.asarray(frame_indices, dtype=np.int64)
-        return pose_matrix([self.poses[i] for i in idx.ravel()]).reshape(idx.shape + (3,))
+        return self.poses[np.asarray(frame_indices, dtype=np.int64)]
 
 
 @dataclass
@@ -127,7 +115,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
     center = cfg.box_side / 2.0
     raw = center + np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
     xy = _reflect(raw, cfg.box_side)
-    poses = [Pose(float(x), float(y), 0.0) for x, y in xy]
 
     if cfg.feature_mode == "pose_correlated":
         # Frequency scale 2*pi/box_side gives wavelengths on the order of the
@@ -142,7 +129,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
     return SceneDataset(
         scene_id=f"synthetic-{cfg.feature_mode}-{cfg.seed}",
         features=feats.astype(np.float32),
-        poses=poses,
+        poses=np.column_stack([xy, np.zeros(cfg.n_frames)]),
     )
 
 
@@ -169,9 +156,9 @@ def save_dataset(ds: SceneDataset, manifest_path) -> Path:
         with open(out_dir / pose_name, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(POSE_HEADER)
-            for i, p in enumerate(ds.poses):
+            for i, (x, y, z) in enumerate(ds.poses.tolist()):
                 # repr round-trips doubles exactly, keeping reload bit-identical
-                writer.writerow([i, repr(p.x), repr(p.y), repr(p.z)])
+                writer.writerow([i, repr(x), repr(y), repr(z)])
         manifest["poses"] = pose_name
 
     with open(manifest_path, "w") as fh:
@@ -180,24 +167,29 @@ def save_dataset(ds: SceneDataset, manifest_path) -> Path:
     return manifest_path
 
 
-def _load_poses(path: Path, n_frames: int) -> list[Pose]:
+def _load_poses(path: Path, n_frames: int) -> list[tuple[float, float, float]]:
+    """Rows (x, y, z) of a pose CSV; SceneDataset checks their finiteness."""
+    poses = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != POSE_HEADER:
-            raise ValueError(f"pose file {path} must start with header {','.join(POSE_HEADER)}")
-        poses = []
-        for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"malformed pose row {len(poses)}: {row!r}")
-            try:
-                frame = int(row[0])
-                x, y, z = (float(v) for v in row[1:])
-            except ValueError as exc:
-                raise ValueError(f"malformed pose row {len(poses)}: {row!r}") from exc
-            if frame != len(poses):
-                raise ValueError(f"pose rows must be ordered 0..n-1, got frame {frame} at row {len(poses)}")
-            poses.append(Pose(x, y, z))
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != POSE_HEADER:
+                raise ValueError(f"pose file {path} must start with header {','.join(POSE_HEADER)}")
+            for row in reader:
+                if len(row) != 4:
+                    raise ValueError(f"malformed pose row {len(poses)}: {row!r}")
+                try:
+                    frame = int(row[0])
+                    xyz = tuple(float(v) for v in row[1:])
+                except ValueError as exc:
+                    raise ValueError(f"malformed pose row {len(poses)}: {row!r}") from exc
+                if frame != len(poses):
+                    raise ValueError(
+                        f"pose rows must be ordered 0..n-1, got frame {frame} at row {len(poses)}")
+                poses.append(xyz)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"malformed pose file {path}: {exc}") from exc
     if len(poses) != n_frames:
         raise ValueError(f"pose count {len(poses)} does not match manifest n_frames {n_frames}")
     return poses

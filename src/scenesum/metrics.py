@@ -11,8 +11,6 @@ import numpy as np
 
 
 def _positions(positions) -> np.ndarray:
-    if len(positions) and hasattr(positions[0], "x"):
-        positions = [(p.x, p.y, getattr(p, "z", 0.0)) for p in positions]
     p = np.asarray(positions, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] not in (2, 3):
         raise ValueError(f"positions must be (k, 2) or (k, 3), got shape {p.shape}")

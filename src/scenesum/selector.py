@@ -28,6 +28,7 @@ _MAGIC = b"SSAE"
 _CHECKPOINT_VERSION = 1
 _MODES = ("self_supervised", "supervised")
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # plain Adam
+_LAMBDA_RECON, _LAMBDA_NCE, _LAMBDA_GT = 1.0, 1.0, 1.0  # loss term weights in training
 
 
 @dataclass
@@ -265,7 +266,8 @@ def _as_params(params: AutoencoderParams, layer_grads) -> AutoencoderParams:
 
 
 def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
-               lambda_recon: float = 1.0, lambda_nce: float = 1.0, lambda_gt: float = 1.0):
+               lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
+               lambda_gt: float = _LAMBDA_GT):
     """Weighted training loss over one batch of cluster samples.
 
     Returns (total, breakdown) where breakdown holds the unweighted terms under
@@ -278,8 +280,8 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
 
 
 def grad(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
-         lambda_recon: float = 1.0, lambda_nce: float = 1.0,
-         lambda_gt: float = 1.0) -> AutoencoderParams:
+         lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
+         lambda_gt: float = _LAMBDA_GT) -> AutoencoderParams:
     """Analytic gradient of total_loss, shaped exactly like params."""
     features = np.asarray(features, dtype=np.float64)
     _, _, g = _evaluate(params, features, samples, gt_keyframes,
@@ -298,9 +300,6 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (128,)
     sample_size: int = 8
     mode: str = "self_supervised"
-    lambda_recon: float = 1.0
-    lambda_nce: float = 1.0
-    lambda_gt: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -319,10 +318,6 @@ class TrainConfig:
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for name in ("lambda_recon", "lambda_nce", "lambda_gt"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass
@@ -386,8 +381,8 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
         step_losses = []
         for step in range(steps):
             samples = [sample_cluster(partition, j, n_sample, rng) for j in range(k)]
-            total, _, g = _evaluate(params, features, samples, gt, cfg.lambda_recon,
-                                    cfg.lambda_nce, cfg.lambda_gt, True)
+            total, _, g = _evaluate(params, features, samples, gt, _LAMBDA_RECON,
+                                    _LAMBDA_NCE, _LAMBDA_GT, True)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
             adam_step(params, _as_params(params, g), state, learning_rate=cfg.learning_rate)
@@ -425,7 +420,7 @@ class SummaryResult:
 
 
 def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: ClusterPartition,
-                     method: str = "scenesum", config: dict | None = None) -> SummaryResult:
+                     method: str = "scenesum") -> SummaryResult:
     """Per cluster, the frame whose encoding is nearest the mean cluster encoding.
 
     The mean runs over the full cluster membership.  Ties go to the lowest
@@ -439,7 +434,7 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: Clu
         hm = h[members]
         d = ((hm - hm.mean(axis=0)) ** 2).sum(axis=1)
         frames.append(int(members[int(np.argmin(d))]))
-    return SummaryResult(method=method, frame_indices=frames, config=dict(config or {}))
+    return SummaryResult(method=method, frame_indices=frames)
 
 
 def save_params(params: AutoencoderParams, path) -> None:

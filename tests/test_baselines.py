@@ -72,7 +72,7 @@ def test_vsumm_agrees_with_identity_encoder_selection():
     from scenesum.clustering import kmeans
 
     _, km_labels = kmeans(feats, 3, seed=0)
-    part = partition_from_labels(km_labels, 3, np.zeros((3, 2)))
+    part = partition_from_labels(km_labels, 3)
     ours = select_keyframes(identity, ds, part)
     assert sorted(ours.frame_indices) == sorted(vs.frame_indices)
 

@@ -14,7 +14,7 @@ import pytest
 
 import scenesum
 from scenesum.cli import main
-from scenesum.dataset import Pose, SceneDataset, save_dataset
+from scenesum.dataset import SceneDataset, save_dataset
 from scenesum.svgchart import render_line_chart
 
 
@@ -151,10 +151,37 @@ def test_config_file_precedence(scene_dir, tmp_path):
 
 def test_config_file_must_hold_an_object(scene_dir, tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text("[1, 2]")
-    rc = main(["summarize", str(scene_dir / "manifest.json"), "--config", str(cfg),
-               "--out", str(tmp_path / "x.json")])
-    assert rc == 2
+    for text in ("[1, 2]", '{"k": 4'):  # a list, then text that is not JSON at all
+        cfg.write_text(text)
+        rc = main(["summarize", str(scene_dir / "manifest.json"), "--config", str(cfg),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_missing_config_file_is_io_error(scene_dir, tmp_path):
+    rc = main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
+               "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "{tmp}/g", "--seed", "-1"],
+    ["generate", "--out", "{tmp}/g", "--config", "{tmp}/seed.json"],
+    ["summarize", "{scene}", "--method", "uniform", "--seed", "-1", "--out", "{tmp}/x.json"],
+    ["summarize", "{scene}", "--method", "vsumm", "--seed", "-1", "--out", "{tmp}/x.json"],
+    ["summarize", "{scene}", "--method", "random", "--config", "{tmp}/seed.json",
+     "--out", "{tmp}/x.json"],
+    ["sweep", "{scene}", "--methods", "uniform", "--ks", "2", "--seeds=0,-3",
+     "--out", "{tmp}/x.csv"],
+], ids=["generate-flag", "generate-config", "summarize-uniform", "summarize-vsumm",
+        "summarize-config", "sweep-seeds"])
+def test_negative_seed_is_a_usage_error(scene_dir, tmp_path, capsys, argv):
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": -1}))
+    argv = [a.format(tmp=tmp_path, scene=scene_dir / "manifest.json") for a in argv]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed.json"]
 
 
 def test_config_file_rejects_unknown_keys(scene_dir, tmp_path):
@@ -194,7 +221,7 @@ def test_config_file_int_accepted_for_float_key(scene_dir, tmp_path):
 
 def _coincident_scene(tmp_path):
     feats = np.random.default_rng(2).normal(size=(4, 3)).astype(np.float32)
-    poses = [Pose(2.0, 2.0, 0.0)] * 4
+    poses = np.tile([2.0, 2.0, 0.0], (4, 1))
     return save_dataset(SceneDataset("stacked", feats, poses=poses), tmp_path / "manifest.json")
 
 

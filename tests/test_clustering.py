@@ -16,7 +16,7 @@ from scenesum.clustering import (
     partition_from_labels,
     sample_cluster,
 )
-from scenesum.dataset import Pose, SyntheticConfig, generate_synthetic
+from scenesum.dataset import SyntheticConfig, generate_synthetic
 
 
 def _blobs(centers, per_blob=20, sigma=0.1, seed=0):
@@ -202,7 +202,7 @@ def test_cluster_features_identical_frames_still_balances():
 def test_feature_clusters_are_spatially_coherent():
     ds = generate_synthetic(SyntheticConfig(n_frames=500, seed=2))
     part = cluster_features(ds.features, 10, seed=0)
-    pos = ds.pose_positions()
+    pos = ds.poses
     pdist = np.sqrt(((pos[:, None] - pos[None, :]) ** 2).sum(-1))
     same = part.labels[:, None] == part.labels[None, :]
     iu = np.triu_indices(500, k=1)
@@ -212,8 +212,8 @@ def test_feature_clusters_are_spatially_coherent():
 
 
 def test_gt_clustering_two_pose_blobs():
-    poses = [Pose(0.0, 0.0), Pose(0.5, 0.0), Pose(0.0, 0.5),
-             Pose(10.0, 10.0), Pose(10.5, 10.0), Pose(10.0, 10.5)]
+    poses = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0],
+                      [10.0, 10.0, 0.0], [10.5, 10.0, 0.0], [10.0, 10.5, 0.0]])
     part = gt_pose_clustering(poses, 2, seed=0)
     assert part.gt_keyframes is not None
     assert sorted(part.gt_keyframes.tolist()) == [0, 3]
@@ -223,13 +223,13 @@ def test_gt_clustering_two_pose_blobs():
 
 
 def test_gt_clustering_tie_goes_to_lowest_frame():
-    poses = [Pose(0.0, 0.0), Pose(1.0, 0.0), Pose(10.0, 0.0), Pose(11.0, 0.0)]
+    poses = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [10.0, 0.0, 0.0], [11.0, 0.0, 0.0]])
     part = gt_pose_clustering(poses, 2, seed=0)
     assert sorted(part.gt_keyframes.tolist()) == [0, 2]
 
 
 def test_gt_clustering_k_equals_n():
-    poses = [Pose(float(i), 0.0) for i in range(5)]
+    poses = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
     part = gt_pose_clustering(poses, 5, seed=0)
     assert sorted(part.gt_keyframes.tolist()) == [0, 1, 2, 3, 4]
     for j, f in enumerate(part.gt_keyframes):
@@ -244,7 +244,7 @@ def test_gt_clustering_requires_poses():
 
 
 def test_sample_cluster_without_replacement_when_possible():
-    part = partition_from_labels([0, 0, 0, 0, 1, 1], 2, np.zeros((2, 1)))
+    part = partition_from_labels([0, 0, 0, 0, 1, 1], 2)
     s = sample_cluster(part, 0, 3, rng=0)
     assert s.cluster_id == 0
     assert len(set(s.frame_indices.tolist())) == 3
@@ -252,21 +252,21 @@ def test_sample_cluster_without_replacement_when_possible():
 
 
 def test_sample_cluster_small_cluster_uses_replacement():
-    part = partition_from_labels([0, 0, 1, 1, 1, 1], 2, np.zeros((2, 1)))
+    part = partition_from_labels([0, 0, 1, 1, 1, 1], 2)
     s = sample_cluster(part, 0, 5, rng=1)
     assert len(s.frame_indices) == 5
     assert set(s.frame_indices.tolist()) <= {0, 1}
 
 
 def test_sample_cluster_is_deterministic_per_seed():
-    part = partition_from_labels([0] * 8, 1, np.zeros((1, 1)))
+    part = partition_from_labels([0] * 8, 1)
     a = sample_cluster(part, 0, 4, rng=9)
     b = sample_cluster(part, 0, 4, rng=9)
     assert np.array_equal(a.frame_indices, b.frame_indices)
 
 
 def test_sample_cluster_draws_are_roughly_uniform():
-    part = partition_from_labels([0, 0, 0, 0], 1, np.zeros((1, 1)))
+    part = partition_from_labels([0, 0, 0, 0], 1)
     rng = np.random.default_rng(0)
     counts = np.zeros(4)
     for _ in range(10_000):
@@ -276,7 +276,7 @@ def test_sample_cluster_draws_are_roughly_uniform():
 
 
 def test_sample_cluster_validation():
-    part = partition_from_labels([0, 0, 0], 2, np.zeros((2, 1)))  # cluster 1 empty
+    part = partition_from_labels([0, 0, 0], 2)  # cluster 1 empty
     with pytest.raises(ValueError):
         sample_cluster(part, 2, 1, rng=0)
     with pytest.raises(ValueError):
@@ -287,10 +287,8 @@ def test_sample_cluster_validation():
 
 def test_partition_validation_errors():
     with pytest.raises(ValueError):
-        ClusterPartition(k=2, labels=np.array([0, 2]), members=[np.array([0]), np.array([1])],
-                         centroids=np.zeros((2, 1)))
+        ClusterPartition(k=2, labels=np.array([0, 2]), members=[np.array([0]), np.array([1])])
     with pytest.raises(ValueError):
-        ClusterPartition(k=2, labels=np.array([0, 1]), members=[np.array([0, 1]), np.array([])],
-                         centroids=np.zeros((2, 1)))
+        ClusterPartition(k=2, labels=np.array([0, 1]), members=[np.array([0, 1]), np.array([])])
     with pytest.raises(ValueError):
-        partition_from_labels([0, 0, 1], 2, np.zeros((2, 1)), gt_keyframes=[2, 1])
+        partition_from_labels([0, 0, 1], 2, gt_keyframes=[2, 1])

@@ -3,40 +3,22 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from scenesum.dataset import (
-    Pose,
-    SceneDataset,
-    SyntheticConfig,
-    generate_synthetic,
-    load_dataset,
-    pose_matrix,
-    save_dataset,
-)
+from scenesum.dataset import SceneDataset, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 
 
 def _small_cfg(**kwargs):
     base = dict(n_frames=40, dim=8, seed=3)
     base.update(kwargs)
     return SyntheticConfig(**base)
-
-
-def test_pose_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Pose(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        Pose(0.0, float("inf"))
-
-
-def test_pose_matrix_stacks_coordinates():
-    mat = pose_matrix([Pose(1.0, 2.0, 3.0), Pose(4.0, 5.0)])
-    assert mat.shape == (2, 3)
-    assert mat[0].tolist() == [1.0, 2.0, 3.0]
-    assert mat[1].tolist() == [4.0, 5.0, 0.0]
 
 
 def test_dataset_casts_features_to_float32():
@@ -55,13 +37,27 @@ def test_dataset_rejects_nan_features():
 
 def test_dataset_rejects_pose_count_mismatch():
     with pytest.raises(ValueError, match="pose count"):
-        SceneDataset("s", np.ones((3, 2)), poses=[Pose(0, 0)])
+        SceneDataset("s", np.ones((3, 2)), poses=np.zeros((1, 3)))
+
+
+def test_dataset_poses_are_a_finite_float64_array():
+    ds = SceneDataset("s", np.ones((2, 2)), poses=[(1, 2, 3), (4.0, 5.0, 0.0)])
+    assert ds.poses.dtype == np.float64 and ds.poses.shape == (2, 3)
+    assert ds.poses.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 0.0]]
+    for bad in (np.zeros((2, 2)), np.zeros(6), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match=r"\(n_frames, 3\)"):
+            SceneDataset("s", np.ones((2, 2)), poses=bad)
+    for value in (np.nan, np.inf, -np.inf):
+        poses = np.zeros((2, 3))
+        poses[1, 2] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            SceneDataset("s", np.ones((2, 2)), poses=poses)
 
 
 def test_pose_positions_subset():
     ds = generate_synthetic(_small_cfg())
     sub = ds.pose_positions([5, 1])
-    full = ds.pose_positions()
+    full = ds.poses
     assert np.array_equal(sub, full[[5, 1]])
     for idx in ([], [0, 0, -1], np.array([[2, 3], [4, 1]]), np.int64(7)):
         got = ds.pose_positions(idx)
@@ -74,7 +70,7 @@ def test_pose_positions_subset():
 def test_pose_positions_requires_poses():
     ds = SceneDataset("s", np.ones((3, 2)))
     with pytest.raises(ValueError, match="no poses"):
-        ds.pose_positions()
+        ds.pose_positions([0])
 
 
 def test_synthetic_config_validation():
@@ -96,7 +92,7 @@ def test_generate_is_deterministic():
     a = generate_synthetic(_small_cfg())
     b = generate_synthetic(_small_cfg())
     assert np.array_equal(a.features, b.features)
-    assert a.poses == b.poses
+    assert a.poses.tobytes() == b.poses.tobytes()
     assert a.scene_id == b.scene_id
 
 
@@ -109,7 +105,7 @@ def test_generate_seed_changes_output():
 def test_walk_starts_at_center_and_stays_in_box():
     cfg = SyntheticConfig(n_frames=2000, dim=4, seed=11, box_side=20.0, step_sigma=2.5)
     ds = generate_synthetic(cfg)
-    pos = ds.pose_positions()
+    pos = ds.poses
     assert pos[0, 0] == 10.0 and pos[0, 1] == 10.0
     assert (pos[:, 0] >= 0).all() and (pos[:, 0] <= 20.0).all()
     assert (pos[:, 1] >= 0).all() and (pos[:, 1] <= 20.0).all()
@@ -122,7 +118,7 @@ def test_pose_correlated_near_pairs_are_closer_in_feature_space():
     # farther apart than box_side/2.
     cfg = SyntheticConfig(n_frames=500, seed=9)
     ds = generate_synthetic(cfg)
-    pos = ds.pose_positions()
+    pos = ds.poses
     feats = ds.features.astype(np.float64)
     pdist = np.sqrt(((pos[:, None] - pos[None, :]) ** 2).sum(-1))
     fdist = np.sqrt(((feats[:, None] - feats[None, :]) ** 2).sum(-1))
@@ -135,7 +131,7 @@ def test_pose_correlated_near_pairs_are_closer_in_feature_space():
 
 def test_pose_correlated_rank_correlation_positive():
     ds = generate_synthetic(SyntheticConfig(n_frames=500, seed=21))
-    pos = ds.pose_positions()
+    pos = ds.poses
     feats = ds.features.astype(np.float64)
     rng = np.random.default_rng(0)
     i = rng.integers(0, 500, size=10_000)
@@ -151,7 +147,7 @@ def test_pose_correlated_rank_correlation_positive():
 def test_appearance_only_features_ignore_pose():
     ds = generate_synthetic(_small_cfg(feature_mode="appearance_only", n_frames=500))
     assert ds.poses is not None and len(ds.poses) == 500
-    pos = ds.pose_positions()
+    pos = ds.poses
     feats = ds.features.astype(np.float64)
     rng = np.random.default_rng(0)
     i = rng.integers(0, 500, size=10_000)
@@ -170,7 +166,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert back.scene_id == ds.scene_id
     assert back.features.dtype == np.float32
     assert np.array_equal(back.features, ds.features)
-    assert back.poses == ds.poses
+    assert back.poses.tobytes() == ds.poses.tobytes()
 
 
 def test_save_without_poses_omits_pose_entry(tmp_path):
@@ -272,3 +268,52 @@ def test_saved_files_are_deterministic(tmp_path):
         save_dataset(generate_synthetic(_small_cfg()), d / "manifest.json")
     for name in ("manifest.json", "features.bin", "poses.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+_POSE_FIELDS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "-1e400", "", " 1.5", "1_0", "0x1p3"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _pose_csv(draw):
+    """(n_frames, poses.csv text): mostly near-valid files, sometimes any text."""
+    n = draw(st.integers(1, 4))
+    if draw(st.integers(0, 9)) == 0:
+        return n, draw(st.text())
+    header = draw(st.just("frame,x,y,z")
+                  | st.sampled_from(["frame,x,y", "x,y,z,frame", "", "frame,x,y,z,w"])
+                  | st.text(max_size=12))
+    if draw(st.booleans()):  # n rows of four fields, as a valid file has
+        rows = draw(st.lists(st.lists(_POSE_FIELDS, min_size=4, max_size=4),
+                             min_size=n, max_size=n))
+    else:
+        rows = draw(st.lists(st.lists(_POSE_FIELDS, min_size=3, max_size=5), max_size=6))
+    if draw(st.booleans()):  # number the rows in order, as a valid file does
+        rows = [[str(i)] + row[1:] for i, row in enumerate(rows)]
+    return n, "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pose_csv())
+@example((1, "frame,x,y,z\n0,1.5,-2.0,0.0\n"))
+@example((2, "frame,x,y,z\n0,1,2,3\n1,nan,0,0\n"))
+@example((1, "frame,x,y,z\n0,1e400,0,0\n"))
+@example((1, "frame,x,y,z\n0," + "1" * 200_000 + ",0,0\n"))  # over csv.field_size_limit()
+def test_pose_file_parses_to_finite_array_or_value_error(case):
+    n, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = save_dataset(SceneDataset("p", np.zeros((n, 2))), Path(tmp) / "manifest.json")
+        payload = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**payload, "poses": "poses.csv"}))
+        (Path(tmp) / "poses.csv").write_text(text, encoding="utf-8", newline="")
+        try:
+            ds = load_dataset(manifest)
+        except ValueError:
+            return
+    assert isinstance(ds.poses, np.ndarray)
+    assert ds.poses.dtype == np.float64 and ds.poses.shape == (n, 3)
+    assert np.isfinite(ds.poses).all()

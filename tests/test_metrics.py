@@ -7,7 +7,6 @@ import csv
 import numpy as np
 import pytest
 
-from scenesum.dataset import Pose
 from scenesum.metrics import (
     DivergenceCurve,
     auc,
@@ -51,8 +50,8 @@ def test_pair_count_matches_brute_force():
         assert similar_pair_count(pos, r) == _brute_count(pos, r)
 
 
-def test_pose_objects_are_accepted():
-    poses = [Pose(0.0, 0.0, 0.0), Pose(0.0, 0.0, 2.0)]
+def test_z_coordinate_separates_positions():
+    poses = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
     assert similar_pair_count(poses, 1.0) == 0  # z separates them
     assert similar_pair_count(poses, 2.5) == 2
 

@@ -413,7 +413,7 @@ def _toy_scene(n=30, dim=4, seed=0):
 
 def test_train_zero_epochs_returns_initial_params():
     ds = _toy_scene()
-    part = partition_from_labels(np.arange(30) % 3, 3, np.zeros((3, 4)))
+    part = partition_from_labels(np.arange(30) % 3, 3)
     cfg = TrainConfig(epochs=0, latent_dim=2, hidden_dims=(3,), seed=6)
     params, history = train(ds, part, cfg)
     fresh = init_params(4, (3,), 2, rng=np.random.default_rng(6))
@@ -423,7 +423,7 @@ def test_train_zero_epochs_returns_initial_params():
 
 def test_train_is_deterministic():
     ds = _toy_scene()
-    part = partition_from_labels(np.arange(30) % 3, 3, np.zeros((3, 4)))
+    part = partition_from_labels(np.arange(30) % 3, 3)
     cfg = TrainConfig(epochs=3, latent_dim=2, hidden_dims=(3,), sample_size=2, seed=1)
     p1, h1 = train(ds, part, cfg)
     p2, h2 = train(ds, part, cfg)
@@ -433,7 +433,7 @@ def test_train_is_deterministic():
 
 def test_train_reduces_loss():
     ds = _toy_scene(n=60, dim=6, seed=2)
-    part = partition_from_labels(np.arange(60) % 3, 3, np.zeros((3, 6)))
+    part = partition_from_labels(np.arange(60) % 3, 3)
     cfg = TrainConfig(epochs=40, latent_dim=4, hidden_dims=(8,), sample_size=4, seed=0)
     _, history = train(ds, part, cfg)
     assert history[-1] < history[0]
@@ -441,7 +441,7 @@ def test_train_reduces_loss():
 
 def test_train_rejects_non_finite_loss():
     ds = _toy_scene(n=60, dim=6, seed=2)
-    part = partition_from_labels(np.arange(60) % 3, 3, np.zeros((3, 6)))
+    part = partition_from_labels(np.arange(60) % 3, 3)
     cfg = TrainConfig(epochs=3, learning_rate=1e300, latent_dim=4, hidden_dims=(8,),
                       sample_size=4, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,7 +451,7 @@ def test_train_rejects_non_finite_loss():
 
 def test_train_warns_when_batch_cannot_hold_samples():
     ds = _toy_scene(n=40)
-    part = partition_from_labels(np.arange(40) % 5, 5, np.zeros((5, 4)))
+    part = partition_from_labels(np.arange(40) % 5, 5)
     cfg = TrainConfig(epochs=1, latent_dim=2, hidden_dims=(3,), sample_size=8, batch_size=16)
     with pytest.warns(UserWarning, match="reducing"):
         train(ds, part, cfg)
@@ -459,13 +459,13 @@ def test_train_warns_when_batch_cannot_hold_samples():
 
 def test_train_validation():
     ds = _toy_scene()
-    part = partition_from_labels(np.zeros(30, dtype=int), 1, np.zeros((1, 4)))
+    part = partition_from_labels(np.zeros(30, dtype=int), 1)
     with pytest.raises(ValueError):
         train(ds, part, TrainConfig(epochs=1))
-    two = partition_from_labels(np.arange(29) % 2, 2, np.zeros((2, 4)))
+    two = partition_from_labels(np.arange(29) % 2, 2)
     with pytest.raises(ValueError):
         train(ds, two, TrainConfig(epochs=1))
-    ok = partition_from_labels(np.arange(30) % 2, 2, np.zeros((2, 4)))
+    ok = partition_from_labels(np.arange(30) % 2, 2)
     with pytest.raises(ValueError, match="gt_keyframes"):
         train(ds, ok, TrainConfig(epochs=1, mode="supervised"))
 
@@ -481,8 +481,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="semi")
     with pytest.raises(ValueError):
-        TrainConfig(lambda_nce=-0.5)
-    with pytest.raises(ValueError):
         TrainConfig(sample_size=0)
 
 
@@ -494,7 +492,7 @@ def test_select_keyframes_identity_net_hand_case():
     # value, and the tie between the two copies resolves to the lower index.
     feats = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [8.0, 8.0]])
     ds = SceneDataset("hand", feats)
-    part = partition_from_labels([0, 0, 0, 1], 2, np.zeros((2, 2)))
+    part = partition_from_labels([0, 0, 0, 1], 2)
     result = select_keyframes(_identity_net(2), ds, part)
     assert result.frame_indices == [0, 3]
     assert result.k == 2
@@ -504,7 +502,7 @@ def test_select_keyframes_matches_brute_force():
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(12, 5)).astype(np.float32)
     ds = SceneDataset("brute", feats)
-    part = partition_from_labels(np.arange(12) % 3, 3, np.zeros((3, 5)))
+    part = partition_from_labels(np.arange(12) % 3, 3)
     params = init_params(5, (6,), 3, rng=2)
     result = select_keyframes(params, ds, part)
     x = feats.astype(np.float64)
