@@ -40,18 +40,21 @@ def test_dataset_rejects_pose_count_mismatch():
         SceneDataset("s", np.ones((3, 2)), poses=np.zeros((1, 3)))
 
 
-def test_dataset_poses_are_a_finite_float64_array():
+def test_pose_rejects_non_finite():
+    for value in (np.nan, np.inf, -np.inf):
+        poses = np.zeros((2, 3))
+        poses[1, 2] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            SceneDataset("s", np.ones((2, 2)), poses=poses)
+
+
+def test_pose_matrix_stacks_coordinates():
     ds = SceneDataset("s", np.ones((2, 2)), poses=[(1, 2, 3), (4.0, 5.0, 0.0)])
     assert ds.poses.dtype == np.float64 and ds.poses.shape == (2, 3)
     assert ds.poses.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 0.0]]
     for bad in (np.zeros((2, 2)), np.zeros(6), np.zeros((2, 3, 1))):
         with pytest.raises(ValueError, match=r"\(n_frames, 3\)"):
             SceneDataset("s", np.ones((2, 2)), poses=bad)
-    for value in (np.nan, np.inf, -np.inf):
-        poses = np.zeros((2, 3))
-        poses[1, 2] = value
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            SceneDataset("s", np.ones((2, 2)), poses=poses)
 
 
 def test_pose_positions_subset():
