@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import baselines, metrics
 from .clustering import cluster_features, gt_pose_clustering
-from .dataset import SceneDataset, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
+from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, load_dataset,
+                      read_json_object, save_dataset)
 from .selector import SummaryResult, TrainConfig, select_keyframes, train
 from .svgchart import render_line_chart
 
@@ -64,13 +66,10 @@ def _resolve(args, keys) -> dict:
     """Merge flags over --config file values over defaults, for the given keys."""
     from_file = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
+        try:
+            loaded = read_json_object(args.config, "config file")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         unknown = sorted(set(loaded) - set(_DEFAULTS))
         if unknown:
             raise UsageError(f"config file {args.config} has unknown keys {unknown}")
@@ -85,7 +84,7 @@ def _resolve(args, keys) -> dict:
         if key in _INT_KEYS:
             ok = type(value) is int
         elif key in _FLOAT_KEYS:
-            ok = type(value) in (int, float)
+            ok = type(value) in (int, float) and math.isfinite(value)
         else:
             ok = type(value) is str
         if not ok:
@@ -178,10 +177,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"r_max must be > 0, got {resolved['r_max']}")
     if resolved["steps"] < 2:
         raise UsageError(f"steps must be >= 2, got {resolved['steps']}")
-    with open(args.summary) as fh:
-        summary = json.load(fh)
-    if not isinstance(summary, dict):
-        raise ValueError(f"summary file {args.summary} must hold a JSON object")
+    summary = read_json_object(args.summary, "summary file")
     for key in ("method", "k", "frames"):
         if key not in summary:
             raise ValueError(f"summary file {args.summary} missing key {key!r}")

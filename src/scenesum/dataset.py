@@ -86,12 +86,13 @@ class SyntheticConfig:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.feature_mode not in _FEATURE_MODES:
             raise ValueError(f"feature_mode must be one of {_FEATURE_MODES}, got {self.feature_mode!r}")
-        if self.box_side <= 0:
-            raise ValueError(f"box_side must be > 0, got {self.box_side}")
-        if self.step_sigma <= 0:
-            raise ValueError(f"step_sigma must be > 0, got {self.step_sigma}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # written so that NaN fails every bound
+        if not 0 < self.box_side < np.inf:
+            raise ValueError(f"box_side must be finite and > 0, got {self.box_side}")
+        if not 0 < self.step_sigma < np.inf:
+            raise ValueError(f"step_sigma must be finite and > 0, got {self.step_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _reflect(values: np.ndarray, side: float) -> np.ndarray:
@@ -195,13 +196,23 @@ def _load_poses(path: Path, n_frames: int) -> list[tuple[float, float, float]]:
     return poses
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in a file.  ValueError if the text is not JSON, nests too
+    deeply to parse, or is not an object; OSError if the file cannot be read."""
+    with open(path) as fh:
+        try:
+            loaded = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+            raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return loaded
+
+
 def load_dataset(manifest_path) -> SceneDataset:
     """Load a scene from its manifest; validates sizes, dtype tag, and finiteness."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest {manifest_path} must hold a JSON object")
+    manifest = read_json_object(manifest_path, "manifest")
     for key in ("scene_id", "n_frames", "dim", "features", "dtype"):
         if key not in manifest:
             raise ValueError(f"manifest {manifest_path} missing required key {key!r}")

@@ -21,9 +21,12 @@ def _positions(positions) -> np.ndarray:
     return p
 
 
-def _pair_distances(p: np.ndarray) -> np.ndarray:
+def _close_pair_counts(p: np.ndarray, thresholds) -> np.ndarray:
+    """Per threshold r, the ordered pairs (i, j), i != j, closer than r."""
     diff = p[:, None, :] - p[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)  # self-pairs never count
+    return np.array([(dist < r).sum() for r in thresholds], dtype=np.int64)
 
 
 def similar_pair_count(positions, r: float) -> int:
@@ -31,9 +34,7 @@ def similar_pair_count(positions, r: float) -> int:
     p = _positions(positions)
     if r < 0:
         raise ValueError(f"threshold r must be >= 0, got {r}")
-    close = _pair_distances(p) < r
-    np.fill_diagonal(close, False)
-    return int(close.sum())
+    return int(_close_pair_counts(p, [r])[0])
 
 
 def divergence(positions, r: float) -> float:
@@ -75,10 +76,8 @@ def divergence_curve(positions, r_max: float, steps: int = 100) -> DivergenceCur
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     k = p.shape[0]
-    dist = _pair_distances(p)
-    np.fill_diagonal(dist, np.inf)  # self-pairs never count
     thresholds = np.arange(steps + 1) * (r_max / steps)
-    values = np.array([(dist < r).sum() / (k * k) for r in thresholds])
+    values = _close_pair_counts(p, thresholds) / (k * k)
     return DivergenceCurve(thresholds=thresholds, values=values)
 
 

@@ -12,10 +12,8 @@ differences in the test suite.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +22,6 @@ from .dataset import SceneDataset
 
 _COS_EPS = 1e-12  # norm guard on the training path
 _TINY = np.finfo(np.float64).tiny
-_MAGIC = b"SSAE"
-_CHECKPOINT_VERSION = 1
 _MODES = ("self_supervised", "supervised")
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # plain Adam
 _LAMBDA_RECON, _LAMBDA_NCE, _LAMBDA_GT = 1.0, 1.0, 1.0  # loss term weights in training
@@ -127,67 +123,52 @@ def _backward(layers, acts, d_out: np.ndarray):
     return grads, dz
 
 
-def _check_batch(x, want_dim: int, what: str) -> tuple[np.ndarray, bool]:
+def encode(params: AutoencoderParams, x) -> np.ndarray:
+    """Latent features for a vector or a batch of row vectors."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    if x.ndim != 2 or x.shape[1] != want_dim:
-        raise ValueError(f"{what} expects vectors of dimension {want_dim}, got shape {x.shape}")
-    return x, single
-
-
-def encode(params: AutoencoderParams, x) -> np.ndarray:
-    """Latent features for a vector or a batch of row vectors."""
-    x, single = _check_batch(x, params.input_dim, "encode")
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"encode expects dimension {params.input_dim}, got shape {x.shape}")
     h = _forward(params.encoder, x)[-1]
     return h[0] if single else h
 
 
-def decode(params: AutoencoderParams, h) -> np.ndarray:
-    """Reconstruction for a latent vector or a batch of row vectors."""
-    h, single = _check_batch(h, params.latent_dim, "decode")
-    x = _forward(params.decoder, h)[-1]
-    return x[0] if single else x
-
-
-def pool(h) -> np.ndarray:
-    """Arithmetic mean over the rows of h."""
-    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    if h.shape[0] == 0 or h.size == 0:
-        raise ValueError("cannot pool an empty set of vectors")
-    return h.mean(axis=0)
-
-
 def recon_loss(x, x_hat) -> float:
-    """Mean over samples of the squared L2 reconstruction error."""
+    """Squared L2 reconstruction error summed over rows, over the row count."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return float(((x - x_hat) ** 2).sum(axis=1).mean())
+    if x.shape[0] == 0:
+        raise ValueError("reconstruction loss needs at least one row")
+    return float(((x - x_hat) ** 2).sum()) / x.shape[0]
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two vectors; rejects zero vectors."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for zero vectors")
-    return float(a @ b) / (na * nb)
+def _pair_loss(pools: np.ndarray):
+    """Contrastive term over ordered pairs of the rows of pools, with guarded norms,
+    and the intermediates its gradient needs.
+
+    Per pair the loss is -log(e^sim(a,a) / (e^sim(a,a) + e^sim(a,b))); with
+    cosine similarity the positive logit is 1, so it reduces to
+    log(1 + e^(sim(a,b) - 1)).
+    """
+    norms = np.sqrt((pools * pools).sum(axis=1))
+    guarded = norms + _COS_EPS
+    gg = np.outer(guarded, guarded)
+    sim = (pools @ pools.T) / gg
+    e = np.exp(sim - 1.0)
+    off_diag = ~np.eye(pools.shape[0], dtype=bool)
+    return float(np.log1p(e[off_diag]).sum()), (norms, guarded, gg, sim, e, off_diag)
 
 
 def infonce_pair(p_a, p_b) -> float:
-    """Contrastive pair loss -log(e^sim(a,a) / (e^sim(a,a) + e^sim(a,b))).
-
-    With cosine similarity the positive logit is 1, so the loss reduces to
-    log(1 + e^(sim(a,b) - 1)).
-    """
-    s = cosine_sim(p_a, p_b)
-    return float(np.log1p(np.exp(s - 1.0)))
+    """Contrastive loss of one pair of pooled vectors, as training computes it."""
+    pools = np.stack([np.asarray(p, dtype=np.float64).ravel() for p in (p_a, p_b)])
+    if not (pools != 0.0).any(axis=1).all():
+        raise ValueError("the contrastive loss is undefined for zero vectors")
+    # training sums both orders of a pair, which carry the same loss
+    return _pair_loss(pools)[0] / 2.0
 
 
 def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_gt, want_grad):
@@ -214,21 +195,14 @@ def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_g
     h = enc_acts[-1][:n_total]
     x = enc_acts[0][:n_total]
     dec_acts = _forward(params.decoder, h)
-    recon = float(((x - dec_acts[-1]) ** 2).sum()) / n_total
+    recon = recon_loss(x, dec_acts[-1])
 
     # avg is the k x n averaging matrix: row q holds 1/size_q over cluster q's rows.
     avg = np.zeros((k, n_total))
     avg[np.repeat(np.arange(k), sizes), np.arange(n_total)] = np.repeat(1.0 / sizes, sizes)
     pools = avg @ h
 
-    # Pairwise contrastive term over ordered cluster pairs, with guarded norms.
-    norms = np.sqrt((pools * pools).sum(axis=1))
-    guarded = norms + _COS_EPS
-    gg = np.outer(guarded, guarded)
-    sim = (pools @ pools.T) / gg
-    e = np.exp(sim - 1.0)
-    off_diag = ~np.eye(k, dtype=bool)
-    nce = float(np.log1p(e[off_diag]).sum())
+    nce, (norms, guarded, gg, sim, e, off_diag) = _pair_loss(pools)
 
     breakdown = {"recon": recon, "infonce": nce}
     total = lam_recon * recon + lam_nce * nce
@@ -436,68 +410,3 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: Clu
         frames.append(int(members[int(np.argmin(d))]))
     return SummaryResult(method=method, frame_indices=frames)
 
-
-def save_params(params: AutoencoderParams, path) -> None:
-    """Serialize weights as float32: magic, version, layer dims, then per-layer
-    weights and biases, encoder layers first."""
-    layers = list(params.encoder) + list(params.decoder)
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<II", _CHECKPOINT_VERSION, len(layers))
-    for w, _ in layers:
-        buf += struct.pack("<II", w.shape[0], w.shape[1])
-    for w, b in layers:
-        buf += np.ascontiguousarray(w, dtype="<f4").tobytes()
-        buf += np.ascontiguousarray(b, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(buf))
-
-
-def load_params(path) -> AutoencoderParams:
-    """Read a checkpoint written by save_params; validates the mirror structure."""
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise ValueError(f"not an autoencoder checkpoint: bad magic {data[:4]!r}")
-    pos = 4
-
-    def advance(nbytes):
-        """Offset of the next nbytes; refuses to read past the end of the file."""
-        nonlocal pos
-        start, pos = pos, pos + nbytes
-        if pos > len(data):
-            raise ValueError("checkpoint truncated")
-        return start
-
-    version, n_layers = struct.unpack_from("<II", data, advance(8))
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    if n_layers < 2 or n_layers % 2:
-        raise ValueError(f"layer count must be even and >= 2, got {n_layers}")
-    dims = [struct.unpack_from("<II", data, advance(8)) for _ in range(n_layers)]
-
-    half = n_layers // 2
-    enc_dims, dec_dims = dims[:half], dims[half:]
-    for i in range(half - 1):
-        if enc_dims[i][1] != enc_dims[i + 1][0]:
-            raise ValueError("encoder layer dimensions do not chain")
-    for i, (din, dout) in enumerate(dec_dims):
-        mirrored = enc_dims[half - 1 - i]
-        if (din, dout) != (mirrored[1], mirrored[0]):
-            raise ValueError("decoder does not mirror the encoder")
-
-    def take(count):
-        offset = advance(count * 4)
-        return np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float64)
-
-    layers = []
-    for din, dout in dims:
-        w = take(din * dout).reshape(din, dout)
-        b = take(dout)
-        layers.append((w, b))
-    if pos != len(data):
-        raise ValueError(f"checkpoint has {len(data) - pos} trailing bytes")
-
-    input_dim = enc_dims[0][0]
-    latent_dim = enc_dims[-1][1]
-    hidden_dims = tuple(d for _, d in enc_dims[:-1])
-    return AutoencoderParams(input_dim=input_dim, hidden_dims=hidden_dims, latent_dim=latent_dim,
-                             encoder=layers[:half], decoder=layers[half:])

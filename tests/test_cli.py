@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pkgutil
@@ -126,10 +127,12 @@ def test_summarize_malformed_manifest_is_data_error(scene_dir, tmp_path):
     payload["n_frames"] = 60.7
     payload["features"] = str(scene_dir / payload["features"])
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(payload))
-    rc = main(["summarize", str(manifest), "--method", "uniform", "--k", "2",
-               "--out", str(tmp_path / "x.json")])
-    assert rc == 1
+    # a float frame count, then JSON nested past the parser's depth
+    for text in (json.dumps(payload), "[" * 200_000):
+        manifest.write_text(text)
+        rc = main(["summarize", str(manifest), "--method", "uniform", "--k", "2",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 1
     assert not (tmp_path / "x.json").exists()
 
 
@@ -151,12 +154,39 @@ def test_config_file_precedence(scene_dir, tmp_path):
 
 def test_config_file_must_hold_an_object(scene_dir, tmp_path):
     cfg = tmp_path / "bad.json"
-    for text in ("[1, 2]", '{"k": 4'):  # a list, then text that is not JSON at all
+    # a list, text that is not JSON at all, and JSON nested past the parser's depth
+    for text in ("[1, 2]", '{"k": 4', "[" * 200_000):
         cfg.write_text(text)
         rc = main(["summarize", str(scene_dir / "manifest.json"), "--config", str(cfg),
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "{tmp}/g", "--box-side", "nan"],
+    ["generate", "--out", "{tmp}/g", "--box-side", "inf"],
+    ["generate", "--out", "{tmp}/g", "--step-sigma", "inf"],
+    ["generate", "--out", "{tmp}/g", "--noise-sigma", "inf"],
+    ["generate", "--out", "{tmp}/g", "--config", "{tmp}/nan.json"],
+    ["evaluate", "{tmp}/s.json", "{scene}", "--r-max", "nan", "--out", "{tmp}/e"],
+    ["evaluate", "{tmp}/s.json", "{scene}", "--r-max", "inf", "--out", "{tmp}/e"],
+    ["evaluate", "{tmp}/s.json", "{scene}", "--config", "{tmp}/inf.json", "--out", "{tmp}/e"],
+    ["sweep", "{scene}", "--methods", "uniform", "--ks", "2", "--r-max", "nan",
+     "--out", "{tmp}/x.csv"],
+    ["summarize", "{scene}", "--method", "uniform", "--lr", "nan", "--out", "{tmp}/x.json"],
+], ids=["box-nan", "box-inf", "step-inf", "noise-inf", "generate-config-nan", "eval-nan",
+        "eval-inf", "eval-config-inf", "sweep-nan", "lr-nan"])
+def test_non_finite_real_option_is_a_usage_error(scene_dir, tmp_path, capsys, argv):
+    # JSON config files may spell NaN and Infinity, which Python's parser accepts
+    (tmp_path / "nan.json").write_text('{"noise_sigma": NaN}')
+    (tmp_path / "inf.json").write_text('{"r_max": Infinity}')
+    (tmp_path / "s.json").write_text(json.dumps({"method": "x", "k": 2, "frames": [0, 5]}))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = [a.format(tmp=tmp_path, scene=scene_dir / "manifest.json") for a in argv]
+    assert main(argv) == 2
+    assert "bad value for" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_missing_config_file_is_io_error(scene_dir, tmp_path):
@@ -292,12 +322,15 @@ def test_evaluate_rejects_malformed_frames(scene_dir, tmp_path, frames):
     assert not (tmp_path / "e.json").exists()
 
 
-def test_evaluate_rejects_non_object_summary(scene_dir, tmp_path):
+def test_evaluate_rejects_non_object_summary(scene_dir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("5")
-    rc = main(["evaluate", str(bad), str(scene_dir / "manifest.json"),
-               "--out", str(tmp_path / "e")])
-    assert rc == 1
+    for text in ("5", "[" * 200_000):  # a number, then JSON nested past the parser's depth
+        bad.write_text(text)
+        rc = main(["evaluate", str(bad), str(scene_dir / "manifest.json"),
+                   "--out", str(tmp_path / "e")])
+        assert rc == 1
+        assert "summary file" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_evaluate_rejects_bad_grid(scene_dir, tmp_path):
@@ -378,6 +411,72 @@ def test_cli_import_reaches_every_module():
     assert "scenesum.cli" in modules
     assert sorted(modules & package) == []
     assert sorted(modules - loaded) == []
+
+
+def _scenesum_imports(tree):
+    """{bound name: (module, name)} for a file's top-level imports from scenesum,
+    relative or absolute; name is None when the bound name is itself a module."""
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module  # None for `from . import x`
+        elif node.module == "scenesum" or (node.module or "").startswith("scenesum."):
+            source = node.module.partition(".")[2] or None
+        else:
+            continue
+        for a in node.names:
+            imported[a.asname or a.name] = (source, a.name) if source else (a.name, None)
+    return imported
+
+
+def _refs(mod, node, imported):
+    """(module, name) of every name a node refers to, as a name or as module.attr."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield imported.get(n.id, (mod, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            target = imported.get(n.value.id)
+            if target and target[1] is None:
+                yield target[0], n.attr
+
+
+def test_every_public_name_is_reached_from_the_cli_or_the_gates():
+    # Walk the source, not the imports: a public function that only tests call is
+    # loaded with its module, yet no command runs it.  The roots are every
+    # top-level name of the CLI and every name the acceptance gates use.
+    pkg = Path(scenesum.__file__).parent
+    defs, imports = {}, {}  # (module, name) -> defining node; module -> its imports
+    for path in sorted(pkg.glob("*.py")):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        imports[mod] = _scenesum_imports(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for n in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(n, ast.Name):
+                        defs[mod, n.id] = node
+
+    gates = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    gate_imports = _scenesum_imports(gates)
+    todo = [key for key in defs if key[0] == "cli"]
+    todo += [*gate_imports.values(), *_refs("test_acceptance", gates, gate_imports)]
+    reached = set()
+    while todo:
+        mod, name = key = todo.pop()
+        if name is None or key in reached:
+            continue
+        reached.add(key)
+        if name in imports.get(mod, {}):
+            todo.append(imports[mod][name])
+        elif key in defs:
+            todo.extend(_refs(mod, defs[key], imports[mod]))
+    unreached = sorted(f"{m}.{n}" for m, n in defs if not n.startswith("_")
+                       and (m, n) not in reached)
+    assert unreached == [], f"public names no command or gate reaches: {unreached}"
 
 
 # ------------------------------------------------------------------ SVG chart

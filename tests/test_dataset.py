@@ -89,6 +89,10 @@ def test_synthetic_config_validation():
         SyntheticConfig(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         SyntheticConfig(feature_mode="image")
+    for key in ("box_side", "step_sigma", "noise_sigma"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                SyntheticConfig(**{key: bad})
 
 
 def test_generate_is_deterministic():

@@ -50,6 +50,16 @@ def test_pair_count_matches_brute_force():
         assert similar_pair_count(pos, r) == _brute_count(pos, r)
 
 
+def test_curve_values_equal_divergence_at_each_threshold():
+    # The curve and the single-threshold divergence count pairs with one
+    # helper, so the values agree exactly, not just within a tolerance.
+    rng = np.random.default_rng(17)
+    for k in range(1, 31):
+        pos = rng.uniform(0, 10, size=(k, int(rng.integers(2, 4))))
+        curve = divergence_curve(pos, 12.0, 60)
+        assert all(curve.values[i] == divergence(pos, t) for i, t in enumerate(curve.thresholds))
+
+
 def test_z_coordinate_separates_positions():
     poses = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
     assert similar_pair_count(poses, 1.0) == 0  # z separates them
