@@ -5,6 +5,7 @@ summary has few keyframe pairs closer than the threshold."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ def _close_pair_counts(p: np.ndarray, thresholds) -> np.ndarray:
 def similar_pair_count(positions, r: float) -> int:
     """Number of ordered pairs (i, j), i != j, with distance strictly below r."""
     p = _positions(positions)
-    if r < 0:
-        raise ValueError(f"threshold r must be >= 0, got {r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"threshold r must be finite and >= 0, got {r}")
     return int(_close_pair_counts(p, [r])[0])
 
 
@@ -60,10 +61,10 @@ class DivergenceCurve:
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError(f"thresholds and values must be matching 1-d arrays, "
                              f"got {t.shape} and {v.shape}")
-        if t.size >= 2 and not (np.diff(t) > 0).all():
-            raise ValueError("thresholds must be strictly ascending")
         if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValueError("NaN or Inf detected in curve")
+        if t.size >= 2 and not (np.diff(t) > 0).all():
+            raise ValueError("thresholds must be strictly ascending")
         self.thresholds = t
         self.values = v
 
@@ -71,8 +72,8 @@ class DivergenceCurve:
 def divergence_curve(positions, r_max: float, steps: int = 100) -> DivergenceCurve:
     """Divergence at thresholds i * r_max / steps for i in 0..steps."""
     p = _positions(positions)
-    if r_max <= 0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be finite and > 0, got {r_max}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     k = p.shape[0]

@@ -107,20 +107,22 @@ def _forward(layers, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _backward(layers, acts, d_out: np.ndarray):
-    """Backprop d_out through the chain.
+def _backward(layers, acts, d_out: np.ndarray, grads) -> np.ndarray:
+    """Backprop d_out through the chain, writing each layer's (weight, bias)
+    gradient into the matching pair of views in grads.
 
-    Returns per-layer grads and dz, the gradient at the first layer's affine
-    output; the input gradient is dz @ layers[0][0].T, left to callers that need it.
+    Returns dz, the gradient at the first layer's affine output; the input
+    gradient is dz @ layers[0][0].T, left to callers that need it.
     """
-    grads = [None] * len(layers)
     last = len(layers) - 1
     dz = d_out
     for i in range(last, -1, -1):
         if i < last:
             dz = (dz @ layers[i + 1][0].T) * (1.0 - acts[i + 1] ** 2)
-        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
-    return grads, dz
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, dz, out=gw)
+        np.sum(dz, axis=0, out=gb)
+    return dz
 
 
 def encode(params: AutoencoderParams, x) -> np.ndarray:
@@ -165,19 +167,21 @@ def _pair_loss(pools: np.ndarray):
 def infonce_pair(p_a, p_b) -> float:
     """Contrastive loss of one pair of pooled vectors, as training computes it."""
     pools = np.stack([np.asarray(p, dtype=np.float64).ravel() for p in (p_a, p_b)])
+    if not np.isfinite(pools).all():
+        raise ValueError("the contrastive loss is undefined for vectors holding NaN or Inf")
     if not (pools != 0.0).any(axis=1).all():
         raise ValueError("the contrastive loss is undefined for zero vectors")
     # training sums both orders of a pair, which carry the same loss
     return _pair_loss(pools)[0] / 2.0
 
 
-def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_gt, want_grad):
+def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_gt, grads=None):
     """Loss over one batch of cluster samples, and optionally its gradient.
 
     All sampled rows (then, in supervised mode, the k gt rows) go through the
     encoder as one stack, the sampled latents through the decoder as another.
-    Returns (total, breakdown, grads) with grads a pair of per-layer
-    (weight, bias) gradient lists for the encoder and decoder, or None.
+    Returns (total, breakdown).  Given grads, an AutoencoderParams shaped like
+    params, the gradient overwrites every entry of grads.flat.
     """
     k = len(samples)
     if k < 2:
@@ -212,8 +216,8 @@ def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_g
         breakdown["gt"] = gt_term
         total += lam_gt * gt_term
 
-    if not want_grad:
-        return total, breakdown, None
+    if grads is None:
+        return total, breakdown
 
     # Both orders of a pair carry the same weight, hence the factor 2.
     wts = np.where(off_diag, lam_nce * e / (1.0 + e), 0.0)
@@ -221,7 +225,7 @@ def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_g
                      - ((wts * sim).sum(axis=1) / (guarded * np.maximum(norms, _TINY)))[:, None]
                      * pools)
     dxp = lam_recon * (2.0 / n_total) * (dec_acts[-1] - x)
-    dec_grads, dz = _backward(params.decoder, dec_acts, dxp)
+    dz = _backward(params.decoder, dec_acts, dxp, grads.decoder)
     dh = dz @ params.decoder[0][0].T
     if supervised:
         d_gt = lam_gt * (2.0 / k) * gt_diff
@@ -229,14 +233,16 @@ def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_g
         dh = np.concatenate([dh + avg.T @ d_pools, d_gt])
     else:
         dh += avg.T @ d_pools
-    enc_grads, _ = _backward(params.encoder, enc_acts, dh)
-    return total, breakdown, (enc_grads, dec_grads)
+    _backward(params.encoder, enc_acts, dh, grads.encoder)
+    return total, breakdown
 
 
-def _as_params(params: AutoencoderParams, layer_grads) -> AutoencoderParams:
-    enc_grads, dec_grads = layer_grads
-    return AutoencoderParams(input_dim=params.input_dim, hidden_dims=params.hidden_dims,
-                             latent_dim=params.latent_dim, encoder=enc_grads, decoder=dec_grads)
+def _zeros_like(params: AutoencoderParams) -> AutoencoderParams:
+    """A zero AutoencoderParams of params' shapes, with a buffer of its own."""
+    return AutoencoderParams(
+        input_dim=params.input_dim, hidden_dims=params.hidden_dims, latent_dim=params.latent_dim,
+        encoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.encoder],
+        decoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.decoder])
 
 
 def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
@@ -248,19 +254,18 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
     keys 'recon', 'infonce', and (supervised only) 'gt'.
     """
     features = np.asarray(features, dtype=np.float64)
-    total, breakdown, _ = _evaluate(params, features, samples, gt_keyframes,
-                                    lambda_recon, lambda_nce, lambda_gt, False)
-    return total, breakdown
+    return _evaluate(params, features, samples, gt_keyframes,
+                     lambda_recon, lambda_nce, lambda_gt)
 
 
 def grad(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
          lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
          lambda_gt: float = _LAMBDA_GT) -> AutoencoderParams:
-    """Analytic gradient of total_loss, shaped exactly like params."""
+    """Analytic gradient of total_loss, as a new AutoencoderParams shaped like params."""
     features = np.asarray(features, dtype=np.float64)
-    _, _, g = _evaluate(params, features, samples, gt_keyframes,
-                        lambda_recon, lambda_nce, lambda_gt, True)
-    return _as_params(params, g)
+    g = _zeros_like(params)
+    _evaluate(params, features, samples, gt_keyframes, lambda_recon, lambda_nce, lambda_gt, g)
+    return g
 
 
 @dataclass
@@ -296,11 +301,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators over the flat parameter buffer."""
+    """First/second moment accumulators over the flat parameter buffer, and two
+    scratch buffers of the same size that adam_step computes the update in."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: AutoencoderParams) -> "AdamState":
@@ -309,16 +319,32 @@ class AdamState:
 
 def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamState, *,
               learning_rate: float) -> None:
-    """One bias-corrected Adam update, in place.  A zero gradient is a no-op."""
+    """One bias-corrected Adam update, in place.  A zero gradient is a no-op.
+
+    The arithmetic is m += (1-b1)*g; v += (1-b2)*g*g;
+    theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time in
+    that order, in the state's scratch buffers; another order changes the
+    rounding.
+    """
     state.t += 1
     bc1 = 1.0 - _BETA1 ** state.t
     bc2 = 1.0 - _BETA2 ** state.t
     g, m, v = grads.flat, state.m, state.v
+    step, denom = state.scratch
     m *= _BETA1
-    m += (1.0 - _BETA1) * g
+    np.multiply(1.0 - _BETA1, g, out=step)
+    m += step
     v *= _BETA2
-    v += (1.0 - _BETA2) * g * g
-    params.flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+    np.multiply(1.0 - _BETA2, g, out=step)
+    step *= g
+    v += step
+    np.divide(m, bc1, out=step)
+    step *= learning_rate
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += _ADAM_EPS
+    step /= denom
+    params.flat -= step
 
 
 def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
@@ -348,6 +374,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     params = init_params(ds.dim, cfg.hidden_dims, cfg.latent_dim, rng)
     features = np.asarray(ds.features, dtype=np.float64)
     state = AdamState.for_params(params)
+    grads = _zeros_like(params)  # overwritten by every step
     steps = max(1, math.ceil(ds.n_frames / (k * n_sample)))
 
     history = []
@@ -355,11 +382,11 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
         step_losses = []
         for step in range(steps):
             samples = [sample_cluster(partition, j, n_sample, rng) for j in range(k)]
-            total, _, g = _evaluate(params, features, samples, gt, _LAMBDA_RECON,
-                                    _LAMBDA_NCE, _LAMBDA_GT, True)
+            total, _ = _evaluate(params, features, samples, gt, _LAMBDA_RECON,
+                                 _LAMBDA_NCE, _LAMBDA_GT, grads)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
-            adam_step(params, _as_params(params, g), state, learning_rate=cfg.learning_rate)
+            adam_step(params, grads, state, learning_rate=cfg.learning_rate)
             step_losses.append(total)
         history.append(float(np.mean(step_losses)))
     return params, history

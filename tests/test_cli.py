@@ -385,6 +385,26 @@ def test_sweep_runs_are_byte_identical(scene_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Each process fixes its BLAS thread count when numpy loads, so every run
+    # gets its own interpreter.
+    assert main(["generate", "--out", str(tmp_path / "scene"), "--frames", "120",
+                 "--seed", "7"]) == 0
+    src = str(Path(scenesum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"summary-{threads}.json"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "scenesum.cli", "summarize",
+                        str(tmp_path / "scene" / "manifest.json"), "--method", "scenesum",
+                        "--k", "5", "--epochs", "5", "--seed", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        summaries.append(out.read_bytes())
+    assert summaries[0] == summaries[1]
+
+
 def test_sweep_rejects_unknown_method(scene_dir, tmp_path):
     rc = main(["sweep", str(scene_dir / "manifest.json"), "--methods", "uniform,bogus",
                "--out", str(tmp_path / "s.csv")])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,11 +127,24 @@ def test_validation_errors():
         similar_pair_count(np.zeros((2, 4)), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [similar_pair_count, divergence, divergence_curve],
+                         ids=["similar_pair_count", "divergence", "divergence_curve"])
+def test_non_finite_threshold_is_rejected(fn, bad):
+    positions = [(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused up front, before any arithmetic warns
+        with pytest.raises(ValueError, match="finite"):
+            fn(positions, bad)
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         DivergenceCurve(np.array([0.0, 1.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         DivergenceCurve(np.array([0.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        DivergenceCurve(np.array([0.0, np.nan, 2.0]), np.zeros(3))
     with pytest.raises(ValueError):
         auc(DivergenceCurve(np.array([1.0]), np.array([0.5])))
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scenesum.clustering import ClusterSample, partition_from_labels
+from scenesum import selector
+from scenesum.clustering import ClusterSample, partition_from_labels, sample_cluster
 from scenesum.dataset import SceneDataset
 from scenesum.selector import (
     AdamState,
@@ -229,6 +231,13 @@ def test_infonce_pair_rejects_zero_vector():
         infonce_pair([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_infonce_pair_rejects_non_finite_vector(bad):
+    for a, b in (([bad, 1.0], [1.0, 0.0]), ([1.0, 0.0], [0.5, bad])):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            infonce_pair(a, b)
+
+
 def test_infonce_pair_closed_forms():
     assert abs(infonce_pair([1.0, 0.0], [2.0, 0.0]) - math.log(2.0)) < 1e-9
     assert abs(infonce_pair([1.0, 0.0], [0.0, 1.0]) - math.log(1 + math.exp(-1))) < 1e-9
@@ -363,6 +372,20 @@ def test_grad_is_linear_in_loss_weights():
     assert np.allclose(g0 + g2, 2.0 * g1, atol=1e-12)
 
 
+def test_grad_returns_a_new_buffer_per_call():
+    params, feats, samples = _oracle_setup()
+    g1 = grad(params, feats, samples)
+    first = g1.flat.tobytes()
+    g2 = grad(params, feats, samples, lambda_nce=2.0)
+    assert g1 is not g2
+    assert not np.shares_memory(g1.flat, g2.flat)
+    assert not np.shares_memory(g1.flat, params.flat)
+    assert g1.flat.tobytes() == first
+    assert g2.flat.tobytes() != first
+    # the layer pairs are views of the result's own buffer
+    assert all(np.shares_memory(a, g1.flat) for layer in g1.encoder + g1.decoder for a in layer)
+
+
 def test_grad_zero_at_perfect_reconstruction_without_nce():
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -434,6 +457,159 @@ def _toy_scene(n=30, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, dim)).astype(np.float32)
     return SceneDataset("toy", feats)
+
+
+def _reference_forward(layers, x):
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < len(layers) - 1 else z)
+    return acts
+
+
+def _reference_backward(layers, acts, d_out):
+    grads = [None] * len(layers)
+    last = len(layers) - 1
+    dz = d_out
+    for i in range(last, -1, -1):
+        if i < last:
+            dz = (dz @ layers[i + 1][0].T) * (1.0 - acts[i + 1] ** 2)
+        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
+    return grads, dz
+
+
+def _reference_loss_and_grad(params, features, samples, gt):
+    """One step's loss and gradient as first written, at training's unit loss
+    weights: new arrays for every layer gradient, gathered into a new
+    AutoencoderParams."""
+    lam_recon = lam_nce = lam_gt = 1.0
+    k = len(samples)
+    sizes = np.array([s.frame_indices.size for s in samples])
+    rows = np.concatenate([s.frame_indices for s in samples])
+    n_total = rows.size
+    if gt is not None:
+        rows = np.concatenate([rows, np.asarray([gt[s.cluster_id] for s in samples],
+                                                dtype=np.int64)])
+    enc_acts = _reference_forward(params.encoder, features[rows])
+    h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
+    dec_acts = _reference_forward(params.decoder, h)
+    recon = float(((x - dec_acts[-1]) ** 2).sum()) / n_total
+    avg = np.zeros((k, n_total))
+    avg[np.repeat(np.arange(k), sizes), np.arange(n_total)] = np.repeat(1.0 / sizes, sizes)
+    pools = avg @ h
+    norms = np.sqrt((pools * pools).sum(axis=1))
+    guarded = norms + 1e-12
+    gg = np.outer(guarded, guarded)
+    sim = (pools @ pools.T) / gg
+    e = np.exp(sim - 1.0)
+    off_diag = ~np.eye(k, dtype=bool)
+    total = lam_recon * recon + lam_nce * float(np.log1p(e[off_diag]).sum())
+    if gt is not None:
+        gt_diff = enc_acts[-1][n_total:] - pools
+        total += lam_gt * (float((gt_diff * gt_diff).sum()) / k)
+
+    wts = np.where(off_diag, lam_nce * e / (1.0 + e), 0.0)
+    d_pools = 2.0 * ((wts / gg) @ pools
+                     - ((wts * sim).sum(axis=1)
+                        / (guarded * np.maximum(norms, np.finfo(np.float64).tiny)))[:, None]
+                     * pools)
+    dxp = lam_recon * (2.0 / n_total) * (dec_acts[-1] - x)
+    dec_grads, dz = _reference_backward(params.decoder, dec_acts, dxp)
+    dh = dz @ params.decoder[0][0].T
+    if gt is not None:
+        d_gt = lam_gt * (2.0 / k) * gt_diff
+        d_pools -= d_gt
+        dh = np.concatenate([dh + avg.T @ d_pools, d_gt])
+    else:
+        dh += avg.T @ d_pools
+    enc_grads, _ = _reference_backward(params.encoder, enc_acts, dh)
+    g = AutoencoderParams(input_dim=params.input_dim, hidden_dims=params.hidden_dims,
+                          latent_dim=params.latent_dim, encoder=enc_grads, decoder=dec_grads)
+    return total, g
+
+
+def _reference_train(ds, partition, cfg):
+    """The training loop as first written: a fresh gradient AutoencoderParams per
+    step and an Adam update that allocates its temporaries, on the same
+    sample_cluster draws.  train must reproduce it bit for bit."""
+    k = partition.k
+    gt = partition.gt_keyframes if cfg.mode == "supervised" else None
+    n_sample = cfg.sample_size
+    if k * n_sample > cfg.batch_size:
+        n_sample = max(1, cfg.batch_size // k)
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(ds.dim, cfg.hidden_dims, cfg.latent_dim, rng)
+    features = np.asarray(ds.features, dtype=np.float64)
+    m, v, t = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
+    lr, beta1, beta2, eps = cfg.learning_rate, 0.9, 0.999, 1e-8
+    history = []
+    for _ in range(cfg.epochs):
+        step_losses = []
+        for _ in range(max(1, math.ceil(ds.n_frames / (k * n_sample)))):
+            samples = [sample_cluster(partition, j, n_sample, rng) for j in range(k)]
+            total, g = _reference_loss_and_grad(params, features, samples, gt)
+            t += 1
+            m *= beta1
+            m += (1.0 - beta1) * g.flat
+            v *= beta2
+            v += (1.0 - beta2) * g.flat * g.flat
+            params.flat -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+            step_losses.append(total)
+        history.append(float(np.mean(step_losses)))
+    return params, history
+
+
+@pytest.mark.filterwarnings("ignore:reducing per-cluster sample size")
+@pytest.mark.parametrize("case", [
+    # k * N = 32 > 20: the per-cluster sample is cut to 5
+    dict(k=4, sample_size=8, batch_size=20),
+    dict(k=3, mode="supervised", sample_size=3),
+    dict(k=3, hidden_dims=()),
+    dict(k=4, hidden_dims=(3, 4), sample_size=2),
+    dict(k=2, mode="supervised", hidden_dims=(3, 4), sample_size=5, seed=3),
+], ids=["cut-sample", "supervised", "no-hidden", "two-hidden", "supervised-two-hidden"])
+def test_train_matches_reference_loop_bit_for_bit(case):
+    case = dict(case)
+    k = case.pop("k")
+    ds = _toy_scene(n=60, dim=6, seed=4)
+    labels = np.arange(60) % k
+    part = partition_from_labels(labels, k, gt_keyframes=np.arange(k) + 2 * k)
+    cfg = TrainConfig(epochs=6, latent_dim=3, **{"hidden_dims": (5,), **case})
+    got_params, got_history = train(ds, part, cfg)
+    want_params, want_history = _reference_train(ds, part, cfg)
+    assert len(got_history) == cfg.epochs
+    assert np.array(got_history).tobytes() == np.array(want_history).tobytes()
+    assert got_params.flat.tobytes() == want_params.flat.tobytes()
+
+
+def test_training_step_allocates_nothing_of_parameter_size(monkeypatch):
+    # Wide layers on a batch of 2 rows: the parameters take 1.2 MB, a step's own
+    # activations and their gradients some tens of kB.  The peak is measured
+    # from mark to mark around every Adam call; the first interval holds set-up.
+    ds = _toy_scene(n=16, dim=128, seed=3)
+    part = partition_from_labels(np.arange(16) % 2, 2)
+    cfg = TrainConfig(epochs=1, latent_dim=16, hidden_dims=(512,), sample_size=1, seed=0)
+    real_adam_step = selector.adam_step
+    peaks, base = [], [0]
+
+    def mark():
+        peaks.append(tracemalloc.get_traced_memory()[1] - base[0])
+        tracemalloc.reset_peak()
+        base[0] = tracemalloc.get_traced_memory()[0]
+
+    def adam_step(*args, **kwargs):
+        mark()
+        real_adam_step(*args, **kwargs)
+        mark()
+
+    monkeypatch.setattr(selector, "adam_step", adam_step)
+    tracemalloc.start()
+    try:
+        params, _ = train(ds, part, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 * 8
+    assert max(peaks[1:]) < params.flat.nbytes / 10
 
 
 def test_train_zero_epochs_returns_initial_params():
