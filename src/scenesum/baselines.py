@@ -9,12 +9,13 @@ import math
 import numpy as np
 
 from .clustering import kmeans
+from .dataset import check_count
 from .selector import SummaryResult
 
 
 def _check_k(n: int, k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("n", n)
+    check_count("k", k)
     if k > n:
         raise ValueError(f"k ({k}) exceeds number of frames ({n})")
 

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_count
+
 _MAX_ITER = 100  # Lloyd iterations per k-means run
 _TOL = 1e-6  # stop once no centroid moves farther than this
+_PP_BLOCK_VALUES = 32768  # values per block of the k-means++ distance pass (256 KB)
 
 
 @dataclass
@@ -90,11 +93,34 @@ def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = N
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """((x - x[idx]) ** 2).sum(axis=1) into out, len(buf) rows at a time.
+
+    x and buf must be C-contiguous with x's row length.  Per row the squares
+    and the row sum are the ones the broadcast expression computes, so the
+    bytes match, but each block subtracts in one contiguous loop instead of
+    one short loop per row.
+    """
+    n, d = x.shape
+    rows = buf.shape[0]
+    x_flat = x.ravel()
+    tile = np.tile(x[idx], rows)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buf[:stop - start]
+        np.subtract(x_flat[start * d:stop * d], tile[:block.size], out=block.reshape(-1))
+        np.square(block, out=block)
+        block.sum(axis=1, out=out[start:stop])
+    return out
+
+
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
+    n, d = x.shape
+    buf = np.empty((min(n, max(1, _PP_BLOCK_VALUES // max(d, 1))), d))
     chosen = [int(rng.integers(n))]
     taken = set(chosen)
-    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _sq_dists_to_row(x, chosen[0], buf, np.empty(n))
+    new = np.empty(n)
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -104,7 +130,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
         taken.add(idx)
-        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_dists_to_row(x, idx, buf, new), out=d2)
     return x[chosen].copy()
 
 
@@ -116,14 +142,15 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
     Returns (centroids, labels), plus the per-assignment inertia history when
     return_history is set.
     """
-    x = np.asarray(features, dtype=np.float64)
+    # C order for the blocked seeding pass; the results do not depend on the
+    # caller's memory layout
+    x = np.asarray(features, dtype=np.float64, order="C")
     if x.ndim != 2:
         raise ValueError(f"features must be 2-d, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("NaN or Inf detected in features")
     n = x.shape[0]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("k", k)
     if k > n:
         raise ValueError(f"k ({k}) exceeds number of frames ({n})")
 
@@ -132,12 +159,11 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
     history = []
     x_sq = (x * x).sum(axis=1)
     rows = np.arange(n)
-    # Cluster sums go through one flat bincount: element (i, c) lands in bin
-    # labels[i] * d + c.  bincount adds in index order, row after row, so the
-    # sums equal a sequential np.add.at bit for bit.
+    # Cluster sums take one bincount per column of a C-contiguous transpose.
+    # bincount adds in index order, so each sum equals a sequential np.add.at
+    # bit for bit; a strided column view would be several times slower.
     d = x.shape[1]
-    cols = np.arange(d)
-    x_flat = x.ravel()
+    x_t = np.ascontiguousarray(x.T)
 
     def assign(cents):
         d2 = _pairwise_sq_dists(x, cents, x_sq)
@@ -148,8 +174,9 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
         labels, dmin = assign(centroids)
         history.append(float(dmin.sum()))
         counts = np.bincount(labels, minlength=k)
-        bins = (labels[:, None] * d + cols).ravel()
-        sums = np.bincount(bins, weights=x_flat, minlength=k * d).reshape(k, d)
+        sums = np.empty((k, d))
+        for c in range(d):
+            sums[:, c] = np.bincount(labels, weights=x_t[c], minlength=k)
         new_centroids = centroids.copy()
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -242,10 +269,10 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
 def sample_cluster(partition: ClusterPartition, cluster_id: int, n_sample: int,
                    rng: np.random.Generator | int) -> ClusterSample:
     """Draw n_sample member frames, without replacement while the cluster is big enough."""
-    if not 0 <= cluster_id < partition.k:
+    check_count("cluster_id", cluster_id, 0)
+    if cluster_id >= partition.k:
         raise ValueError(f"cluster_id {cluster_id} out of range [0, {partition.k})")
-    if n_sample < 1:
-        raise ValueError(f"n_sample must be >= 1, got {n_sample}")
+    check_count("n_sample", n_sample)
     members = partition.members[cluster_id]
     if members.size == 0:
         raise ValueError(f"cluster {cluster_id} is empty")

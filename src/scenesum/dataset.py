@@ -21,6 +21,16 @@ POSE_HEADER = ("frame", "x", "y", "z")
 _FEATURE_MODES = ("pose_correlated", "appearance_only")
 
 
+def check_count(name: str, value, low: int = 1) -> None:
+    """ValueError unless value is an int or numpy integer >= low.
+
+    bool is an int subclass but no count, and a float would be truncated or
+    fail later with another exception type, so both are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class SceneDataset:
     """Frame sequence with features and, when available, ground-truth poses.
@@ -80,10 +90,8 @@ class SyntheticConfig:
     noise_sigma: float = 0.8
 
     def __post_init__(self):
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        check_count("n_frames", self.n_frames)
+        check_count("dim", self.dim, 2)
         if self.feature_mode not in _FEATURE_MODES:
             raise ValueError(f"feature_mode must be one of {_FEATURE_MODES}, got {self.feature_mode!r}")
         # written so that NaN fails every bound
@@ -219,9 +227,8 @@ def load_dataset(manifest_path) -> SceneDataset:
     if manifest["dtype"] != "f32le":
         raise ValueError(f"unsupported feature dtype {manifest['dtype']!r}, expected 'f32le'")
     n, d = manifest["n_frames"], manifest["dim"]
-    # bool is an int subclass, and int() would truncate a float: ask for int exactly.
-    if any(type(v) is not int or v < 1 for v in (n, d)):
-        raise ValueError(f"manifest n_frames and dim must be integers >= 1, got {n!r} and {d!r}")
+    check_count("manifest n_frames", n)
+    check_count("manifest dim", d)
     for key in ("features", "poses"):
         if not isinstance(manifest.get(key, ""), str):
             raise ValueError(f"manifest {key!r} must be a file name, got {manifest[key]!r}")

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_count
+
 
 def _positions(positions) -> np.ndarray:
     p = np.asarray(positions, dtype=np.float64)
@@ -23,11 +25,15 @@ def _positions(positions) -> np.ndarray:
 
 
 def _close_pair_counts(p: np.ndarray, thresholds) -> np.ndarray:
-    """Per threshold r, the ordered pairs (i, j), i != j, closer than r."""
+    """Per threshold r, the ordered pairs (i, j), i != j, closer than r.
+
+    One sort serves every threshold: the pairs closer than r are those left of
+    r's leftmost insertion point among the sorted distances.
+    """
     diff = p[:, None, :] - p[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(dist, np.inf)  # self-pairs never count
-    return np.array([(dist < r).sum() for r in thresholds], dtype=np.int64)
+    return np.searchsorted(np.sort(dist, axis=None), thresholds, side="left")
 
 
 def similar_pair_count(positions, r: float) -> int:
@@ -74,8 +80,7 @@ def divergence_curve(positions, r_max: float, steps: int = 100) -> DivergenceCur
     p = _positions(positions)
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max}")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    check_count("steps", steps, 2)
     k = p.shape[0]
     thresholds = np.arange(steps + 1) * (r_max / steps)
     values = _close_pair_counts(p, thresholds) / (k * k)

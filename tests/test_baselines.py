@@ -113,3 +113,25 @@ def test_method_tags():
     assert random_summary(4, 2).method == "random"
     assert vsumm_centroid(np.eye(4), 2).method == "vsumm"
     assert change_detect_summary(np.eye(4), 2).method == "change"
+
+
+_COUNT_CALLS = {
+    "uniform": lambda k: uniform_summary(6, k),
+    "uniform-n": lambda n: uniform_summary(n, 2),
+    "random": lambda k: random_summary(6, k),
+    "random-n": lambda n: random_summary(n, 2),
+    "vsumm": lambda k: vsumm_centroid(np.arange(12.0).reshape(6, 2), k),
+    "change": lambda k: change_detect_summary(np.arange(12.0).reshape(6, 2), k),
+}
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS)
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_baseline_counts_must_be_integers(call, bad):
+    with pytest.raises(ValueError, match="integer"):
+        _COUNT_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS)
+def test_baseline_numpy_integer_counts_are_accepted(call):
+    assert len(_COUNT_CALLS[call](np.int64(2)).frame_indices) == 2

@@ -385,10 +385,10 @@ def test_sweep_runs_are_byte_identical(scene_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
+def _summaries_per_blas_thread_count(tmp_path, frames, method_args):
     # Each process fixes its BLAS thread count when numpy loads, so every run
     # gets its own interpreter.
-    assert main(["generate", "--out", str(tmp_path / "scene"), "--frames", "120",
+    assert main(["generate", "--out", str(tmp_path / "scene"), "--frames", str(frames),
                  "--seed", "7"]) == 0
     src = str(Path(scenesum.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -398,10 +398,23 @@ def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         subprocess.run([sys.executable, "-m", "scenesum.cli", "summarize",
-                        str(tmp_path / "scene" / "manifest.json"), "--method", "scenesum",
-                        "--k", "5", "--epochs", "5", "--seed", "1", "--out", str(out)],
+                        str(tmp_path / "scene" / "manifest.json"), *method_args,
+                        "--out", str(out)],
                        env=env, check=True, capture_output=True)
         summaries.append(out.read_bytes())
+    return summaries
+
+
+def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
+    summaries = _summaries_per_blas_thread_count(
+        tmp_path, 120, ["--method", "scenesum", "--k", "5", "--epochs", "5", "--seed", "1"])
+    assert summaries[0] == summaries[1]
+
+
+def test_vsumm_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 600 frames of dim 64 span several blocks of the k-means++ distance pass
+    summaries = _summaries_per_blas_thread_count(
+        tmp_path, 600, ["--method", "vsumm", "--k", "20", "--seed", "2"])
     assert summaries[0] == summaries[1]
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from scenesum.clustering import (
     _MAX_ITER,
+    _PP_BLOCK_VALUES,
     _TOL,
+    _kmeans_pp_init,
     ClusterPartition,
     balance_assignment,
     cluster_features,
@@ -25,11 +27,9 @@ def _blobs(centers, per_blob=20, sigma=0.1, seed=0):
     return np.vstack(parts)
 
 
-def _reference_kmeans(x, k, seed):
-    """Lloyd's algorithm as first written: np.add.at cluster sums and row norms
-    recomputed on every assignment.  kmeans must reproduce it bit for bit."""
+def _reference_pp_init(x, k, rng):
+    """k-means++ seeding as first written: one broadcast n x d pass per step."""
     n = x.shape[0]
-    rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     taken = set(chosen)
     d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
@@ -42,7 +42,14 @@ def _reference_kmeans(x, k, seed):
         chosen.append(idx)
         taken.add(idx)
         d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
-    centroids = x[chosen].copy()
+    return x[chosen].copy()
+
+
+def _reference_kmeans(x, k, seed):
+    """Lloyd's algorithm as first written: np.add.at cluster sums and row norms
+    recomputed on every assignment.  kmeans must reproduce it bit for bit."""
+    n = x.shape[0]
+    centroids = _reference_pp_init(x, k, np.random.default_rng(seed))
     history = []
 
     def assign(cents):
@@ -99,13 +106,74 @@ def _kmeans_cases():
     yield pytest.param(scene.features.astype(np.float64), 12, 1, id="scene")
 
 
-@pytest.mark.parametrize("x,k,seed", list(_kmeans_cases()))
-def test_kmeans_matches_reference_bit_for_bit(x, k, seed):
-    want = _reference_kmeans(x, k, seed)
-    got = kmeans(x, k, seed=seed, return_history=True)
+def _block_rows(d):
+    return max(1, _PP_BLOCK_VALUES // d)
+
+
+def _block_crossing_cases():
+    """Shapes around the seeding pass's block boundaries (one block is
+    _block_rows(d) rows), for the three data kinds of _kmeans_cases."""
+    rng = np.random.default_rng(12)
+    for d in (1, 17, 64):
+        b = _block_rows(d)
+        for n in (b - 1, b, b + 1, 2 * b + 1, 1000):
+            for kind in ("normal", "rounded", "repeated"):
+                x = rng.normal(size=(n, d)) * 3.0
+                if kind == "rounded":
+                    x = np.round(x)
+                elif kind == "repeated":
+                    x[n // 2:] = x[:n - n // 2]
+                k = int(rng.integers(2, 16))
+                yield pytest.param(x, k, int(rng.integers(100)), id=f"n{n}-d{d}-{kind}")
+    # squared differences near 1e-320 are subnormal
+    yield pytest.param(1e-160 * rng.normal(size=(600, 9)), 6, 3, id="tiny-scale")
+
+
+def _big_scene_case():
+    scene = generate_synthetic(SyntheticConfig(n_frames=2000, dim=128, seed=5))
+    return pytest.param(scene.features.astype(np.float64), 50, 0, id="scene-2000x128")
+
+
+def _assert_same_kmeans(got, want):
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+
+
+@pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases(),
+                                      _big_scene_case()])
+def test_kmeans_matches_reference_bit_for_bit(x, k, seed):
+    _assert_same_kmeans(kmeans(x, k, seed=seed, return_history=True),
+                        _reference_kmeans(x, k, seed))
+
+
+@pytest.mark.parametrize("layout", ["float32", "strided", "fortran"])
+def test_kmeans_results_do_not_depend_on_input_layout(layout):
+    # kmeans works on a C-contiguous float64 copy, so every layout of the same
+    # values gives the bytes the reference gives for that copy
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(_block_rows(24) + 7, 48))
+    if layout == "float32":
+        x = x.astype(np.float32)
+    elif layout == "strided":
+        x = x[:, ::2]
+    else:
+        x = np.asfortranarray(x)
+    want = _reference_kmeans(np.ascontiguousarray(x, dtype=np.float64), 9, 4)
+    _assert_same_kmeans(kmeans(x, 9, seed=4, return_history=True), want)
+
+
+@pytest.mark.parametrize("x,k,seed", [*_block_crossing_cases(), pytest.param(
+    # three distinct rows: from the fourth step on every distance is 0, so
+    # the seeding takes the lowest untaken rows
+    np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [5.0, 5.0]]), [3, 2, 4], axis=0), 6, 1,
+    id="all-distances-zero")])
+def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeans_pp_init(np.ascontiguousarray(x), k, rng)
+    assert got.tobytes() == _reference_pp_init(x, k, ref_rng).tobytes()
+    # both consumed the same random draws
+    assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
 
 def test_kmeans_recovers_separated_blobs():
@@ -292,3 +360,25 @@ def test_partition_validation_errors():
         ClusterPartition(k=2, labels=np.array([0, 1]), members=[np.array([0, 1]), np.array([])])
     with pytest.raises(ValueError):
         partition_from_labels([0, 0, 1], 2, gt_keyframes=[2, 1])
+
+
+_THREE_PAIRS = partition_from_labels([0, 0, 1, 1, 2, 2], 3)
+_COUNT_CALLS = {
+    "kmeans": lambda k: kmeans(np.arange(12.0).reshape(6, 2), k),
+    "cluster_features": lambda k: cluster_features(np.arange(12.0).reshape(6, 2), k),
+    "gt_pose_clustering": lambda k: gt_pose_clustering(np.arange(18.0).reshape(6, 3), k),
+    "sample_cluster": lambda n: sample_cluster(_THREE_PAIRS, 0, n, 0),
+    "sample_cluster-id": lambda j: sample_cluster(_THREE_PAIRS, j, 1, 0),
+}
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS)
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_counts_must_be_integers(call, bad):
+    with pytest.raises(ValueError, match="integer"):
+        _COUNT_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS)
+def test_numpy_integer_counts_are_accepted(call):
+    _COUNT_CALLS[call](np.int32(2))

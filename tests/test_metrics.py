@@ -11,6 +11,7 @@ import pytest
 
 from scenesum.metrics import (
     DivergenceCurve,
+    _close_pair_counts,
     auc,
     divergence,
     divergence_curve,
@@ -50,6 +51,21 @@ def test_pair_count_matches_brute_force():
         pos = rng.uniform(0, 10, size=(k, 2))
         r = float(rng.uniform(0, 12))
         assert similar_pair_count(pos, r) == _brute_count(pos, r)
+
+
+def test_close_pair_counts_match_one_comparison_per_threshold():
+    # Grid positions put many distances exactly on the thresholds, where "closer
+    # than r" must not count a pair at distance r.
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        k = int(rng.integers(1, 40))
+        pos = np.round(rng.uniform(0, 4, size=(k, int(rng.integers(2, 4)))))
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        np.fill_diagonal(dist, np.inf)
+        thresholds = np.concatenate([np.arange(11) * 0.5, np.unique(dist[np.isfinite(dist)])])
+        want = [(dist < r).sum() for r in thresholds]
+        assert _close_pair_counts(pos, thresholds).tolist() == want
 
 
 def test_curve_values_equal_divergence_at_each_threshold():
@@ -125,6 +141,17 @@ def test_validation_errors():
         similar_pair_count([(np.nan, 0.0)], 1.0)
     with pytest.raises(ValueError):
         similar_pair_count(np.zeros((2, 4)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+def test_curve_steps_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="integer"):
+        divergence_curve([(0.0, 0.0), (1.0, 0.0)], 3.0, bad)
+
+
+def test_curve_steps_may_be_a_numpy_integer():
+    curve = divergence_curve([(0.0, 0.0), (1.0, 0.0)], 3.0, np.int64(4))
+    assert curve.thresholds.tolist() == [0.0, 0.75, 1.5, 2.25, 3.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
