@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .clustering import kmeans
+from .clustering import ClusterPartition, kmeans
 from .dataset import check_count
 from .selector import SummaryResult
 
@@ -47,24 +47,14 @@ def vsumm_centroid(features, k: int, seed: int = 0) -> SummaryResult:
     x = np.asarray(features, dtype=np.float64)
     _check_k(x.shape[0], k)
     centroids, labels = kmeans(x, k, seed=seed)
-    # one stable sort groups the frames by cluster, each group ascending
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(1, k))
-    frames = []
-    used = set()
-    fallback = []
-    for j, members in enumerate(np.split(order, bounds)):
-        if members.size == 0:
-            frames.append(None)
-            fallback.append(j)
-            continue
-        d = ((x[members] - centroids[j]) ** 2).sum(axis=1)
-        pick = int(members[int(np.argmin(d))])
-        frames.append(pick)
-        used.add(pick)
+    # squared distance of each frame to its centroid, computed in one n x d
+    # buffer: at 5000 x 128 two more fresh buffers made this 3x slower
+    diff = centroids[labels]
+    np.subtract(x, diff, out=diff)
+    picks = ClusterPartition(k, labels).nearest_members(np.square(diff, out=diff).sum(axis=1))
+    used = set(picks.tolist())
     spare = (i for i in range(x.shape[0]) if i not in used)
-    for j in fallback:
-        frames[j] = next(spare)
+    frames = [int(f) if f >= 0 else next(spare) for f in picks]
     return SummaryResult(method="vsumm", frame_indices=frames,
                          config={"n": x.shape[0], "k": k, "seed": seed})
 

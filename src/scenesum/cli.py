@@ -50,8 +50,6 @@ _DEFAULTS = {
     "ks": "10,20",
     "seeds": "0,1,2",
 }
-_INT_KEYS = {"frames", "dim", "seed", "k", "n_sample", "epochs", "latent", "batch_size", "steps"}
-_FLOAT_KEYS = {"box_side", "step_sigma", "noise_sigma", "lr", "r_max"}
 
 
 class UsageError(Exception):
@@ -80,18 +78,17 @@ def _resolve(args, keys) -> dict:
         if value is None:
             value = from_file.get(key, _DEFAULTS[key])
         # flags arrive typed by argparse; a file value must already have its
-        # key's type, tested with `type() is` because bool subclasses int
-        if key in _INT_KEYS:
-            ok = type(value) is int
-        elif key in _FLOAT_KEYS:
+        # default's type, tested with `type() is` because bool subclasses int
+        kind = type(_DEFAULTS[key])
+        if kind is float:
             ok = type(value) in (int, float) and math.isfinite(value)
         else:
-            ok = type(value) is str
+            ok = type(value) is kind
         if not ok:
             raise UsageError(f"bad value for {key}: {value!r}")
         if key == "seed" and value < 0:
             raise UsageError(f"seed must be >= 0, got {value}")
-        resolved[key] = float(value) if key in _FLOAT_KEYS else value
+        resolved[key] = kind(value)
     return resolved
 
 
@@ -171,12 +168,17 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    resolved = _resolve(args, ("r_max", "steps"))
+def _check_grid(resolved: dict) -> None:
+    """UsageError unless r_max > 0 and steps >= 2, the grid evaluate and sweep score on."""
     if resolved["r_max"] <= 0:
         raise UsageError(f"r_max must be > 0, got {resolved['r_max']}")
     if resolved["steps"] < 2:
         raise UsageError(f"steps must be >= 2, got {resolved['steps']}")
+
+
+def cmd_evaluate(args) -> int:
+    resolved = _resolve(args, ("r_max", "steps"))
+    _check_grid(resolved)
     summary = read_json_object(args.summary, "summary file")
     for key in ("method", "k", "frames"):
         if key not in summary:
@@ -238,8 +240,7 @@ def cmd_sweep(args) -> int:
     seeds = _parse_list(resolved["seeds"], int, "seed")
     if min(seeds) < 0:
         raise UsageError(f"seeds must be >= 0, got {resolved['seeds']!r}")
-    if resolved["r_max"] <= 0 or resolved["steps"] < 2:
-        raise UsageError("need r_max > 0 and steps >= 2")
+    _check_grid(resolved)
 
     ds = load_dataset(args.manifest)
     if ds.poses is None:

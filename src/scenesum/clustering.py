@@ -8,7 +8,7 @@ results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,45 +19,55 @@ _TOL = 1e-6  # stop once no centroid moves farther than this
 _PP_BLOCK_VALUES = 32768  # values per block of the k-means++ distance pass (256 KB)
 
 
+def _index_array(name: str, values, high: int) -> np.ndarray:
+    """values as a 1-d int64 array in [0, high); ValueError for anything else."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(f"{name} must be a 1-d array of integers, got {arr.dtype} {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= high):
+        raise ValueError(f"{name} out of range [0, {high})")
+    return arr.astype(np.int64)
+
+
 @dataclass
 class ClusterPartition:
-    """Assignment of every frame to exactly one of k clusters."""
+    """Assignment of every frame to exactly one of k clusters.
+
+    members, per cluster its frames in ascending order, is derived from labels.
+    """
 
     k: int
     labels: np.ndarray  # (n,) int64, values in [0, k)
-    members: list[np.ndarray]  # per cluster, ascending frame indices
     gt_keyframes: np.ndarray | None = None  # (k,) frame nearest each pose centroid
+    members: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1:
-            raise ValueError("labels must be 1-d")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise ValueError("labels out of range [0, k)")
-        self.labels = labels
-        if len(self.members) != self.k:
-            raise ValueError(f"expected {self.k} member lists, got {len(self.members)}")
-        self.members = [np.asarray(m, dtype=np.int64) for m in self.members]
-        seen = np.concatenate([m for m in self.members]) if self.members else np.array([], dtype=np.int64)
-        if seen.size != labels.size or not np.array_equal(np.sort(seen), np.arange(labels.size)):
-            raise ValueError("members must partition frames 0..n-1")
-        for j, m in enumerate(self.members):
-            if m.size and not np.array_equal(labels[m], np.full(m.size, j)):
-                raise ValueError(f"member list of cluster {j} disagrees with labels")
+        check_count("k", self.k)
+        self.labels = labels = _index_array("labels", self.labels, self.k)
+        # one stable sort groups the frames by cluster, each group ascending
+        order = np.argsort(labels, kind="stable")
+        self.members = np.split(order, np.searchsorted(labels[order], np.arange(1, self.k)))
         if self.gt_keyframes is not None:
-            gt = np.asarray(self.gt_keyframes, dtype=np.int64)
+            gt = _index_array("gt_keyframes", self.gt_keyframes, labels.size)
             if gt.shape != (self.k,):
                 raise ValueError(f"gt_keyframes must have shape ({self.k},)")
             for j, f in enumerate(gt):
-                if self.labels[f] != j:
+                if labels[f] != j:
                     raise ValueError(f"gt keyframe {f} is not a member of cluster {j}")
             self.gt_keyframes = gt
 
     @property
     def n_frames(self) -> int:
         return self.labels.size
+
+    def nearest_members(self, dist) -> np.ndarray:
+        """Per cluster, the member with the smallest dist[frame]; ties go to the
+        lowest frame and an empty cluster gets -1.  dist holds one value per frame."""
+        picks = np.full(self.k, -1, dtype=np.int64)
+        for j, m in enumerate(self.members):
+            if m.size:
+                picks[j] = m[int(np.argmin(dist[m]))]
+        return picks
 
 
 @dataclass
@@ -69,13 +79,6 @@ class ClusterSample:
 
     def __post_init__(self):
         self.frame_indices = np.asarray(self.frame_indices, dtype=np.int64)
-
-
-def partition_from_labels(labels, k: int, gt_keyframes=None) -> ClusterPartition:
-    """Build a validated ClusterPartition from a label vector."""
-    labels = np.asarray(labels, dtype=np.int64)
-    members = [np.flatnonzero(labels == j) for j in range(k)]
-    return ClusterPartition(k=k, labels=labels, members=members, gt_keyframes=gt_keyframes)
 
 
 def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
@@ -247,7 +250,7 @@ def cluster_features(features, k: int, seed: int = 0) -> ClusterPartition:
     """Feature-space clustering stage: k-means, then capacity balancing."""
     centroids, labels = kmeans(features, k, seed=seed)
     labels = balance_assignment(features, centroids)
-    return partition_from_labels(labels, k)
+    return ClusterPartition(k, labels)
 
 
 def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> ClusterPartition:
@@ -255,15 +258,13 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
     if poses is None or len(poses) == 0:
         raise ValueError("ground-truth pose clustering requires poses")
     centroids, labels = kmeans(poses, k, seed=seed)
-    part = partition_from_labels(labels, k)
-    gt = np.empty(k, dtype=np.int64)
-    for j in range(k):
-        m = part.members[j]
-        if m.size == 0:
-            raise ValueError(f"pose cluster {j} is empty; cannot pick a ground-truth keyframe")
-        d = np.sqrt(((poses[m] - centroids[j]) ** 2).sum(axis=1))
-        gt[j] = m[int(np.argmin(d))]
-    return ClusterPartition(k=k, labels=labels, members=part.members, gt_keyframes=gt)
+    part = ClusterPartition(k, labels)
+    gt = part.nearest_members(np.sqrt(((poses - centroids[labels]) ** 2).sum(axis=1)))
+    empty = np.flatnonzero(gt < 0)
+    if empty.size:
+        raise ValueError(f"pose cluster {empty[0]} is empty; cannot pick a ground-truth keyframe")
+    part.gt_keyframes = gt  # each pick is a member of its cluster by construction
+    return part
 
 
 def sample_cluster(partition: ClusterPartition, cluster_id: int, n_sample: int,

@@ -347,6 +347,11 @@ def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamSt
     params.flat -= step
 
 
+def _check_covers(ds: SceneDataset, partition: ClusterPartition) -> None:
+    if partition.n_frames != ds.n_frames:
+        raise ValueError(f"partition covers {partition.n_frames} frames, dataset has {ds.n_frames}")
+
+
 def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     """Fit the autoencoder on cluster samples; returns (params, per-epoch mean loss).
 
@@ -354,8 +359,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     ClusterSample of N frames per cluster.  N is reduced with a warning if
     k * N would exceed cfg.batch_size.  Fully deterministic given cfg.seed.
     """
-    if partition.n_frames != ds.n_frames:
-        raise ValueError(f"partition covers {partition.n_frames} frames, dataset has {ds.n_frames}")
+    _check_covers(ds, partition)
     k = partition.k
     if k < 2:
         raise ValueError(f"training needs at least 2 clusters, got k={k}")
@@ -427,13 +431,11 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: Clu
     The mean runs over the full cluster membership.  Ties go to the lowest
     frame index.  Frames are listed in cluster-id order.
     """
-    h = encode(params, np.asarray(ds.features, dtype=np.float64))
-    frames = []
+    _check_covers(ds, partition)
     for j, members in enumerate(partition.members):
         if members.size == 0:
             raise ValueError(f"cluster {j} is empty")
-        hm = h[members]
-        d = ((hm - hm.mean(axis=0)) ** 2).sum(axis=1)
-        frames.append(int(members[int(np.argmin(d))]))
-    return SummaryResult(method=method, frame_indices=frames)
-
+    h = encode(params, np.asarray(ds.features, dtype=np.float64))
+    means = np.stack([h[m].mean(axis=0) for m in partition.members])
+    frames = partition.nearest_members(((h - means[partition.labels]) ** 2).sum(axis=1))
+    return SummaryResult(method=method, frame_indices=frames.tolist())

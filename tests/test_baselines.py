@@ -11,7 +11,7 @@ from scenesum.baselines import (
     uniform_summary,
     vsumm_centroid,
 )
-from scenesum.clustering import partition_from_labels
+from scenesum.clustering import ClusterPartition
 from scenesum.dataset import SceneDataset
 from scenesum.selector import AutoencoderParams, select_keyframes
 
@@ -72,7 +72,7 @@ def test_vsumm_agrees_with_identity_encoder_selection():
     from scenesum.clustering import kmeans
 
     _, km_labels = kmeans(feats, 3, seed=0)
-    part = partition_from_labels(km_labels, 3)
+    part = ClusterPartition(3, km_labels)
     ours = select_keyframes(identity, ds, part)
     assert sorted(ours.frame_indices) == sorted(vs.frame_indices)
 

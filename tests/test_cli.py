@@ -341,6 +341,10 @@ def test_evaluate_rejects_bad_grid(scene_dir, tmp_path):
                  "--r-max", "0", "--out", str(tmp_path / "e")]) == 2
     assert main(["evaluate", str(summary), str(scene_dir / "manifest.json"),
                  "--steps", "1", "--out", str(tmp_path / "e")]) == 2
+    assert main(["sweep", str(scene_dir / "manifest.json"), "--methods", "uniform",
+                 "--r-max", "0", "--out", str(tmp_path / "s.csv")]) == 2
+    assert main(["sweep", str(scene_dir / "manifest.json"), "--methods", "uniform",
+                 "--steps", "1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
 def test_sweep_grid_layout(scene_dir, tmp_path):

@@ -15,7 +15,6 @@ from scenesum.clustering import (
     cluster_features,
     gt_pose_clustering,
     kmeans,
-    partition_from_labels,
     sample_cluster,
 )
 from scenesum.dataset import SyntheticConfig, generate_synthetic
@@ -312,7 +311,7 @@ def test_gt_clustering_requires_poses():
 
 
 def test_sample_cluster_without_replacement_when_possible():
-    part = partition_from_labels([0, 0, 0, 0, 1, 1], 2)
+    part = ClusterPartition(2, [0, 0, 0, 0, 1, 1])
     s = sample_cluster(part, 0, 3, rng=0)
     assert s.cluster_id == 0
     assert len(set(s.frame_indices.tolist())) == 3
@@ -320,21 +319,21 @@ def test_sample_cluster_without_replacement_when_possible():
 
 
 def test_sample_cluster_small_cluster_uses_replacement():
-    part = partition_from_labels([0, 0, 1, 1, 1, 1], 2)
+    part = ClusterPartition(2, [0, 0, 1, 1, 1, 1])
     s = sample_cluster(part, 0, 5, rng=1)
     assert len(s.frame_indices) == 5
     assert set(s.frame_indices.tolist()) <= {0, 1}
 
 
 def test_sample_cluster_is_deterministic_per_seed():
-    part = partition_from_labels([0] * 8, 1)
+    part = ClusterPartition(1, [0] * 8)
     a = sample_cluster(part, 0, 4, rng=9)
     b = sample_cluster(part, 0, 4, rng=9)
     assert np.array_equal(a.frame_indices, b.frame_indices)
 
 
 def test_sample_cluster_draws_are_roughly_uniform():
-    part = partition_from_labels([0, 0, 0, 0], 1)
+    part = ClusterPartition(1, [0, 0, 0, 0])
     rng = np.random.default_rng(0)
     counts = np.zeros(4)
     for _ in range(10_000):
@@ -344,7 +343,7 @@ def test_sample_cluster_draws_are_roughly_uniform():
 
 
 def test_sample_cluster_validation():
-    part = partition_from_labels([0, 0, 0], 2)  # cluster 1 empty
+    part = ClusterPartition(2, [0, 0, 0])  # cluster 1 empty
     with pytest.raises(ValueError):
         sample_cluster(part, 2, 1, rng=0)
     with pytest.raises(ValueError):
@@ -355,20 +354,24 @@ def test_sample_cluster_validation():
 
 def test_partition_validation_errors():
     with pytest.raises(ValueError):
-        ClusterPartition(k=2, labels=np.array([0, 2]), members=[np.array([0]), np.array([1])])
+        ClusterPartition(k=2, labels=np.array([0, 2]))
     with pytest.raises(ValueError):
-        ClusterPartition(k=2, labels=np.array([0, 1]), members=[np.array([0, 1]), np.array([])])
-    with pytest.raises(ValueError):
-        partition_from_labels([0, 0, 1], 2, gt_keyframes=[2, 1])
+        ClusterPartition(2, [0, 0, 1], gt_keyframes=[2, 1])
+    for gt in ([0, -1], [0, 4]):
+        with pytest.raises(ValueError, match="out of range"):
+            ClusterPartition(2, [0, 0, 1, 1], gt_keyframes=gt)
+    with pytest.raises(ValueError, match="integers"):
+        ClusterPartition(2, [0.7, 1.2])
 
 
-_THREE_PAIRS = partition_from_labels([0, 0, 1, 1, 2, 2], 3)
+_THREE_PAIRS = ClusterPartition(3, [0, 0, 1, 1, 2, 2])
 _COUNT_CALLS = {
     "kmeans": lambda k: kmeans(np.arange(12.0).reshape(6, 2), k),
     "cluster_features": lambda k: cluster_features(np.arange(12.0).reshape(6, 2), k),
     "gt_pose_clustering": lambda k: gt_pose_clustering(np.arange(18.0).reshape(6, 3), k),
     "sample_cluster": lambda n: sample_cluster(_THREE_PAIRS, 0, n, 0),
     "sample_cluster-id": lambda j: sample_cluster(_THREE_PAIRS, j, 1, 0),
+    "ClusterPartition": lambda k: ClusterPartition(k, [0, 0, 1, 1]),
 }
 
 

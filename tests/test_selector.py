@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scenesum import selector
-from scenesum.clustering import ClusterSample, partition_from_labels, sample_cluster
+from scenesum.clustering import ClusterPartition, ClusterSample, sample_cluster
 from scenesum.dataset import SceneDataset
 from scenesum.selector import (
     AdamState,
@@ -573,7 +573,7 @@ def test_train_matches_reference_loop_bit_for_bit(case):
     k = case.pop("k")
     ds = _toy_scene(n=60, dim=6, seed=4)
     labels = np.arange(60) % k
-    part = partition_from_labels(labels, k, gt_keyframes=np.arange(k) + 2 * k)
+    part = ClusterPartition(k, labels, gt_keyframes=np.arange(k) + 2 * k)
     cfg = TrainConfig(epochs=6, latent_dim=3, **{"hidden_dims": (5,), **case})
     got_params, got_history = train(ds, part, cfg)
     want_params, want_history = _reference_train(ds, part, cfg)
@@ -587,7 +587,7 @@ def test_training_step_allocates_nothing_of_parameter_size(monkeypatch):
     # activations and their gradients some tens of kB.  The peak is measured
     # from mark to mark around every Adam call; the first interval holds set-up.
     ds = _toy_scene(n=16, dim=128, seed=3)
-    part = partition_from_labels(np.arange(16) % 2, 2)
+    part = ClusterPartition(2, np.arange(16) % 2)
     cfg = TrainConfig(epochs=1, latent_dim=16, hidden_dims=(512,), sample_size=1, seed=0)
     real_adam_step = selector.adam_step
     peaks, base = [], [0]
@@ -614,7 +614,7 @@ def test_training_step_allocates_nothing_of_parameter_size(monkeypatch):
 
 def test_train_zero_epochs_returns_initial_params():
     ds = _toy_scene()
-    part = partition_from_labels(np.arange(30) % 3, 3)
+    part = ClusterPartition(3, np.arange(30) % 3)
     cfg = TrainConfig(epochs=0, latent_dim=2, hidden_dims=(3,), seed=6)
     params, history = train(ds, part, cfg)
     fresh = init_params(4, (3,), 2, rng=np.random.default_rng(6))
@@ -624,7 +624,7 @@ def test_train_zero_epochs_returns_initial_params():
 
 def test_train_is_deterministic():
     ds = _toy_scene()
-    part = partition_from_labels(np.arange(30) % 3, 3)
+    part = ClusterPartition(3, np.arange(30) % 3)
     cfg = TrainConfig(epochs=3, latent_dim=2, hidden_dims=(3,), sample_size=2, seed=1)
     p1, h1 = train(ds, part, cfg)
     p2, h2 = train(ds, part, cfg)
@@ -634,7 +634,7 @@ def test_train_is_deterministic():
 
 def test_train_reduces_loss():
     ds = _toy_scene(n=60, dim=6, seed=2)
-    part = partition_from_labels(np.arange(60) % 3, 3)
+    part = ClusterPartition(3, np.arange(60) % 3)
     cfg = TrainConfig(epochs=40, latent_dim=4, hidden_dims=(8,), sample_size=4, seed=0)
     _, history = train(ds, part, cfg)
     assert history[-1] < history[0]
@@ -642,7 +642,7 @@ def test_train_reduces_loss():
 
 def test_train_rejects_non_finite_loss():
     ds = _toy_scene(n=60, dim=6, seed=2)
-    part = partition_from_labels(np.arange(60) % 3, 3)
+    part = ClusterPartition(3, np.arange(60) % 3)
     cfg = TrainConfig(epochs=3, learning_rate=1e300, latent_dim=4, hidden_dims=(8,),
                       sample_size=4, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -652,7 +652,7 @@ def test_train_rejects_non_finite_loss():
 
 def test_train_warns_when_batch_cannot_hold_samples():
     ds = _toy_scene(n=40)
-    part = partition_from_labels(np.arange(40) % 5, 5)
+    part = ClusterPartition(5, np.arange(40) % 5)
     cfg = TrainConfig(epochs=1, latent_dim=2, hidden_dims=(3,), sample_size=8, batch_size=16)
     with pytest.warns(UserWarning, match="reducing"):
         train(ds, part, cfg)
@@ -660,13 +660,13 @@ def test_train_warns_when_batch_cannot_hold_samples():
 
 def test_train_validation():
     ds = _toy_scene()
-    part = partition_from_labels(np.zeros(30, dtype=int), 1)
+    part = ClusterPartition(1, np.zeros(30, dtype=int))
     with pytest.raises(ValueError):
         train(ds, part, TrainConfig(epochs=1))
-    two = partition_from_labels(np.arange(29) % 2, 2)
+    two = ClusterPartition(2, np.arange(29) % 2)
     with pytest.raises(ValueError):
         train(ds, two, TrainConfig(epochs=1))
-    ok = partition_from_labels(np.arange(30) % 2, 2)
+    ok = ClusterPartition(2, np.arange(30) % 2)
     with pytest.raises(ValueError, match="gt_keyframes"):
         train(ds, ok, TrainConfig(epochs=1, mode="supervised"))
 
@@ -693,17 +693,25 @@ def test_select_keyframes_identity_net_hand_case():
     # value, and the tie between the two copies resolves to the lower index.
     feats = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [8.0, 8.0]])
     ds = SceneDataset("hand", feats)
-    part = partition_from_labels([0, 0, 0, 1], 2)
+    part = ClusterPartition(2, [0, 0, 0, 1])
     result = select_keyframes(_identity_net(2), ds, part)
     assert result.frame_indices == [0, 3]
     assert result.k == 2
+
+
+def test_select_keyframes_rejects_a_partition_of_another_scene():
+    ds = _toy_scene(n=40)
+    params = init_params(4, (3,), 2, rng=0)
+    for n in (30, 50):
+        with pytest.raises(ValueError, match=f"partition covers {n} frames, dataset has 40"):
+            select_keyframes(params, ds, ClusterPartition(2, np.arange(n) % 2))
 
 
 def test_select_keyframes_matches_brute_force():
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(12, 5)).astype(np.float32)
     ds = SceneDataset("brute", feats)
-    part = partition_from_labels(np.arange(12) % 3, 3)
+    part = ClusterPartition(3, np.arange(12) % 3)
     params = init_params(5, (6,), 3, rng=2)
     result = select_keyframes(params, ds, part)
     x = feats.astype(np.float64)
