@@ -33,6 +33,7 @@ def uniform_summary(n: int, k: int) -> SummaryResult:
 def random_summary(n: int, k: int, seed: int = 0) -> SummaryResult:
     """k distinct frames drawn uniformly, sorted ascending; deterministic per seed."""
     _check_k(n, k)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     frames = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     return SummaryResult(method="random", frame_indices=frames,

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import baselines, metrics
 from .clustering import cluster_features, gt_pose_clustering
@@ -50,31 +51,33 @@ _DEFAULTS = {
     "ks": "10,20",
     "seeds": "0,1,2",
 }
+# Rules _resolve applies to flag and config file values alike.
+_CHOICES = {"method": METHODS, "mode": sorted(GENERATE_MODES)}
+_LOWER = {"seed": (">=", 0), "r_max": (">", 0), "steps": (">=", 2)}  # key -> (op, bound)
 
 
 class UsageError(Exception):
-    pass
+    exit_code = 2
 
 
 class CapabilityError(Exception):
-    pass
+    exit_code = 3
 
 
-def _resolve(args, keys) -> dict:
-    """Merge flags over --config file values over defaults, for the given keys."""
+def _resolve(args) -> dict:
+    """Merge flags over --config file values over defaults, for the command's keys."""
     from_file = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
-            loaded = read_json_object(args.config, "config file")
+            from_file = read_json_object(args.config, "config file")
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        unknown = sorted(set(from_file) - set(_DEFAULTS))
         if unknown:
             raise UsageError(f"config file {args.config} has unknown keys {unknown}")
-        from_file = loaded
     resolved = {}
-    for key in keys:
-        value = getattr(args, key, None)
+    for key in _COMMANDS[args.command].keys:
+        value = getattr(args, key)
         if value is None:
             value = from_file.get(key, _DEFAULTS[key])
         # flags arrive typed by argparse; a file value must already have its
@@ -86,10 +89,19 @@ def _resolve(args, keys) -> dict:
             ok = type(value) is kind
         if not ok:
             raise UsageError(f"bad value for {key}: {value!r}")
-        if key == "seed" and value < 0:
-            raise UsageError(f"seed must be >= 0, got {value}")
         resolved[key] = kind(value)
+        _check(key, resolved[key])
     return resolved
+
+
+def _check(key: str, value) -> None:
+    """UsageError unless value is one of key's choices and within its lower bound."""
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise UsageError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
+    if key in _LOWER:
+        op, bound = _LOWER[key]
+        if value < bound or (op == ">" and value == bound):
+            raise UsageError(f"{key} must be {op} {bound}, got {value}")
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -100,7 +112,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict) -> SummaryResult:
-    """Produce a summary with any supported method; opts carries training knobs."""
+    """Produce a summary with a method from METHODS; opts carries training knobs."""
     n = ds.n_frames
     if not 1 <= k <= n:
         raise UsageError(f"k must be in [1, {n}], got {k}")
@@ -112,8 +124,6 @@ def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict) ->
         return baselines.vsumm_centroid(ds.features, k, seed)
     if method == "change":
         return baselines.change_detect_summary(ds.features, k)
-    if method not in ("scenesum", "scenesum-supervised"):
-        raise UsageError(f"unknown method {method!r}")
 
     if k < 2:
         raise UsageError(f"method {method} needs k >= 2, got k={k}")
@@ -136,10 +146,7 @@ def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict) ->
 
 
 def cmd_generate(args) -> int:
-    resolved = _resolve(args, ("frames", "dim", "mode", "seed", "box_side", "step_sigma",
-                               "noise_sigma"))
-    if resolved["mode"] not in GENERATE_MODES:
-        raise UsageError(f"mode must be one of {sorted(GENERATE_MODES)}, got {resolved['mode']!r}")
+    resolved = _resolve(args)
     try:
         cfg = SyntheticConfig(n_frames=resolved["frames"], dim=resolved["dim"],
                               feature_mode=GENERATE_MODES[resolved["mode"]],
@@ -155,10 +162,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    resolved = _resolve(args, ("method", "k", "seed", "n_sample", "epochs", "lr", "latent",
-                               "batch_size"))
-    if resolved["method"] not in METHODS:
-        raise UsageError(f"method must be one of {METHODS}, got {resolved['method']!r}")
+    resolved = _resolve(args)
     ds = load_dataset(args.manifest)
     summary = _run_method(ds, resolved["method"], resolved["k"], resolved["seed"], resolved)
     summary.config.update(resolved)
@@ -168,17 +172,8 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def _check_grid(resolved: dict) -> None:
-    """UsageError unless r_max > 0 and steps >= 2, the grid evaluate and sweep score on."""
-    if resolved["r_max"] <= 0:
-        raise UsageError(f"r_max must be > 0, got {resolved['r_max']}")
-    if resolved["steps"] < 2:
-        raise UsageError(f"steps must be >= 2, got {resolved['steps']}")
-
-
 def cmd_evaluate(args) -> int:
-    resolved = _resolve(args, ("r_max", "steps"))
-    _check_grid(resolved)
+    resolved = _resolve(args)
     summary = read_json_object(args.summary, "summary file")
     for key in ("method", "k", "frames"):
         if key not in summary:
@@ -186,9 +181,10 @@ def cmd_evaluate(args) -> int:
     ds = load_dataset(args.manifest)
     if ds.poses is None:
         raise CapabilityError("evaluate requires a dataset with poses")
-    if not isinstance(summary["frames"], list):
-        raise ValueError("summary frames must be a list of integer frame indices")
-    frames = SummaryResult(str(summary["method"]), summary["frames"]).frame_indices
+    if not (isinstance(summary["method"], str) and isinstance(summary["frames"], list)):
+        raise ValueError("summary method must be a string and frames a list of frame indices")
+    summary["method"].encode()  # a lone surrogate fails here, not halfway through the writes
+    frames = SummaryResult(summary["method"], summary["frames"]).frame_indices
     if any(f >= ds.n_frames for f in frames):
         raise ValueError("summary frame indices fall outside the dataset")
     k = summary["k"]
@@ -219,28 +215,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_list(text: str, cast, what: str) -> list:
+def _parse_list(text: str, cast, key: str) -> list:
     try:
         items = [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad {what} list {text!r}") from exc
+        raise UsageError(f"bad {key} list {text!r}") from exc
     if not items:
-        raise UsageError(f"empty {what} list")
+        raise UsageError(f"empty {key} list")
+    for item in items:
+        _check(key, item)
     return items
 
 
 def cmd_sweep(args) -> int:
-    resolved = _resolve(args, ("methods", "ks", "seeds", "r_max", "steps", "n_sample",
-                               "epochs", "lr", "latent", "batch_size"))
+    resolved = _resolve(args)
     methods = _parse_list(resolved["methods"], str, "method")
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"method must be one of {METHODS}, got {m!r}")
     ks = _parse_list(resolved["ks"], int, "k")
     seeds = _parse_list(resolved["seeds"], int, "seed")
-    if min(seeds) < 0:
-        raise UsageError(f"seeds must be >= 0, got {resolved['seeds']!r}")
-    _check_grid(resolved)
 
     ds = load_dataset(args.manifest)
     if ds.poses is None:
@@ -271,62 +262,49 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    positionals: tuple  # (name, help) pairs
+    keys: tuple  # option keys, in the order their resolved values are written out
+    out: dict  # add_argument keywords for --out
+
+
+_TRAIN_KEYS = ("n_sample", "epochs", "lr", "latent", "batch_size")
+_MANIFEST = ("manifest", "path to the dataset manifest")
+_COMMANDS = {
+    "generate": _Command(
+        cmd_generate, "write a synthetic scene dataset", (),
+        ("frames", "dim", "mode", "seed", "box_side", "step_sigma", "noise_sigma"),
+        {"required": True, "help": "output directory for the manifest"}),
+    "summarize": _Command(
+        cmd_summarize, "select keyframes from a dataset", (_MANIFEST,),
+        ("method", "k", "seed", *_TRAIN_KEYS), {"default": "summary.json"}),
+    "evaluate": _Command(
+        cmd_evaluate, "divergence curve and AUC for a summary",
+        (("summary", "summary JSON written by summarize"), _MANIFEST), ("r_max", "steps"),
+        {"default": "eval", "help": "output path prefix"}),
+    "sweep": _Command(
+        cmd_sweep, "methods x k x seeds AUC grid", (_MANIFEST,),
+        ("methods", "ks", "seeds", "r_max", "steps", *_TRAIN_KEYS), {"default": "sweep.csv"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenesum",
                                      description="Scene summarization pipeline and baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a synthetic scene dataset")
-    gen.add_argument("--out", required=True, help="output directory for the manifest")
-    gen.add_argument("--frames", type=int)
-    gen.add_argument("--dim", type=int)
-    gen.add_argument("--mode", choices=sorted(GENERATE_MODES))
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--box-side", dest="box_side", type=float)
-    gen.add_argument("--step-sigma", dest="step_sigma", type=float)
-    gen.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    gen.add_argument("--config", help="JSON file with option defaults")
-    gen.set_defaults(func=cmd_generate)
-
-    summ = sub.add_parser("summarize", help="select keyframes from a dataset")
-    summ.add_argument("manifest", help="path to the dataset manifest")
-    summ.add_argument("--method", choices=METHODS)
-    summ.add_argument("--k", type=int)
-    summ.add_argument("--seed", type=int)
-    summ.add_argument("--n-sample", dest="n_sample", type=int)
-    summ.add_argument("--epochs", type=int)
-    summ.add_argument("--lr", type=float)
-    summ.add_argument("--latent", type=int)
-    summ.add_argument("--batch-size", dest="batch_size", type=int)
-    summ.add_argument("--out", default="summary.json")
-    summ.add_argument("--config", help="JSON file with option defaults")
-    summ.set_defaults(func=cmd_summarize)
-
-    ev = sub.add_parser("evaluate", help="divergence curve and AUC for a summary")
-    ev.add_argument("summary", help="summary JSON written by summarize")
-    ev.add_argument("manifest", help="path to the dataset manifest")
-    ev.add_argument("--r-max", dest="r_max", type=float)
-    ev.add_argument("--steps", type=int)
-    ev.add_argument("--svg", action="store_true", help="also write a curve chart")
-    ev.add_argument("--out", default="eval", help="output path prefix")
-    ev.add_argument("--config", help="JSON file with option defaults")
-    ev.set_defaults(func=cmd_evaluate)
-
-    sw = sub.add_parser("sweep", help="methods x k x seeds AUC grid")
-    sw.add_argument("manifest", help="path to the dataset manifest")
-    sw.add_argument("--methods")
-    sw.add_argument("--ks")
-    sw.add_argument("--seeds")
-    sw.add_argument("--r-max", dest="r_max", type=float)
-    sw.add_argument("--steps", type=int)
-    sw.add_argument("--n-sample", dest="n_sample", type=int)
-    sw.add_argument("--epochs", type=int)
-    sw.add_argument("--lr", type=float)
-    sw.add_argument("--latent", type=int)
-    sw.add_argument("--batch-size", dest="batch_size", type=int)
-    sw.add_argument("--out", default="sweep.csv")
-    sw.add_argument("--config", help="JSON file with option defaults")
-    sw.set_defaults(func=cmd_sweep)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for positional, text in command.positionals:
+            cmd.add_argument(positional, help=text)
+        for key in command.keys:
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=type(_DEFAULTS[key]), choices=_CHOICES.get(key))
+        if name == "evaluate":
+            cmd.add_argument("--svg", action="store_true", help="also write a curve chart")
+        cmd.add_argument("--out", **command.out)
+        cmd.add_argument("--config", help="JSON file with option defaults")
     return parser
 
 
@@ -337,16 +315,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        return _COMMANDS[args.command].handler(args)
+    except (UsageError, CapabilityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)  # I/O and data errors are 1
 
 
 def run() -> None:

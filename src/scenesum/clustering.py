@@ -154,6 +154,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
         raise ValueError("NaN or Inf detected in features")
     n = x.shape[0]
     check_count("k", k)
+    check_count("seed", seed, 0)
     if k > n:
         raise ValueError(f"k ({k}) exceeds number of frames ({n})")
 

@@ -92,6 +92,7 @@ class SyntheticConfig:
     def __post_init__(self):
         check_count("n_frames", self.n_frames)
         check_count("dim", self.dim, 2)
+        check_count("seed", self.seed, 0)
         if self.feature_mode not in _FEATURE_MODES:
             raise ValueError(f"feature_mode must be one of {_FEATURE_MODES}, got {self.feature_mode!r}")
         # written so that NaN fails every bound
@@ -229,9 +230,9 @@ def load_dataset(manifest_path) -> SceneDataset:
     n, d = manifest["n_frames"], manifest["dim"]
     check_count("manifest n_frames", n)
     check_count("manifest dim", d)
-    for key in ("features", "poses"):
+    for key in ("scene_id", "features", "poses"):  # names and file names
         if not isinstance(manifest.get(key, ""), str):
-            raise ValueError(f"manifest {key!r} must be a file name, got {manifest[key]!r}")
+            raise ValueError(f"manifest {key!r} must be a string, got {manifest[key]!r}")
 
     raw = (manifest_path.parent / manifest["features"]).read_bytes()
     expected = n * d * FEATURE_DTYPE.itemsize
@@ -245,4 +246,4 @@ def load_dataset(manifest_path) -> SceneDataset:
     if "poses" in manifest:
         poses = _load_poses(manifest_path.parent / manifest["poses"], n)
 
-    return SceneDataset(scene_id=str(manifest["scene_id"]), features=feats, poses=poses)
+    return SceneDataset(scene_id=manifest["scene_id"], features=feats, poses=poses)

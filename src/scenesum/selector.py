@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterPartition, sample_cluster
-from .dataset import SceneDataset
+from .dataset import SceneDataset, check_count
 
 _COS_EPS = 1e-12  # norm guard on the training path
 _TINY = np.finfo(np.float64).tiny
@@ -175,14 +175,20 @@ def infonce_pair(p_a, p_b) -> float:
     return _pair_loss(pools)[0] / 2.0
 
 
-def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_gt, grads=None):
-    """Loss over one batch of cluster samples, and optionally its gradient.
+def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
+               lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
+               lambda_gt: float = _LAMBDA_GT, grads: AutoencoderParams | None = None):
+    """Weighted training loss over one batch of cluster samples, and optionally
+    its gradient.
 
-    All sampled rows (then, in supervised mode, the k gt rows) go through the
-    encoder as one stack, the sampled latents through the decoder as another.
-    Returns (total, breakdown).  Given grads, an AutoencoderParams shaped like
-    params, the gradient overwrites every entry of grads.flat.
+    Returns (total, breakdown) where breakdown holds the unweighted terms under
+    keys 'recon', 'infonce', and (supervised only) 'gt'.  All sampled rows
+    (then, in supervised mode, the k gt rows) go through the encoder as one
+    stack, the sampled latents through the decoder as another.  Given grads, an
+    AutoencoderParams shaped like params, the gradient overwrites every entry
+    of grads.flat.
     """
+    features = np.asarray(features, dtype=np.float64)
     k = len(samples)
     if k < 2:
         raise ValueError(f"need at least 2 clusters for the contrastive term, got {k}")
@@ -209,26 +215,26 @@ def _evaluate(params, features, samples, gt_keyframes, lam_recon, lam_nce, lam_g
     nce, (norms, guarded, gg, sim, e, off_diag) = _pair_loss(pools)
 
     breakdown = {"recon": recon, "infonce": nce}
-    total = lam_recon * recon + lam_nce * nce
+    total = lambda_recon * recon + lambda_nce * nce
     if supervised:
         gt_diff = enc_acts[-1][n_total:] - pools
         gt_term = float((gt_diff * gt_diff).sum()) / k
         breakdown["gt"] = gt_term
-        total += lam_gt * gt_term
+        total += lambda_gt * gt_term
 
     if grads is None:
         return total, breakdown
 
     # Both orders of a pair carry the same weight, hence the factor 2.
-    wts = np.where(off_diag, lam_nce * e / (1.0 + e), 0.0)
+    wts = np.where(off_diag, lambda_nce * e / (1.0 + e), 0.0)
     d_pools = 2.0 * ((wts / gg) @ pools
                      - ((wts * sim).sum(axis=1) / (guarded * np.maximum(norms, _TINY)))[:, None]
                      * pools)
-    dxp = lam_recon * (2.0 / n_total) * (dec_acts[-1] - x)
+    dxp = lambda_recon * (2.0 / n_total) * (dec_acts[-1] - x)
     dz = _backward(params.decoder, dec_acts, dxp, grads.decoder)
     dh = dz @ params.decoder[0][0].T
     if supervised:
-        d_gt = lam_gt * (2.0 / k) * gt_diff
+        d_gt = lambda_gt * (2.0 / k) * gt_diff
         d_pools -= d_gt
         dh = np.concatenate([dh + avg.T @ d_pools, d_gt])
     else:
@@ -245,26 +251,13 @@ def _zeros_like(params: AutoencoderParams) -> AutoencoderParams:
         decoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.decoder])
 
 
-def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
-               lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
-               lambda_gt: float = _LAMBDA_GT):
-    """Weighted training loss over one batch of cluster samples.
-
-    Returns (total, breakdown) where breakdown holds the unweighted terms under
-    keys 'recon', 'infonce', and (supervised only) 'gt'.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    return _evaluate(params, features, samples, gt_keyframes,
-                     lambda_recon, lambda_nce, lambda_gt)
-
-
 def grad(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
          lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
          lambda_gt: float = _LAMBDA_GT) -> AutoencoderParams:
     """Analytic gradient of total_loss, as a new AutoencoderParams shaped like params."""
-    features = np.asarray(features, dtype=np.float64)
     g = _zeros_like(params)
-    _evaluate(params, features, samples, gt_keyframes, lambda_recon, lambda_nce, lambda_gt, g)
+    total_loss(params, features, samples, gt_keyframes, lambda_recon=lambda_recon,
+               lambda_nce=lambda_nce, lambda_gt=lambda_gt, grads=g)
     return g
 
 
@@ -282,19 +275,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("batch_size", 1), ("latent_dim", 1), ("sample_size", 1),
+                          ("epochs", 0), ("seed", 0)):
+            check_count(name, getattr(self, name), low)
+        for h in self.hidden_dims:
+            check_count("hidden dim", h)
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -386,8 +374,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
         step_losses = []
         for step in range(steps):
             samples = [sample_cluster(partition, j, n_sample, rng) for j in range(k)]
-            total, _ = _evaluate(params, features, samples, gt, _LAMBDA_RECON,
-                                 _LAMBDA_NCE, _LAMBDA_GT, grads)
+            total, _ = total_loss(params, features, samples, gt, grads=grads)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
             adam_step(params, grads, state, learning_rate=cfg.learning_rate)

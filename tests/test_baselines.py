@@ -122,11 +122,13 @@ _COUNT_CALLS = {
     "random-n": lambda n: random_summary(n, 2),
     "vsumm": lambda k: vsumm_centroid(np.arange(12.0).reshape(6, 2), k),
     "change": lambda k: change_detect_summary(np.arange(12.0).reshape(6, 2), k),
+    "random-seed": lambda s: random_summary(6, 2, s),
+    "vsumm-seed": lambda s: vsumm_centroid(np.arange(12.0).reshape(6, 2), 2, s),
 }
 
 
 @pytest.mark.parametrize("call", _COUNT_CALLS)
-@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", -1])
 def test_baseline_counts_must_be_integers(call, bad):
     with pytest.raises(ValueError, match="integer"):
         _COUNT_CALLS[call](bad)

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scenesum
-from scenesum.cli import main
+from scenesum.cli import _COMMANDS, _DEFAULTS, build_parser, main
 from scenesum.dataset import SceneDataset, save_dataset
 from scenesum.svgchart import render_line_chart
 
@@ -347,6 +351,60 @@ def test_evaluate_rejects_bad_grid(scene_dir, tmp_path):
                  "--steps", "1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+@st.composite
+def _summary(draw):
+    """Summary text for the 60-frame scene: a valid summary with up to two keys
+    dropped or changed to a near-valid value or any JSON, or sometimes any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text())
+    frames = draw(st.lists(st.integers(0, 59), min_size=1, max_size=5, unique=True)
+                  | st.lists(st.integers(-2, 62) | st.sampled_from([2**63, True, 1.0, 1.5, None]),
+                             max_size=5))
+    payload = {"method": "uniform", "k": len(frames), "frames": frames, "config": {}}
+    faults = {"method": st.sampled_from(["", "x<&", "a\ud800"]),
+              "k": st.sampled_from([len(frames) + 1, float(len(frames)), True]),
+              "frames": st.sampled_from([[], [0, 0], [0, 60], [-1], [0.5]]), "config": st.none()}
+    json_value = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                     max_size=3),
+        max_leaves=6)
+    for key in draw(st.lists(st.sampled_from(sorted(payload)), unique=True, max_size=2)):
+        choice = draw(st.integers(0, 3))
+        if choice == 0:
+            del payload[key]
+        else:
+            payload[key] = draw(faults[key] if choice < 3 else json_value)
+    return json.dumps(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_summary())
+@example(json.dumps({"method": "x", "k": 2, "frames": [0, 5]}))
+@example(json.dumps({"method": ["x"], "k": 2, "frames": [0, 5]}))
+@example(json.dumps({"method": "x", "k": 0, "frames": []}))
+@example(json.dumps({"method": "a\ud800", "k": 2, "frames": [0, 5]}))  # no UTF-8 encoding
+def test_evaluate_reads_a_summary_or_exits_1(scene_dir, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        summary, out = Path(tmp) / "summary.json", Path(tmp) / "eval"
+        summary.write_text(text)
+        rc = main(["evaluate", str(summary), str(scene_dir / "manifest.json"), "--svg",
+                   "--out", str(out)])
+        written = sorted(p.name for p in Path(tmp).iterdir())
+    assert rc in (0, 1)
+    if rc == 1:
+        assert written == ["summary.json"]
+        return
+    # only a well-formed summary is scored: a method name, k distinct frames of the scene
+    payload = json.loads(text)
+    frames = payload["frames"]
+    assert type(payload["method"]) is str
+    assert all(type(f) is int and 0 <= f < 60 for f in frames)
+    assert len(set(frames)) == len(frames) == payload["k"] >= 1
+    assert type(payload["k"]) is int
+    assert written == ["eval.csv", "eval.json", "eval.svg", "summary.json"]
+
+
 def test_sweep_grid_layout(scene_dir, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", str(scene_dir / "manifest.json"), "--methods", "uniform,random,change",
@@ -432,6 +490,54 @@ def test_sweep_requires_poses(poseless_dir, tmp_path):
     rc = main(["sweep", str(poseless_dir / "manifest.json"), "--methods", "uniform",
                "--out", str(tmp_path / "s.csv")])
     assert rc == 3
+
+
+_FLAGS = {
+    "generate": "--frames --dim --mode --seed --box-side --step-sigma --noise-sigma --out --config",
+    "summarize": "--method --k --seed --n-sample --epochs --lr --latent --batch-size --out --config",
+    "evaluate": "--r-max --steps --svg --out --config",
+    "sweep": "--methods --ks --seeds --r-max --steps --n-sample --epochs --lr --latent "
+             "--batch-size --out --config",
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_parser_options_are_the_command_table_keys(command):
+    options = [a for a in _subparsers()[command]._actions if a.dest != "help" and a.option_strings]
+    extra = {"out", "config"} | ({"svg"} if command == "evaluate" else set())
+    assert {a.dest for a in options} == set(_COMMANDS[command].keys) | extra
+    # one --key-with-dashes flag per key, and the same flags as ever
+    assert all(a.option_strings == ["--" + a.dest.replace("_", "-")] for a in options)
+    assert sorted(f for a in options for f in a.option_strings) == sorted(_FLAGS[command].split())
+
+
+def test_every_default_belongs_to_a_command():
+    assert sorted(_subparsers()) == sorted(_FLAGS)
+    assert {key for c in _COMMANDS.values() for key in c.keys} == set(_DEFAULTS)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["summarize", "{scene}", "--out", "{tmp}/x.json"], {"method": "nope"}),
+    (["generate", "--out", "{tmp}/g"], {"mode": "nope"}),
+    (["evaluate", "{tmp}/s.json", "{scene}", "--out", "{tmp}/e"], {"steps": 1}),
+    (["evaluate", "{tmp}/s.json", "{scene}", "--out", "{tmp}/e"], {"r_max": 0}),
+    (["sweep", "{scene}", "--methods", "uniform", "--out", "{tmp}/x.csv"], {"r_max": -1.5}),
+    (["sweep", "{scene}", "--out", "{tmp}/x.csv"], {"methods": "uniform,nope"}),
+], ids=["summarize-method", "generate-mode", "evaluate-steps", "evaluate-r-max", "sweep-r-max",
+        "sweep-methods"])
+def test_config_file_values_obey_the_option_rules(scene_dir, tmp_path, capsys, argv, payload):
+    # choices and lower bounds hold for config file values as they do for flags
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    (tmp_path / "s.json").write_text(json.dumps({"method": "x", "k": 2, "frames": [0, 5]}))
+    argv = [a.format(tmp=tmp_path, scene=scene_dir / "manifest.json") for a in argv]
+    assert main(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.json"]
 
 
 def test_cli_import_reaches_every_module():

@@ -372,11 +372,14 @@ _COUNT_CALLS = {
     "sample_cluster": lambda n: sample_cluster(_THREE_PAIRS, 0, n, 0),
     "sample_cluster-id": lambda j: sample_cluster(_THREE_PAIRS, j, 1, 0),
     "ClusterPartition": lambda k: ClusterPartition(k, [0, 0, 1, 1]),
+    "kmeans-seed": lambda s: kmeans(np.arange(12.0).reshape(6, 2), 2, seed=s),
+    "cluster_features-seed": lambda s: cluster_features(np.arange(12.0).reshape(6, 2), 2, s),
+    "gt_pose_clustering-seed": lambda s: gt_pose_clustering(np.arange(18.0).reshape(6, 3), 2, s),
 }
 
 
 @pytest.mark.parametrize("call", _COUNT_CALLS)
-@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", -1])
 def test_counts_must_be_integers(call, bad):
     with pytest.raises(ValueError, match="integer"):
         _COUNT_CALLS[call](bad)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from scenesum.cli import main
 from scenesum.dataset import SceneDataset, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 
 
@@ -89,6 +90,9 @@ def test_synthetic_config_validation():
         SyntheticConfig(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         SyntheticConfig(feature_mode="image")
+    for bad in (-1, 1.5, True, "0"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SyntheticConfig(seed=bad)
     for key in ("box_side", "step_sigma", "noise_sigma"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=key):
@@ -324,3 +328,108 @@ def test_pose_file_parses_to_finite_array_or_value_error(case):
     assert isinstance(ds.poses, np.ndarray)
     assert ds.poses.dtype == np.float64 and ds.poses.shape == (n, 3)
     assert np.isfinite(ds.poses).all()
+
+
+# JSON values of every type; text never holds a path separator, so a generated
+# file name stays inside the scene directory
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_characters="/\\"), max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_MANIFEST = {"scene_id": "s", "n_frames": 3, "dim": 2, "features": "features.bin",
+             "dtype": "f32le", "poses": "poses.csv"}
+_MANIFEST_FAULTS = {
+    "scene_id": st.sampled_from(["", "t"]),
+    "n_frames": st.sampled_from([6, 1, 2, 0, -3, 3.0, True, "3", 10**30]),
+    "dim": st.sampled_from([1, 4, 0, 2.0, False, "2", 10**30]),
+    "features": st.sampled_from(["poses.csv", "manifest.json", "missing.bin", "", ".", "..",
+                                 "a\x00b"]),
+    "dtype": st.sampled_from(["f64le", "F32LE", ""]),
+    "poses": st.sampled_from(["features.bin", "manifest.json", "missing.csv", "", "."]),
+}
+
+
+@st.composite
+def _manifest(draw):
+    """Manifest text for a 3x2 scene: a valid manifest with up to three keys
+    dropped or changed to a near-valid value or any JSON, or sometimes any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text())
+    payload = dict(_MANIFEST)
+    for key in draw(st.lists(st.sampled_from(sorted(_MANIFEST)), unique=True, max_size=3)):
+        choice = draw(st.integers(0, 3))
+        if choice == 0:
+            del payload[key]
+        else:
+            payload[key] = draw(_MANIFEST_FAULTS[key] if choice < 3 else _JSON)
+    return json.dumps(payload)
+
+
+def _load_or_value_error(manifest: Path):
+    """load_dataset's result, or None where it raised ValueError or OSError.  The
+    CLI must agree: summarize exits 0 on a scene that loads and 1 on one that does not."""
+    try:
+        ds = load_dataset(manifest)
+    except (ValueError, OSError):
+        ds = None
+    out = manifest.parent / "out" / "summary.json"
+    rc = main(["summarize", str(manifest), "--method", "uniform", "--k", "1", "--out", str(out)])
+    assert rc == (1 if ds is None else 0)
+    assert out.exists() == (ds is not None)
+    return ds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_manifest())
+@example(json.dumps(_MANIFEST))
+@example(json.dumps({**_MANIFEST, "scene_id": 7}))
+@example(json.dumps({**_MANIFEST, "n_frames": 6, "dim": 1, "poses": "features.bin"}))
+def test_manifest_parses_to_its_scene_or_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        feats = np.arange(6.0).reshape(3, 2)
+        manifest = save_dataset(SceneDataset("s", feats, np.ones((3, 3))),
+                                Path(tmp) / "manifest.json")
+        raw = (Path(tmp) / "features.bin").read_bytes()
+        manifest.write_text(text)
+        ds = _load_or_value_error(manifest)
+    if ds is None:
+        return
+    # a scene that loads is the one the manifest names, nothing coerced
+    payload = json.loads(text)
+    assert ds.scene_id == payload["scene_id"]
+    assert ds.features.shape == (payload["n_frames"], payload["dim"])
+    assert ds.features.tobytes() == raw
+    assert (ds.poses is None) == ("poses" not in payload)
+
+
+@st.composite
+def _feature_file(draw):
+    """(n, d, features.bin bytes): exact-length float32 data, exact-length or
+    other-length raw bytes."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = n * d * 4
+    raw = draw(st.lists(st.floats(width=32), min_size=n * d, max_size=n * d)
+               .map(lambda v: np.array(v, dtype="<f4").tobytes())
+               | st.binary(min_size=size, max_size=size)
+               | st.binary(max_size=2 * size + 4))
+    return n, d, raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feature_file())
+@example((2, 2, np.array([0, 1, 2, float("nan")], dtype="<f4").tobytes()))
+@example((2, 2, bytes(15)))
+@example((1, 1, b""))
+def test_feature_file_parses_to_its_bytes_or_value_error(case):
+    n, d, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = save_dataset(SceneDataset("f", np.zeros((n, d))), Path(tmp) / "manifest.json")
+        (Path(tmp) / "features.bin").write_bytes(raw)
+        ds = _load_or_value_error(manifest)
+    if ds is None:
+        assert len(raw) != n * d * 4 or not np.isfinite(np.frombuffer(raw, dtype="<f4")).all()
+        return
+    assert ds.features.shape == (n, d) and ds.features.dtype == np.float32
+    assert ds.features.tobytes() == raw

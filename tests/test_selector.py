@@ -683,6 +683,16 @@ def test_train_config_validation():
         TrainConfig(mode="semi")
     with pytest.raises(ValueError):
         TrainConfig(sample_size=0)
+    # counts and seeds must be integers: a float, a bool or a string is refused up
+    # front rather than failing in train or being coerced
+    for bad in ({"epochs": 1.5}, {"latent_dim": 2.5}, {"batch_size": True},
+                {"sample_size": 2.0}, {"hidden_dims": (2.5,)}, {"hidden_dims": (True,)},
+                {"hidden_dims": (0,)}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
+                {"epochs": "3"}):
+        with pytest.raises(ValueError, match="integer"):
+            TrainConfig(**bad)
+    cfg = TrainConfig(epochs=0, hidden_dims=(np.int64(3),), seed=np.int32(2))
+    assert cfg.hidden_dims == (3,) and type(cfg.hidden_dims[0]) is int
 
 
 # ------------------------------------------------------------------ selection
