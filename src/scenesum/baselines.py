@@ -40,14 +40,15 @@ def random_summary(n: int, k: int, seed: int = 0) -> SummaryResult:
                          config={"n": n, "k": k, "seed": seed})
 
 
-def vsumm_centroid(features, k: int, seed: int = 0) -> SummaryResult:
+def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> SummaryResult:
     """k-means on features; each cluster is represented by the frame nearest its
     centroid (ties to the lowest index).  Empty clusters, which only occur for
     degenerate inputs such as all-identical frames, fall back to the lowest
-    frames not yet selected so the summary stays k distinct indices."""
+    frames not yet selected so the summary stays k distinct indices.
+    init_rows, from clustering.kmeans_pp_rows for this seed, goes to kmeans."""
     x = np.asarray(features, dtype=np.float64)
     _check_k(x.shape[0], k)
-    centroids, labels = kmeans(x, k, seed=seed)
+    centroids, labels = kmeans(x, k, seed=seed, init_rows=init_rows)
     # squared distance of each frame to its centroid, computed in one n x d
     # buffer: at 5000 x 128 two more fresh buffers made this 3x slower
     diff = centroids[labels]

@@ -19,13 +19,14 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import baselines, metrics
-from .clustering import cluster_features, gt_pose_clustering
+from .clustering import cluster_features, gt_pose_clustering, kmeans_pp_rows
 from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, load_dataset,
                       read_json_object, save_dataset)
 from .selector import SummaryResult, TrainConfig, select_keyframes, train
 from .svgchart import render_line_chart
 
 METHODS = ("scenesum", "scenesum-supervised", "uniform", "random", "vsumm", "change")
+SEED_FREE_METHODS = ("uniform", "change")  # their summary does not depend on the seed
 GENERATE_MODES = {"pose-correlated": "pose_correlated", "appearance-only": "appearance_only"}
 
 _SYNTH = SyntheticConfig()
@@ -111,8 +112,10 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict) -> SummaryResult:
-    """Produce a summary with a method from METHODS; opts carries training knobs."""
+def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
+                init_rows=None) -> SummaryResult:
+    """Produce a summary with a method from METHODS; opts carries training knobs.
+    init_rows, kmeans_pp_rows for this seed at some k2 >= k, seeds vsumm's k-means."""
     n = ds.n_frames
     if not 1 <= k <= n:
         raise UsageError(f"k must be in [1, {n}], got {k}")
@@ -121,7 +124,7 @@ def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict) ->
     if method == "random":
         return baselines.random_summary(n, k, seed)
     if method == "vsumm":
-        return baselines.vsumm_centroid(ds.features, k, seed)
+        return baselines.vsumm_centroid(ds.features, k, seed, init_rows)
     if method == "change":
         return baselines.change_detect_summary(ds.features, k)
 
@@ -237,15 +240,29 @@ def cmd_sweep(args) -> int:
     if ds.poses is None:
         raise CapabilityError("sweep requires a dataset with poses for evaluation")
 
+    # k-means++ picks the same first centres at every k, so vsumm seeds once
+    # per seed, at the largest valid k, and each cell starts from a prefix
+    pp_k = max((k for k in ks if 1 <= k <= ds.n_frames), default=0)
+    pp_rows = {}  # seed -> kmeans_pp_rows at pp_k
+
+    def score(method: str, k: int, seed: int) -> float:
+        init_rows = None
+        if method == "vsumm" and 1 <= k <= pp_k:
+            if seed not in pp_rows:
+                pp_rows[seed] = kmeans_pp_rows(ds.features, pp_k, seed)
+            init_rows = pp_rows[seed]
+        summary = _run_method(ds, method, k, seed, resolved, init_rows)
+        curve = metrics.divergence_curve(ds.pose_positions(summary.frame_indices),
+                                         resolved["r_max"], resolved["steps"])
+        return metrics.auc(curve)
+
     rows = []
     for method in methods:
         for k in ks:
             aucs = []
             for seed in seeds:
-                summary = _run_method(ds, method, k, seed, resolved)
-                curve = metrics.divergence_curve(ds.pose_positions(summary.frame_indices),
-                                                 resolved["r_max"], resolved["steps"])
-                area = metrics.auc(curve)
+                # a seed-free method is scored once per k and repeated per seed
+                area = aucs[0] if aucs and method in SEED_FREE_METHODS else score(method, k, seed)
                 aucs.append(area)
                 rows.append([method, str(k), str(seed), repr(area), ""])
             mean = sum(aucs) / len(aucs)

@@ -16,7 +16,7 @@ from .dataset import check_count
 
 _MAX_ITER = 100  # Lloyd iterations per k-means run
 _TOL = 1e-6  # stop once no centroid moves farther than this
-_PP_BLOCK_VALUES = 32768  # values per block of the k-means++ distance pass (256 KB)
+_PP_BLOCK_VALUES = 32768  # values per block of the blocked k-means passes (256 KB)
 
 
 def _index_array(name: str, values, high: int) -> np.ndarray:
@@ -81,19 +81,22 @@ class ClusterSample:
         self.frame_indices = np.asarray(self.frame_indices, dtype=np.int64)
 
 
-def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances |x_i|^2 + |c_j|^2 - 2 x_i.c_j, clamped at 0.
-
-    x_sq, when given, must be (x * x).sum(axis=1); callers that reuse x
-    against many centroid sets pass it to skip recomputing the row norms.
-    """
-    if x_sq is None:
-        x_sq = (x * x).sum(axis=1)
-    cross = x @ c.T
+def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """out = max(x_sq[:, None] + c_sq - 2 * cross, 0), the squared distances
+    |x_i|^2 + |c_j|^2 - 2 x_i.c_j clamped at 0, given cross = x @ c.T, which
+    is doubled in place."""
+    np.add(x_sq[:, None], c_sq[None, :], out=out)
     cross *= 2.0
-    d2 = np.add(x_sq[:, None], (c * c).sum(axis=1)[None, :])
-    d2 -= cross
-    return np.maximum(d2, 0.0, out=d2)
+    out -= cross
+    return np.maximum(out, 0.0, out=out)
+
+
+def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distances of every row of x to every row of c, clamped at 0."""
+    cross = x @ c.T
+    return _sq_dists_from_cross(cross, (x * x).sum(axis=1), (c * c).sum(axis=1),
+                                np.empty_like(cross))
 
 
 def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -117,7 +120,8 @@ def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) 
     return out
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of x that k-means++ picks as the k initial centres, in pick order."""
     n, d = x.shape
     buf = np.empty((min(n, max(1, _PP_BLOCK_VALUES // max(d, 1))), d))
     chosen = [int(rng.integers(n))]
@@ -134,17 +138,16 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         chosen.append(idx)
         taken.add(idx)
         np.minimum(d2, _sq_dists_to_row(x, idx, buf, new), out=d2)
-    return x[chosen].copy()
+    return np.array(chosen, dtype=np.int64)
 
 
-def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
-    """Lloyd's algorithm with k-means++ seeding.
+def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The k initial centres k-means++ picks: copies of the rows _kmeans_pp_rows picks."""
+    return x[_kmeans_pp_rows(x, k, rng)]
 
-    Ties in the assignment step go to the lowest centroid id.  A cluster that
-    empties is reseeded at the point farthest from its assigned centroid.
-    Returns (centroids, labels), plus the per-assignment inertia history when
-    return_history is set.
-    """
+
+def _checked_points(features, k: int, seed: int) -> np.ndarray:
+    """features as a C-order float64 matrix of at least k finite rows; ValueError otherwise."""
     # C order for the blocked seeding pass; the results do not depend on the
     # caller's memory layout
     x = np.asarray(features, dtype=np.float64, order="C")
@@ -152,27 +155,69 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False):
         raise ValueError(f"features must be 2-d, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("NaN or Inf detected in features")
-    n = x.shape[0]
     check_count("k", k)
     check_count("seed", seed, 0)
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds number of frames ({n})")
+    if k > x.shape[0]:
+        raise ValueError(f"k ({k}) exceeds number of frames ({x.shape[0]})")
+    return x
 
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
+
+def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
+    """Row indices of the k centres that k-means++ seeding picks for this seed.
+
+    Each pick depends only on the picks before it and the random stream, so
+    for j < k the first j rows are exactly the picks at k = j.  A caller that
+    runs kmeans at several k for one seed can seed once, at the largest k, and
+    pass the rows as kmeans(..., init_rows=).
+    """
+    x = _checked_points(features, k, seed)
+    return _kmeans_pp_rows(x, k, np.random.default_rng(seed))
+
+
+def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None):
+    """Lloyd's algorithm with k-means++ seeding.
+
+    Ties in the assignment step go to the lowest centroid id.  A cluster that
+    empties is reseeded at the point farthest from its assigned centroid.
+    init_rows, at least k rows from kmeans_pp_rows(features, k2, seed) for
+    some k2 >= k, starts Lloyd from x[init_rows[:k]], the centres the seeding
+    would pick, instead of seeding again.
+    Returns (centroids, labels), plus the per-assignment inertia history when
+    return_history is set.
+    """
+    x = _checked_points(features, k, seed)
+    n, d = x.shape
+    if init_rows is None:
+        centroids = _kmeans_pp_init(x, k, np.random.default_rng(seed))
+    else:
+        init_rows = _index_array("init_rows", init_rows, n)
+        if init_rows.size < k:
+            raise ValueError(f"init_rows holds {init_rows.size} rows, fewer than k ({k})")
+        centroids = x[init_rows[:k]]
     history = []
     x_sq = (x * x).sum(axis=1)
-    rows = np.arange(n)
     # Cluster sums take one bincount per column of a C-contiguous transpose.
     # bincount adds in index order, so each sum equals a sequential np.add.at
     # bit for bit; a strided column view would be several times slower.
-    d = x.shape[1]
     x_t = np.ascontiguousarray(x.T)
+    # The assignment keeps one full x @ c.T product, since BLAS gives other
+    # bytes on row blocks; the elementwise passes after it, the argmin and the
+    # gather run over row blocks of about _PP_BLOCK_VALUES values in one buffer.
+    block = min(n, max(1, _PP_BLOCK_VALUES // k))
+    buf = np.empty((block, k))
+    block_rows = np.arange(block)
 
     def assign(cents):
-        d2 = _pairwise_sq_dists(x, cents, x_sq)
-        lab = np.argmin(d2, axis=1)  # argmin keeps the lowest id on ties
-        return lab, d2[rows, lab]
+        cross = x @ cents.T
+        c_sq = (cents * cents).sum(axis=1)
+        lab, dmin = np.empty(n, dtype=np.intp), np.empty(n)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            d2 = _sq_dists_from_cross(cross[start:stop], x_sq[start:stop], c_sq,
+                                      buf[:stop - start])
+            np.argmin(d2, axis=1, out=lab[start:stop])  # argmin keeps the lowest id on ties
+            dmin[start:stop] = d2[block_rows[:stop - start], lab[start:stop]]
+        return lab, dmin
 
     for _ in range(_MAX_ITER):
         labels, dmin = assign(centroids)

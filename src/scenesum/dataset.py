@@ -163,7 +163,7 @@ def save_dataset(ds: SceneDataset, manifest_path) -> Path:
     }
     if ds.poses is not None:
         pose_name = "poses.csv"
-        with open(out_dir / pose_name, "w", newline="") as fh:
+        with open(out_dir / pose_name, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(POSE_HEADER)
             for i, (x, y, z) in enumerate(ds.poses.tolist()):
@@ -171,16 +171,28 @@ def save_dataset(ds: SceneDataset, manifest_path) -> Path:
                 writer.writerow([i, repr(x), repr(y), repr(z)])
         manifest["poses"] = pose_name
 
-    with open(manifest_path, "w") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest_path
 
 
+def _first_bad_byte(path: Path) -> str:
+    """Where the first byte of a file that does not decode as UTF-8 sits.  The
+    text reader decodes ahead of the rows it returns, so the raw bytes tell."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start)
+        return f"byte {raw[exc.start]:#04x} in " + ("the header" if line == 0 else f"row {line - 1}")
+    return "the file changed while it was read"
+
+
 def _load_poses(path: Path, n_frames: int) -> list[tuple[float, float, float]]:
     """Rows (x, y, z) of a pose CSV; SceneDataset checks their finiteness."""
     poses = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -200,6 +212,8 @@ def _load_poses(path: Path, n_frames: int) -> list[tuple[float, float, float]]:
                 poses.append(xyz)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"malformed pose file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"pose file {path} is not UTF-8 text: {_first_bad_byte(path)}") from exc
     if len(poses) != n_frames:
         raise ValueError(f"pose count {len(poses)} does not match manifest n_frames {n_frames}")
     return poses
@@ -208,7 +222,7 @@ def _load_poses(path: Path, n_frames: int) -> list[tuple[float, float, float]]:
 def read_json_object(path, what: str) -> dict:
     """The JSON object in a file.  ValueError if the text is not JSON, nests too
     deeply to parse, or is not an object; OSError if the file cannot be read."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             loaded = json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply

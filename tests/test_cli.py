@@ -18,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenesum
-from scenesum.cli import _COMMANDS, _DEFAULTS, build_parser, main
-from scenesum.dataset import SceneDataset, save_dataset
+from scenesum import metrics
+from scenesum.cli import _COMMANDS, _DEFAULTS, _run_method, build_parser, main
+from scenesum.dataset import SceneDataset, load_dataset, save_dataset
 from scenesum.svgchart import render_line_chart
 
 
@@ -337,6 +338,19 @@ def test_evaluate_rejects_non_object_summary(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
+def test_evaluate_names_a_pose_file_that_is_not_utf8(scene_dir, tmp_path, capsys):
+    for name in ("manifest.json", "features.bin", "poses.csv"):
+        (tmp_path / name).write_bytes((scene_dir / name).read_bytes())
+    pose_path = tmp_path / "poses.csv"
+    pose_path.write_bytes(pose_path.read_bytes().replace(b"\n3,", b"\n3,\x80", 1))
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"method": "uniform", "k": 2, "frames": [0, 5]}))
+    rc = main(["evaluate", str(summary), str(tmp_path / "manifest.json"),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert f"pose file {pose_path} is not UTF-8 text: byte 0x80 in row 3" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_bad_grid(scene_dir, tmp_path):
     summary = tmp_path / "sum.json"
     assert main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
@@ -445,6 +459,45 @@ def test_sweep_runs_are_byte_identical(scene_dir, tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_equals_one_run_per_cell(tmp_path):
+    # the sweep seeds vsumm once per seed at its largest k and scores uniform
+    # and change once per k; each cell must still be what a run of its own gives
+    assert main(["generate", "--out", str(tmp_path / "scene"), "--frames", "300",
+                 "--seed", "23"]) == 0
+    manifest = tmp_path / "scene" / "manifest.json"
+    methods, ks, seeds = ["vsumm", "uniform", "random", "change"], [3, 7, 12], [0, 1, 2]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(manifest), "--methods", ",".join(methods),
+                 "--ks", ",".join(map(str, ks)), "--seeds", ",".join(map(str, seeds)),
+                 "--out", str(out)]) == 0
+
+    ds = load_dataset(manifest)
+    lines = ["method,k,seed,auc,sd"]
+    for method in methods:
+        for k in ks:
+            aucs = []
+            for seed in seeds:
+                frames = _run_method(ds, method, k, seed, _DEFAULTS).frame_indices
+                curve = metrics.divergence_curve(ds.pose_positions(frames), _DEFAULTS["r_max"],
+                                                 _DEFAULTS["steps"])
+                aucs.append(metrics.auc(curve))
+                lines.append(f"{method},{k},{seed},{aucs[-1]!r},")
+            mean = sum(aucs) / len(aucs)
+            sd = (sum((a - mean) ** 2 for a in aucs) / len(aucs)) ** 0.5
+            lines.append(f"{method},{k},agg,{mean!r},{sd!r}")
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("methods,ks,bad", [("vsumm", "3,61", 61), ("uniform,vsumm", "3,61", 61),
+                                            ("vsumm", "0,3", 0), ("change", "61", 61)])
+def test_sweep_rejects_k_outside_the_scene(scene_dir, tmp_path, capsys, methods, ks, bad):
+    rc = main(["sweep", str(scene_dir / "manifest.json"), "--methods", methods, "--ks", ks,
+               "--seeds", "0,1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: k must be in [1, 60], got {bad}\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def _summaries_per_blas_thread_count(tmp_path, frames, method_args):

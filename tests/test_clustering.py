@@ -15,6 +15,7 @@ from scenesum.clustering import (
     cluster_features,
     gt_pose_clustering,
     kmeans,
+    kmeans_pp_rows,
     sample_cluster,
 )
 from scenesum.dataset import SyntheticConfig, generate_synthetic
@@ -173,6 +174,60 @@ def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
     assert got.tobytes() == _reference_pp_init(x, k, ref_rng).tobytes()
     # both consumed the same random draws
     assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+
+def _assign_block_cases():
+    """Shapes around the assignment's row blocks (_PP_BLOCK_VALUES // k rows):
+    k = 512 makes blocks of 64 rows, so n crosses several of them."""
+    rng = np.random.default_rng(14)
+    for n in (512, 513, 575, 577, 1025):
+        for kind in ("normal", "rounded"):
+            x = rng.normal(size=(n, 3)) * 2.0
+            if kind == "rounded":
+                x = np.round(x)
+            yield pytest.param(x, 512, int(rng.integers(100)), id=f"n{n}-k512-{kind}")
+
+
+@pytest.mark.parametrize("x,k,seed", [*_assign_block_cases()])
+def test_blocked_assignment_matches_reference_bit_for_bit(x, k, seed):
+    _assert_same_kmeans(kmeans(x, k, seed=seed, return_history=True),
+                        _reference_kmeans(x, k, seed))
+
+
+def _larger_k(x, k):
+    return min(x.shape[0], 2 * k + 1)
+
+
+@pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases()])
+def test_pp_rows_at_a_smaller_k_are_a_prefix(x, k, seed):
+    k2 = _larger_k(x, k)
+    rows = kmeans_pp_rows(x, k2, seed)
+    assert rows.dtype == np.int64 and rows.shape == (k2,)
+    assert len(set(rows.tolist())) == k2
+    for k1 in range(1, k2):
+        assert kmeans_pp_rows(x, k1, seed).tobytes() == rows[:k1].tobytes()
+    want = _reference_pp_init(np.ascontiguousarray(x), k2, np.random.default_rng(seed))
+    assert x[rows].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases()])
+def test_kmeans_from_shared_pp_rows_matches_reference_bit_for_bit(x, k, seed):
+    rows = kmeans_pp_rows(x, _larger_k(x, k), seed)
+    _assert_same_kmeans(kmeans(x, k, seed=seed, return_history=True, init_rows=rows),
+                        _reference_kmeans(x, k, seed))
+
+
+@pytest.mark.parametrize("rows,match", [
+    (np.array([[0, 1, 2]]), "1-d"),
+    (np.array([0.0, 1.0, 2.0]), "integers"),
+    ([0, 1, 6], "out of range"),
+    ([-1, 1, 2], "out of range"),
+    ([0, 1], "fewer than k"),
+    ([], "fewer than k"),
+])
+def test_kmeans_rejects_bad_init_rows(rows, match):
+    with pytest.raises(ValueError, match=match):
+        kmeans(np.arange(12.0).reshape(6, 2), 3, init_rows=rows)
 
 
 def test_kmeans_recovers_separated_blobs():
@@ -373,6 +428,8 @@ _COUNT_CALLS = {
     "sample_cluster-id": lambda j: sample_cluster(_THREE_PAIRS, j, 1, 0),
     "ClusterPartition": lambda k: ClusterPartition(k, [0, 0, 1, 1]),
     "kmeans-seed": lambda s: kmeans(np.arange(12.0).reshape(6, 2), 2, seed=s),
+    "kmeans_pp_rows": lambda k: kmeans_pp_rows(np.arange(12.0).reshape(6, 2), k),
+    "kmeans_pp_rows-seed": lambda s: kmeans_pp_rows(np.arange(12.0).reshape(6, 2), 2, s),
     "cluster_features-seed": lambda s: cluster_features(np.arange(12.0).reshape(6, 2), 2, s),
     "gt_pose_clustering-seed": lambda s: gt_pose_clustering(np.arange(18.0).reshape(6, 3), 2, s),
 }

@@ -262,6 +262,20 @@ def test_load_rejects_bad_pose_header(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("line,where", [(0, "the header"), (1, "row 0"), (400, "row 399")])
+def test_load_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, line, where):
+    # row 399 sits past the first 8 KB the text reader decodes at once
+    ds = generate_synthetic(_small_cfg(n_frames=500))
+    manifest = save_dataset(ds, tmp_path / "manifest.json")
+    pose_path = tmp_path / "poses.csv"
+    lines = pose_path.read_bytes().split(b"\n")
+    lines[line] = lines[line][:3] + b"\x80" + lines[line][3:]
+    pose_path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == f"pose file {pose_path} is not UTF-8 text: byte 0x80 in {where}"
+
+
 def test_load_rejects_out_of_order_pose_rows(tmp_path):
     ds = generate_synthetic(_small_cfg())
     manifest = save_dataset(ds, tmp_path / "manifest.json")
