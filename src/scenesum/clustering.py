@@ -72,13 +72,13 @@ class ClusterPartition:
 
 @dataclass
 class ClusterSample:
-    """Indices drawn from one cluster for a training step."""
+    """Frames drawn from one cluster for a training step; total_loss checks them."""
 
     cluster_id: int
     frame_indices: np.ndarray
 
     def __post_init__(self):
-        self.frame_indices = np.asarray(self.frame_indices, dtype=np.int64)
+        self.frame_indices = np.asarray(self.frame_indices)
 
 
 def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
@@ -141,11 +141,6 @@ def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.array(chosen, dtype=np.int64)
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """The k initial centres k-means++ picks: copies of the rows _kmeans_pp_rows picks."""
-    return x[_kmeans_pp_rows(x, k, rng)]
-
-
 def _checked_points(features, k: int, seed: int) -> np.ndarray:
     """features as a C-order float64 matrix of at least k finite rows; ValueError otherwise."""
     # C order for the blocked seeding pass; the results do not depend on the
@@ -188,12 +183,12 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     x = _checked_points(features, k, seed)
     n, d = x.shape
     if init_rows is None:
-        centroids = _kmeans_pp_init(x, k, np.random.default_rng(seed))
+        init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed))
     else:
         init_rows = _index_array("init_rows", init_rows, n)
         if init_rows.size < k:
             raise ValueError(f"init_rows holds {init_rows.size} rows, fewer than k ({k})")
-        centroids = x[init_rows[:k]]
+    centroids = x[init_rows[:k]]
     history = []
     x_sq = (x * x).sum(axis=1)
     # Cluster sums take one bincount per column of a C-contiguous transpose.
@@ -269,10 +264,10 @@ def balance_assignment(features, centroids) -> np.ndarray:
         return labels
 
     dist = np.sqrt(_pairwise_sq_dists(x, c))
-    nearest_two = np.sort(dist, axis=1)[:, :2]
+    preference = np.argsort(dist, axis=1, kind="stable")  # ties to lowest id
+    nearest_two = np.take_along_axis(dist, preference[:, :2], axis=1)
     margin = nearest_two[:, 1] - nearest_two[:, 0]
     order = np.lexsort((np.arange(n), -margin))
-    preference = np.argsort(dist, axis=1, kind="stable")  # ties to lowest id
 
     sizes = np.zeros(k, dtype=np.int64)
     above_floor = 0

@@ -6,7 +6,8 @@ latents are pooled into a single vector.  Training minimizes reconstruction
 error plus a pairwise InfoNCE term that pushes pooled vectors of different
 clusters apart (optionally plus a pull toward ground-truth keyframe encodings).
 Gradients are computed by hand in float64 and checked against finite
-differences in the test suite.
+differences in the tests.  infonce_pair and training share one cosine forward
+and backward over the pools, and one pair loss that returns its value and dL/dS.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterPartition, sample_cluster
+from .clustering import ClusterPartition, _index_array, sample_cluster
 from .dataset import SceneDataset, check_count
 
 _COS_EPS = 1e-12  # norm guard on the training path
@@ -147,21 +148,29 @@ def recon_loss(x, x_hat) -> float:
     return float(((x - x_hat) ** 2).sum()) / x.shape[0]
 
 
-def _pair_loss(pools: np.ndarray):
-    """Contrastive term over ordered pairs of the rows of pools, with guarded norms,
-    and the intermediates its gradient needs.
-
-    Per pair the loss is -log(e^sim(a,a) / (e^sim(a,a) + e^sim(a,b))); with
-    cosine similarity the positive logit is 1, so it reduces to
-    log(1 + e^(sim(a,b) - 1)).
-    """
+def _cosine(pools: np.ndarray):
+    """The cosine matrix S = P P^T / (g g^T) of the rows of pools, g = |p| + _COS_EPS, and
+    the one backward through S: G = dL/dS to ((G + G^T) / (g g^T)) P - (((G + G^T) * S) 1
+    / (g |p|)) P, with |p| floored at tiny so a zero pool (S = 0) gets no 0/0."""
     norms = np.sqrt((pools * pools).sum(axis=1))
     guarded = norms + _COS_EPS
     gg = np.outer(guarded, guarded)
     sim = (pools @ pools.T) / gg
+
+    def backward(g_sim: np.ndarray) -> np.ndarray:
+        both = g_sim + g_sim.T  # S_ab and S_ba both move with p_a
+        return (both / gg) @ pools - (
+            (both * sim).sum(axis=1) / (guarded * np.maximum(norms, _TINY)))[:, None] * pools
+    return sim, backward
+
+
+def _pair_loss(sim: np.ndarray):
+    """Contrastive loss over the ordered pairs a != b of a cosine matrix, and dL/dsim.
+    Per pair it is -log(e^sim(a,a) / (e^sim(a,a) + e^sim(a,b))); the positive
+    logit is 1, so it reduces to log(1 + e^(sim(a,b) - 1))."""
     e = np.exp(sim - 1.0)
-    off_diag = ~np.eye(pools.shape[0], dtype=bool)
-    return float(np.log1p(e[off_diag]).sum()), (norms, guarded, gg, sim, e, off_diag)
+    off_diag = ~np.eye(sim.shape[0], dtype=bool)
+    return float(np.log1p(e[off_diag]).sum()), np.where(off_diag, e / (1.0 + e), 0.0)
 
 
 def infonce_pair(p_a, p_b) -> float:
@@ -172,7 +181,7 @@ def infonce_pair(p_a, p_b) -> float:
     if not (pools != 0.0).any(axis=1).all():
         raise ValueError("the contrastive loss is undefined for zero vectors")
     # training sums both orders of a pair, which carry the same loss
-    return _pair_loss(pools)[0] / 2.0
+    return _pair_loss(_cosine(pools)[0])[0] / 2.0
 
 
 def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
@@ -186,7 +195,8 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
     (then, in supervised mode, the k gt rows) go through the encoder as one
     stack, the sampled latents through the decoder as another.  Given grads, an
     AutoencoderParams shaped like params, the gradient overwrites every entry
-    of grads.flat.
+    of grads.flat.  A sampled frame outside features, or in supervised mode a
+    cluster id outside gt_keyframes, raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
     k = len(samples)
@@ -199,11 +209,11 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
     n_total = rows.size
     supervised = gt_keyframes is not None
     if supervised:
-        gt_idx = np.asarray([gt_keyframes[s.cluster_id] for s in samples], dtype=np.int64)
-        rows = np.concatenate([rows, gt_idx])
+        ids = _index_array("cluster ids", [s.cluster_id for s in samples], len(gt_keyframes))
+        rows = np.concatenate([rows, np.asarray(gt_keyframes)[ids]])
+    rows = _index_array("frame indices", rows, features.shape[0])
     enc_acts = _forward(params.encoder, features[rows])
-    h = enc_acts[-1][:n_total]
-    x = enc_acts[0][:n_total]
+    h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
     dec_acts = _forward(params.decoder, h)
     recon = recon_loss(x, dec_acts[-1])
 
@@ -212,7 +222,8 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
     avg[np.repeat(np.arange(k), sizes), np.arange(n_total)] = np.repeat(1.0 / sizes, sizes)
     pools = avg @ h
 
-    nce, (norms, guarded, gg, sim, e, off_diag) = _pair_loss(pools)
+    sim, sim_backward = _cosine(pools)
+    nce, d_sim = _pair_loss(sim)
 
     breakdown = {"recon": recon, "infonce": nce}
     total = lambda_recon * recon + lambda_nce * nce
@@ -225,11 +236,7 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
     if grads is None:
         return total, breakdown
 
-    # Both orders of a pair carry the same weight, hence the factor 2.
-    wts = np.where(off_diag, lambda_nce * e / (1.0 + e), 0.0)
-    d_pools = 2.0 * ((wts / gg) @ pools
-                     - ((wts * sim).sum(axis=1) / (guarded * np.maximum(norms, _TINY)))[:, None]
-                     * pools)
+    d_pools = sim_backward(lambda_nce * d_sim)
     dxp = lambda_recon * (2.0 / n_total) * (dec_acts[-1] - x)
     dz = _backward(params.decoder, dec_acts, dxp, grads.decoder)
     dh = dz @ params.decoder[0][0].T

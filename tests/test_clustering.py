@@ -9,7 +9,7 @@ from scenesum.clustering import (
     _MAX_ITER,
     _PP_BLOCK_VALUES,
     _TOL,
-    _kmeans_pp_init,
+    _kmeans_pp_rows,
     ClusterPartition,
     balance_assignment,
     cluster_features,
@@ -170,7 +170,8 @@ def test_kmeans_results_do_not_depend_on_input_layout(layout):
     id="all-distances-zero")])
 def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _kmeans_pp_init(np.ascontiguousarray(x), k, rng)
+    x_c = np.ascontiguousarray(x)
+    got = x_c[_kmeans_pp_rows(x_c, k, rng)]
     assert got.tobytes() == _reference_pp_init(x, k, ref_rng).tobytes()
     # both consumed the same random draws
     assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)

@@ -329,6 +329,23 @@ def test_total_loss_matches_per_cluster_loop_on_unequal_samples(gt):
     assert abs(batched - expected) <= 1e-12 * abs(expected)
 
 
+@pytest.mark.parametrize("frames,ids,gt", [
+    ([[0.7, 1.2], [2]], [0, 1], None),
+    ([[-1], [2]], [0, 1], None),
+    ([[6], [2]], [0, 1], None),
+    ([[0], [2]], [0, 7], [0, 2]),
+    ([[0], [2]], [0, -1], [0, 2]),
+], ids=["float-frames", "frame-minus-1", "frame-past-end", "cluster-7", "cluster-minus-1"])
+def test_total_loss_rejects_malformed_samples(frames, ids, gt):
+    # a 6-frame scene: frames must be integers in [0, 6), and in supervised
+    # mode cluster ids must index gt_keyframes
+    params = init_params(2, (3,), 2, rng=0)
+    feats = np.random.default_rng(1).normal(size=(6, 2))
+    samples = [ClusterSample(c, f) for c, f in zip(ids, frames)]
+    with pytest.raises(ValueError, match="frame indices" if gt is None else "cluster ids"):
+        total_loss(params, feats, samples, gt)
+
+
 def test_total_loss_needs_two_clusters():
     params = init_params(2, (2,), 1, rng=0)
     with pytest.raises(ValueError):
@@ -362,6 +379,34 @@ def test_grad_matches_finite_differences_unequal_samples(gt):
     fd = _fd_grad(params, feats, samples, gt)
     denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
     assert np.max(np.abs(g - fd) / denom) < 1e-6
+
+
+def test_cosine_backward_matches_finite_differences():
+    # for any G = dL/dS, not only the symmetric G the pair loss passes it
+    rng = np.random.default_rng(11)
+    pools = rng.normal(size=(4, 3))
+    g_sim = rng.normal(size=(4, 4))
+    assert not np.allclose(g_sim, g_sim.T)
+    got = selector._cosine(pools)[1](g_sim)
+    fd, h = np.zeros_like(pools), 1e-6
+    for idx in np.ndindex(pools.shape):
+        up, dn = pools.copy(), pools.copy()
+        up[idx] += h
+        dn[idx] -= h
+        fd[idx] = ((g_sim * selector._cosine(up)[0]).sum()
+                   - (g_sim * selector._cosine(dn)[0]).sum()) / (2 * h)
+    assert np.abs(got - fd).max() < 1e-7 * np.abs(fd).max()
+
+
+def test_grad_is_finite_when_a_pool_is_zero():
+    # cluster 0 samples two opposite frames, so through the identity net its
+    # pool is exactly 0; the guarded norms keep the gradient finite there
+    params = _identity_net(2)
+    feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    samples = [ClusterSample(0, [0, 1]), ClusterSample(1, [2])]
+    total, _ = total_loss(params, feats, samples)
+    assert abs(total - 2.0 * math.log1p(math.exp(-1.0))) < 1e-12
+    assert np.isfinite(grad(params, feats, samples).flat).all()
 
 
 def test_grad_is_linear_in_loss_weights():
