@@ -72,13 +72,27 @@ class ClusterPartition:
 
 @dataclass
 class ClusterSample:
-    """Frames drawn from one cluster for a training step; total_loss checks them."""
+    """Frames drawn for one training step, grouped by cluster: the first
+    sizes[0] rows of frame_indices come from cluster cluster_ids[0], the next
+    sizes[1] from cluster_ids[1], and so on.  cluster_ids defaults to 0, 1, ...;
+    total_loss checks the frames and the ids."""
 
-    cluster_id: int
     frame_indices: np.ndarray
+    sizes: np.ndarray
+    cluster_ids: np.ndarray | None = None
 
     def __post_init__(self):
         self.frame_indices = np.asarray(self.frame_indices)
+        self.sizes = sizes = _index_array("sizes", self.sizes, self.frame_indices.size + 1)
+        if sizes.size and sizes.min() < 1:
+            raise ValueError("every cluster sample needs at least one frame")
+        if sizes.sum() != self.frame_indices.size:
+            raise ValueError(f"sizes add up to {sizes.sum()}, "
+                             f"not to the {self.frame_indices.size} frame indices")
+        ids = np.arange(sizes.size) if self.cluster_ids is None else np.asarray(self.cluster_ids)
+        if ids.shape != sizes.shape:
+            raise ValueError(f"{ids.size} cluster ids for {sizes.size} clusters")
+        self.cluster_ids = ids
 
 
 def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
@@ -308,18 +322,31 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
     return part
 
 
-def sample_cluster(partition: ClusterPartition, cluster_id: int, n_sample: int,
+def sample_cluster(partition: ClusterPartition, n_sample: int,
                    rng: np.random.Generator | int) -> ClusterSample:
-    """Draw n_sample member frames, without replacement while the cluster is big enough."""
-    check_count("cluster_id", cluster_id, 0)
-    if cluster_id >= partition.k:
-        raise ValueError(f"cluster_id {cluster_id} out of range [0, {partition.k})")
+    """One training step's sample: n_sample member frames of every cluster, in
+    cluster-id order, from one draw.
+
+    One rng.random key per frame puts each cluster's members in random order
+    (np.lexsort on keys within labels) and each cluster takes its first
+    n_sample, so no frame repeats.  A cluster smaller than n_sample draws with
+    replacement instead: rng.choice over its members, after the keys and in
+    cluster-id order.  Only such a cluster is checked for being empty; train
+    checks every cluster once.  An rng that is no Generator is a seed, which
+    must be an integer >= 0.
+    """
     check_count("n_sample", n_sample)
-    members = partition.members[cluster_id]
-    if members.size == 0:
-        raise ValueError(f"cluster {cluster_id} is empty")
-    if isinstance(rng, (int, np.integer)):
+    if not isinstance(rng, np.random.Generator):
+        check_count("seed", rng, 0)
         rng = np.random.default_rng(rng)
-    replace = n_sample > members.size
-    picks = rng.choice(members, size=n_sample, replace=replace)
-    return ClusterSample(cluster_id=cluster_id, frame_indices=picks)
+    labels = partition.labels
+    sizes = np.bincount(labels, minlength=partition.k)
+    order = np.lexsort((rng.random(labels.size), labels))
+    # row j reads the first n_sample of cluster j's run, held inside the run
+    offsets = np.minimum(np.arange(n_sample), sizes[:, None] - 1)
+    picks = order[(np.cumsum(sizes) - sizes)[:, None] + offsets]
+    for j in np.flatnonzero(sizes < n_sample):
+        if sizes[j] == 0:
+            raise ValueError(f"cluster {j} is empty")
+        picks[j] = rng.choice(partition.members[j], size=n_sample, replace=True)
+    return ClusterSample(picks.ravel(), np.full(partition.k, n_sample))

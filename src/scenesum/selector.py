@@ -1,5 +1,6 @@
 """Stage two: train an MLP autoencoder with a contrastive pair loss, then pick
-one keyframe per cluster.
+one keyframe per cluster, the member nearest by cosine to the cluster's mean
+latent direction.
 
 The encoder maps frame features to a latent space; each cluster's sampled
 latents are pooled into a single vector.  Training minimizes reconstruction
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterPartition, _index_array, sample_cluster
+from .clustering import ClusterPartition, ClusterSample, _index_array, sample_cluster
 from .dataset import SceneDataset, check_count
 
-_COS_EPS = 1e-12  # norm guard on the training path
+_COS_EPS = 1e-12  # norm guard of the cosines in training and in the keyframe pick
 _TINY = np.finfo(np.float64).tiny
 _MODES = ("self_supervised", "supervised")
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # plain Adam
@@ -164,6 +165,11 @@ def _cosine(pools: np.ndarray):
     return sim, backward
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """x with each row divided by its guarded norm |row| + _COS_EPS; a zero row stays 0."""
+    return x / (np.sqrt((x * x).sum(axis=1)) + _COS_EPS)[:, None]
+
+
 def _pair_loss(sim: np.ndarray):
     """Contrastive loss over the ordered pairs a != b of a cosine matrix, and dL/dsim.
     Per pair it is -log(e^sim(a,a) / (e^sim(a,a) + e^sim(a,b))); the positive
@@ -184,12 +190,14 @@ def infonce_pair(p_a, p_b) -> float:
     return _pair_loss(_cosine(pools)[0])[0] / 2.0
 
 
-def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
+def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_keyframes=None, *,
                lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
                lambda_gt: float = _LAMBDA_GT, grads: AutoencoderParams | None = None):
-    """Weighted training loss over one batch of cluster samples, and optionally
-    its gradient.
+    """Weighted training loss over one step's sample of k clusters, and
+    optionally its gradient.
 
+    sample holds every cluster's rows in one array, sample.sizes[q] of them
+    for cluster q, as sample_cluster draws them.
     Returns (total, breakdown) where breakdown holds the unweighted terms under
     keys 'recon', 'infonce', and (supervised only) 'gt'.  All sampled rows
     (then, in supervised mode, the k gt rows) go through the encoder as one
@@ -199,17 +207,15 @@ def total_loss(params: AutoencoderParams, features, samples, gt_keyframes=None, 
     cluster id outside gt_keyframes, raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
-    k = len(samples)
+    sizes = sample.sizes
+    k = sizes.size
     if k < 2:
         raise ValueError(f"need at least 2 clusters for the contrastive term, got {k}")
-    sizes = np.array([s.frame_indices.size for s in samples])
-    if not sizes.all():
-        raise ValueError("every cluster sample needs at least one frame")
-    rows = np.concatenate([s.frame_indices for s in samples])
+    rows = sample.frame_indices
     n_total = rows.size
     supervised = gt_keyframes is not None
     if supervised:
-        ids = _index_array("cluster ids", [s.cluster_id for s in samples], len(gt_keyframes))
+        ids = _index_array("cluster ids", sample.cluster_ids, len(gt_keyframes))
         rows = np.concatenate([rows, np.asarray(gt_keyframes)[ids]])
     rows = _index_array("frame indices", rows, features.shape[0])
     enc_acts = _forward(params.encoder, features[rows])
@@ -258,12 +264,12 @@ def _zeros_like(params: AutoencoderParams) -> AutoencoderParams:
         decoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.decoder])
 
 
-def grad(params: AutoencoderParams, features, samples, gt_keyframes=None, *,
+def grad(params: AutoencoderParams, features, sample: ClusterSample, gt_keyframes=None, *,
          lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
          lambda_gt: float = _LAMBDA_GT) -> AutoencoderParams:
     """Analytic gradient of total_loss, as a new AutoencoderParams shaped like params."""
     g = _zeros_like(params)
-    total_loss(params, features, samples, gt_keyframes, lambda_recon=lambda_recon,
+    total_loss(params, features, sample, gt_keyframes, lambda_recon=lambda_recon,
                lambda_nce=lambda_nce, lambda_gt=lambda_gt, grads=g)
     return g
 
@@ -342,19 +348,24 @@ def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamSt
     params.flat -= step
 
 
-def _check_covers(ds: SceneDataset, partition: ClusterPartition) -> None:
+def _check_partition(ds: SceneDataset, partition: ClusterPartition) -> None:
+    """ValueError unless partition covers ds's frames and no cluster is empty."""
     if partition.n_frames != ds.n_frames:
         raise ValueError(f"partition covers {partition.n_frames} frames, dataset has {ds.n_frames}")
+    for j, members in enumerate(partition.members):
+        if members.size == 0:
+            raise ValueError(f"cluster {j} is empty")
 
 
 def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     """Fit the autoencoder on cluster samples; returns (params, per-epoch mean loss).
 
-    Each epoch runs ceil(n_frames / (k * N)) steps; each step draws one
-    ClusterSample of N frames per cluster.  N is reduced with a warning if
-    k * N would exceed cfg.batch_size.  Fully deterministic given cfg.seed.
+    Each epoch runs ceil(n_frames / (k * N)) steps; each step makes one
+    sample_cluster call, which draws N frames of every cluster as one
+    ClusterSample.  N is reduced with a warning if k * N would exceed
+    cfg.batch_size.  Fully deterministic given cfg.seed.
     """
-    _check_covers(ds, partition)
+    _check_partition(ds, partition)
     k = partition.k
     if k < 2:
         raise ValueError(f"training needs at least 2 clusters, got k={k}")
@@ -380,8 +391,8 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     for epoch in range(cfg.epochs):
         step_losses = []
         for step in range(steps):
-            samples = [sample_cluster(partition, j, n_sample, rng) for j in range(k)]
-            total, _ = total_loss(params, features, samples, gt, grads=grads)
+            sample = sample_cluster(partition, n_sample, rng)
+            total, _ = total_loss(params, features, sample, gt, grads=grads)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
             adam_step(params, grads, state, learning_rate=cfg.learning_rate)
@@ -420,16 +431,18 @@ class SummaryResult:
 
 def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: ClusterPartition,
                      method: str = "scenesum") -> SummaryResult:
-    """Per cluster, the frame whose encoding is nearest the mean cluster encoding.
+    """Per cluster, the frame whose encoding is nearest by cosine to the
+    cluster's mean direction.
 
-    The mean runs over the full cluster membership.  Ties go to the lowest
-    frame index.  Frames are listed in cluster-id order.
+    Each encoding h is scaled to u = h / (|h| + _COS_EPS); the mean of u over
+    the full cluster membership, scaled to unit length with the same guard, is
+    the mean direction.  The contrastive term sees only cosines and leaves
+    latent norms free, so the pick ignores them too.  A zero encoding or a
+    zero mean direction gives cosine 0.  Ties go to the lowest frame index.
+    Frames are listed in cluster-id order.
     """
-    _check_covers(ds, partition)
-    for j, members in enumerate(partition.members):
-        if members.size == 0:
-            raise ValueError(f"cluster {j} is empty")
-    h = encode(params, np.asarray(ds.features, dtype=np.float64))
-    means = np.stack([h[m].mean(axis=0) for m in partition.members])
-    frames = partition.nearest_members(((h - means[partition.labels]) ** 2).sum(axis=1))
+    _check_partition(ds, partition)
+    u = _unit_rows(encode(params, np.asarray(ds.features, dtype=np.float64)))
+    mean_dirs = _unit_rows(np.stack([u[m].mean(axis=0) for m in partition.members]))
+    frames = partition.nearest_members(-(u * mean_dirs[partition.labels]).sum(axis=1))
     return SummaryResult(method=method, frame_indices=frames.tolist())

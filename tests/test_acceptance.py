@@ -80,14 +80,14 @@ def test_gradients_match_finite_differences():
         feats = rng.normal(size=(n_frames, input_dim))
         params = init_params(input_dim, hidden, latent_dim, rng=rng)
         order = rng.permutation(n_frames)
-        samples = [ClusterSample(c, sorted(int(i) for i in order[2 * c:2 * c + 2]))
-                   for c in range(k)]
+        sample = ClusterSample(np.concatenate([np.sort(order[2 * c:2 * c + 2])
+                                               for c in range(k)]), [2] * k)
         gt = [int(rng.integers(0, n_frames)) for _ in range(k)] if supervised else None
         lams = {"lambda_recon": float(rng.uniform(0.2, 2.0)),
                 "lambda_nce": float(rng.uniform(0.2, 2.0)),
                 "lambda_gt": float(rng.uniform(0.2, 2.0))}
-        analytic = grad(params, feats, samples, gt, **lams)
-        fd = _fd_grad(lambda: total_loss(params, feats, samples, gt, **lams)[0],
+        analytic = grad(params, feats, sample, gt, **lams)
+        fd = _fd_grad(lambda: total_loss(params, feats, sample, gt, **lams)[0],
                       params, 1e-4)
         for a, f in zip(_param_arrays(analytic), fd):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-4)

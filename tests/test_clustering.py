@@ -11,6 +11,7 @@ from scenesum.clustering import (
     _TOL,
     _kmeans_pp_rows,
     ClusterPartition,
+    ClusterSample,
     balance_assignment,
     cluster_features,
     gt_pose_clustering,
@@ -366,46 +367,89 @@ def test_gt_clustering_requires_poses():
         gt_pose_clustering([], 2)
 
 
+def _reference_sample(partition, n_sample, rng):
+    """The one-draw rule spelled out: a key per frame, the frames sorted by
+    (label, key), each cluster's first n_sample; a cluster smaller than
+    n_sample then draws with replacement, in cluster-id order."""
+    keys = rng.random(partition.n_frames)
+    order = np.lexsort((keys, partition.labels))
+    runs = [order[partition.labels[order] == j] for j in range(partition.k)]
+    rows = [run[:n_sample] for run in runs]
+    for j, run in enumerate(runs):
+        if run.size < n_sample:
+            rows[j] = rng.choice(partition.members[j], size=n_sample, replace=True)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("labels,n_sample", [
+    (np.arange(60) % 4, 5),
+    (np.random.default_rng(3).integers(0, 5, size=80), 6),
+    ([0, 1, 1, 2, 2, 2, 2, 0, 1, 2, 2, 1], 3),  # sizes 2, 4 and 6
+    ([2, 2, 0, 1, 1, 1, 2, 2, 2, 2], 4),  # sizes 1, 3 and 6
+], ids=["balanced", "unequal", "one-small-cluster", "two-small-clusters"])
+def test_sample_cluster_matches_the_reference_rule(labels, n_sample):
+    part = ClusterPartition(int(np.max(labels)) + 1, labels)
+    got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(5):
+        got = sample_cluster(part, n_sample, got_rng)
+        want = _reference_sample(part, n_sample, want_rng)
+        assert got.frame_indices.tobytes() == want.tobytes()
+        assert got.sizes.tolist() == [n_sample] * part.k
+        assert got.cluster_ids.tolist() == list(range(part.k))
+    assert got_rng.random() == want_rng.random()  # both streams at the same place
+
+
 def test_sample_cluster_without_replacement_when_possible():
-    part = ClusterPartition(2, [0, 0, 0, 0, 1, 1])
-    s = sample_cluster(part, 0, 3, rng=0)
-    assert s.cluster_id == 0
-    assert len(set(s.frame_indices.tolist())) == 3
-    assert set(s.frame_indices.tolist()) <= {0, 1, 2, 3}
+    part = ClusterPartition(2, [0, 0, 0, 0, 1, 1, 1])
+    for seed in range(20):
+        rows = sample_cluster(part, 3, rng=seed).frame_indices
+        assert len(set(rows[:3].tolist())) == 3 and set(rows[:3].tolist()) <= {0, 1, 2, 3}
+        assert sorted(rows[3:].tolist()) == [4, 5, 6]
 
 
 def test_sample_cluster_small_cluster_uses_replacement():
     part = ClusterPartition(2, [0, 0, 1, 1, 1, 1])
-    s = sample_cluster(part, 0, 5, rng=1)
-    assert len(s.frame_indices) == 5
-    assert set(s.frame_indices.tolist()) <= {0, 1}
+    s = sample_cluster(part, 5, rng=1)
+    assert s.sizes.tolist() == [5, 5]
+    assert set(s.frame_indices[:5].tolist()) <= {0, 1}
+    assert set(s.frame_indices[5:].tolist()) <= {2, 3, 4, 5}
 
 
 def test_sample_cluster_is_deterministic_per_seed():
-    part = ClusterPartition(1, [0] * 8)
-    a = sample_cluster(part, 0, 4, rng=9)
-    b = sample_cluster(part, 0, 4, rng=9)
+    part = ClusterPartition(2, [0, 1] * 4)
+    a = sample_cluster(part, 3, rng=9)
+    b = sample_cluster(part, 3, rng=9)
     assert np.array_equal(a.frame_indices, b.frame_indices)
 
 
 def test_sample_cluster_draws_are_roughly_uniform():
-    part = ClusterPartition(1, [0, 0, 0, 0])
+    # every member of each cluster comes first equally often
+    part = ClusterPartition(2, [0, 1, 0, 1, 0, 1, 0, 1])
     rng = np.random.default_rng(0)
-    counts = np.zeros(4)
+    counts = np.zeros(8)
     for _ in range(10_000):
-        counts[sample_cluster(part, 0, 1, rng).frame_indices[0]] += 1
+        counts[sample_cluster(part, 1, rng).frame_indices] += 1
     sigma = np.sqrt(10_000 * 0.25 * 0.75)
     assert (np.abs(counts - 2500) <= 3 * sigma).all()
 
 
 def test_sample_cluster_validation():
-    part = ClusterPartition(2, [0, 0, 0])  # cluster 1 empty
+    part = ClusterPartition(3, [0, 0, 0, 2, 2, 2])  # cluster 1 empty
     with pytest.raises(ValueError):
-        sample_cluster(part, 2, 1, rng=0)
-    with pytest.raises(ValueError):
-        sample_cluster(part, 0, 0, rng=0)
-    with pytest.raises(ValueError, match="empty"):
-        sample_cluster(part, 1, 1, rng=0)
+        sample_cluster(part, 0, rng=0)
+    with pytest.raises(ValueError, match="cluster 1 is empty"):
+        sample_cluster(part, 1, rng=0)
+
+
+def test_cluster_sample_validation():
+    with pytest.raises(ValueError, match="add up"):
+        ClusterSample([0, 1, 2], [1, 1])
+    with pytest.raises(ValueError, match="at least one frame"):
+        ClusterSample([0, 1], [2, 0])
+    with pytest.raises(ValueError, match="cluster ids"):
+        ClusterSample([0, 1], [1, 1], [0])
+    with pytest.raises(ValueError, match="integers"):
+        ClusterSample([0, 1], [1.0, 1.0])
 
 
 def test_partition_validation_errors():
@@ -425,8 +469,8 @@ _COUNT_CALLS = {
     "kmeans": lambda k: kmeans(np.arange(12.0).reshape(6, 2), k),
     "cluster_features": lambda k: cluster_features(np.arange(12.0).reshape(6, 2), k),
     "gt_pose_clustering": lambda k: gt_pose_clustering(np.arange(18.0).reshape(6, 3), k),
-    "sample_cluster": lambda n: sample_cluster(_THREE_PAIRS, 0, n, 0),
-    "sample_cluster-id": lambda j: sample_cluster(_THREE_PAIRS, j, 1, 0),
+    "sample_cluster": lambda n: sample_cluster(_THREE_PAIRS, n, 0),
+    "sample_cluster-seed": lambda s: sample_cluster(_THREE_PAIRS, 1, s),
     "ClusterPartition": lambda k: ClusterPartition(k, [0, 0, 1, 1]),
     "kmeans-seed": lambda s: kmeans(np.arange(12.0).reshape(6, 2), 2, seed=s),
     "kmeans_pp_rows": lambda k: kmeans_pp_rows(np.arange(12.0).reshape(6, 2), k),

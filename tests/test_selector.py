@@ -51,7 +51,7 @@ def _identity_net(dim):
 
 
 def _oracle_setup():
-    """Fixed random net, features, and samples shared with hand-computed constants."""
+    """Fixed random net, features, and sample shared with hand-computed constants."""
     rng = np.random.default_rng(5)
     encoder = [
         (rng.normal(0.0, 0.7, size=(3, 4)), rng.normal(0.0, 0.7, size=4)),
@@ -64,17 +64,14 @@ def _oracle_setup():
     params = AutoencoderParams(input_dim=3, hidden_dims=(4,), latent_dim=2,
                                encoder=encoder, decoder=decoder)
     feats = rng.normal(0.0, 1.0, size=(8, 3))
-    samples = [ClusterSample(0, [0, 1]), ClusterSample(1, [2, 3]), ClusterSample(2, [4, 5])]
-    return params, feats, samples
+    return params, feats, ClusterSample([0, 1, 2, 3, 4, 5], [2, 2, 2])
 
 
 def _unequal_setup():
     """The oracle net on clusters of 3, 1 and 5 sampled frames."""
     params, _, _ = _oracle_setup()
     feats = np.random.default_rng(8).normal(0.0, 1.0, size=(10, 3))
-    samples = [ClusterSample(0, [0, 1, 2]), ClusterSample(1, [3]),
-               ClusterSample(2, [4, 5, 6, 7, 8])]
-    return params, feats, samples
+    return params, feats, ClusterSample([0, 1, 2, 3, 4, 5, 6, 7, 8], [3, 1, 5])
 
 
 def _mlp(layers, x):
@@ -95,7 +92,7 @@ def _flatten(params):
     return np.concatenate(arrs)
 
 
-def _fd_grad(params, feats, samples, gt, h=1e-5, **loss_kwargs):
+def _fd_grad(params, feats, sample, gt, h=1e-5, **loss_kwargs):
     """Central finite differences over every parameter entry."""
     out = []
     for layers in (params.encoder, params.decoder):
@@ -107,9 +104,9 @@ def _fd_grad(params, feats, samples, gt, h=1e-5, **loss_kwargs):
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up, _ = total_loss(params, feats, samples, gt, **loss_kwargs)
+                    up, _ = total_loss(params, feats, sample, gt, **loss_kwargs)
                     arr[idx] = orig - h
-                    dn, _ = total_loss(params, feats, samples, gt, **loss_kwargs)
+                    dn, _ = total_loss(params, feats, sample, gt, **loss_kwargs)
                     arr[idx] = orig
                     g[idx] = (up - dn) / (2 * h)
                     it.iternext()
@@ -168,7 +165,7 @@ def test_decode_matches_hand_computation():
     hand = np.array([-0.3962128573157874, 0.16517927474370905])
     assert np.allclose(_mlp(params.decoder, [0.8799947459358899])[0], hand, atol=1e-12)
     feats = np.array([[0.6, -0.8], [0.6, -0.8]])
-    _, breakdown = total_loss(params, feats, [ClusterSample(0, [0]), ClusterSample(1, [1])])
+    _, breakdown = total_loss(params, feats, ClusterSample([0, 1], [1, 1]))
     assert abs(breakdown["recon"] - float(((feats[0] - hand) ** 2).sum())) < 1e-12
 
 
@@ -191,20 +188,18 @@ def test_identity_net_round_trips_input():
     params = _identity_net(3)
     xs = np.random.default_rng(3).normal(size=(4, 3))
     assert np.allclose(encode(params, xs), xs, atol=1e-15)
-    samples = [ClusterSample(0, [0, 1]), ClusterSample(1, [2, 3])]
-    assert total_loss(params, xs, samples)[1]["recon"] == 0.0
+    assert total_loss(params, xs, ClusterSample([0, 1, 2, 3], [2, 2]))[1]["recon"] == 0.0
 
 
 def test_pool_is_row_mean():
     # Through an identity net the pools are the row means of the sampled
     # features: [3, 2] for cluster 0 and [0, 1] for cluster 1, cosine 2/sqrt(13).
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0], [0.0, 1.0]])
-    samples = [ClusterSample(0, [0, 1, 2]), ClusterSample(1, [3])]
-    _, breakdown = total_loss(_identity_net(2), feats, samples)
+    _, breakdown = total_loss(_identity_net(2), feats, ClusterSample([0, 1, 2, 3], [3, 1]))
     want = 2.0 * math.log1p(math.exp(2.0 / math.sqrt(13.0) - 1.0))
     assert abs(breakdown["infonce"] - want) < 1e-11
-    with pytest.raises(ValueError):
-        total_loss(_identity_net(2), feats, [ClusterSample(0, []), ClusterSample(1, [3])])
+    with pytest.raises(ValueError, match="at least one frame"):
+        total_loss(_identity_net(2), feats, ClusterSample([3], [0, 1]))
 
 
 # -------------------------------------------------------------------- losses
@@ -255,16 +250,16 @@ def test_total_loss_identity_net_orthogonal_clusters():
     # autoencoder: zero reconstruction error, both ordered pairs at cosine 0.
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    samples = [ClusterSample(0, [0]), ClusterSample(1, [1])]
-    total, breakdown = total_loss(params, feats, samples)
+    sample = ClusterSample([0, 1], [1, 1])
+    total, breakdown = total_loss(params, feats, sample)
     assert breakdown["recon"] == 0.0
     assert abs(total - 2.0 * math.log(1 + math.exp(-1))) < 1e-12
     assert abs(total - 0.6265233750364457) < 1e-12
 
 
 def test_total_loss_matches_frozen_oracle():
-    params, feats, samples = _oracle_setup()
-    total, breakdown = total_loss(params, feats, samples)
+    params, feats, sample = _oracle_setup()
+    total, breakdown = total_loss(params, feats, sample)
     assert abs(breakdown["recon"] - 6.168639269032826) < 1e-10
     assert abs(breakdown["infonce"] - 4.0754936014876595) < 1e-10
     assert abs(total - 10.244132870520485) < 1e-10
@@ -272,11 +267,11 @@ def test_total_loss_matches_frozen_oracle():
 
 
 def test_total_loss_supervised_matches_frozen_oracle():
-    params, feats, samples = _oracle_setup()
-    total, breakdown = total_loss(params, feats, samples, [0, 3, 5])
+    params, feats, sample = _oracle_setup()
+    total, breakdown = total_loss(params, feats, sample, [0, 3, 5])
     assert abs(breakdown["gt"] - 0.07779558751251404) < 1e-10
     assert abs(total - 10.321928458032998) < 1e-10
-    weighted, _ = total_loss(params, feats, samples, [0, 3, 5],
+    weighted, _ = total_loss(params, feats, sample, [0, 3, 5],
                              lambda_recon=0.5, lambda_nce=2.0, lambda_gt=3.0)
     assert abs(weighted - 11.468693600029274) < 1e-10
 
@@ -286,19 +281,19 @@ def test_total_loss_supervised_gt_term_vanishes_for_singleton_pools():
     # gt keyframe equal to the member contributes exactly zero.
     params = init_params(3, (4,), 2, rng=4)
     feats = np.random.default_rng(5).normal(size=(2, 3))
-    samples = [ClusterSample(0, [0]), ClusterSample(1, [1])]
-    base, _ = total_loss(params, feats, samples)
-    sup, breakdown = total_loss(params, feats, samples, [0, 1])
+    sample = ClusterSample([0, 1], [1, 1])
+    base, _ = total_loss(params, feats, sample)
+    sup, breakdown = total_loss(params, feats, sample, [0, 1])
     assert breakdown["gt"] < 1e-24
     assert abs(sup - base) < 1e-12
 
 
 def test_total_loss_is_linear_in_weights():
-    params, feats, samples = _oracle_setup()
-    _, bd = total_loss(params, feats, samples)
-    doubled, _ = total_loss(params, feats, samples, lambda_nce=2.0)
+    params, feats, sample = _oracle_setup()
+    _, bd = total_loss(params, feats, sample)
+    doubled, _ = total_loss(params, feats, sample, lambda_nce=2.0)
     assert abs(doubled - (bd["recon"] + 2.0 * bd["infonce"])) < 1e-12
-    no_recon, _ = total_loss(params, feats, samples, lambda_recon=0.0)
+    no_recon, _ = total_loss(params, feats, sample, lambda_recon=0.0)
     assert abs(no_recon - bd["infonce"]) < 1e-12
 
 
@@ -306,11 +301,11 @@ def test_total_loss_is_linear_in_weights():
 def test_total_loss_matches_per_cluster_loop_on_unequal_samples(gt):
     # A loop over clusters and ordered cluster pairs, written here without the
     # library's loss helpers, is the reference for the batched loss.
-    params, feats, samples = _unequal_setup()
+    params, feats, sample = _unequal_setup()
     lams = {"lambda_recon": 0.7, "lambda_nce": 1.3, "lambda_gt": 2.1}
-    batched, _ = total_loss(params, feats, samples, gt, **lams)
+    batched, _ = total_loss(params, feats, sample, gt, **lams)
 
-    xs = [feats[s.frame_indices] for s in samples]
+    xs = np.split(feats[sample.frame_indices], np.cumsum(sample.sizes)[:-1])
     pools = [encode(params, x).mean(axis=0) for x in xs]
     n_total = sum(len(x) for x in xs)
     recon = sum(float(((x - _mlp(params.decoder, encode(params, x))) ** 2).sum())
@@ -341,42 +336,42 @@ def test_total_loss_rejects_malformed_samples(frames, ids, gt):
     # mode cluster ids must index gt_keyframes
     params = init_params(2, (3,), 2, rng=0)
     feats = np.random.default_rng(1).normal(size=(6, 2))
-    samples = [ClusterSample(c, f) for c, f in zip(ids, frames)]
+    sample = ClusterSample(np.concatenate(frames), [len(f) for f in frames], ids)
     with pytest.raises(ValueError, match="frame indices" if gt is None else "cluster ids"):
-        total_loss(params, feats, samples, gt)
+        total_loss(params, feats, sample, gt)
 
 
 def test_total_loss_needs_two_clusters():
     params = init_params(2, (2,), 1, rng=0)
     with pytest.raises(ValueError):
-        total_loss(params, np.ones((2, 2)), [ClusterSample(0, [0, 1])])
+        total_loss(params, np.ones((2, 2)), ClusterSample([0, 1], [2]))
 
 
 # ------------------------------------------------------------------ gradients
 
 
 def test_grad_matches_finite_differences_self_supervised():
-    params, feats, samples = _oracle_setup()
-    g = _flatten(grad(params, feats, samples))
-    fd = _fd_grad(params, feats, samples, None)
+    params, feats, sample = _oracle_setup()
+    g = _flatten(grad(params, feats, sample))
+    fd = _fd_grad(params, feats, sample, None)
     denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
     assert np.max(np.abs(g - fd) / denom) < 1e-6
 
 
 def test_grad_matches_finite_differences_supervised():
-    params, feats, samples = _oracle_setup()
+    params, feats, sample = _oracle_setup()
     gt = [1, 2, 5]
-    g = _flatten(grad(params, feats, samples, gt, lambda_gt=1.7))
-    fd = _fd_grad(params, feats, samples, gt, lambda_gt=1.7)
+    g = _flatten(grad(params, feats, sample, gt, lambda_gt=1.7))
+    fd = _fd_grad(params, feats, sample, gt, lambda_gt=1.7)
     denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
     assert np.max(np.abs(g - fd) / denom) < 1e-6
 
 
 @pytest.mark.parametrize("gt", [None, [1, 3, 9]])
 def test_grad_matches_finite_differences_unequal_samples(gt):
-    params, feats, samples = _unequal_setup()
-    g = _flatten(grad(params, feats, samples, gt))
-    fd = _fd_grad(params, feats, samples, gt)
+    params, feats, sample = _unequal_setup()
+    g = _flatten(grad(params, feats, sample, gt))
+    fd = _fd_grad(params, feats, sample, gt)
     denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
     assert np.max(np.abs(g - fd) / denom) < 1e-6
 
@@ -403,25 +398,25 @@ def test_grad_is_finite_when_a_pool_is_zero():
     # pool is exactly 0; the guarded norms keep the gradient finite there
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    samples = [ClusterSample(0, [0, 1]), ClusterSample(1, [2])]
-    total, _ = total_loss(params, feats, samples)
+    sample = ClusterSample([0, 1, 2], [2, 1])
+    total, _ = total_loss(params, feats, sample)
     assert abs(total - 2.0 * math.log1p(math.exp(-1.0))) < 1e-12
-    assert np.isfinite(grad(params, feats, samples).flat).all()
+    assert np.isfinite(grad(params, feats, sample).flat).all()
 
 
 def test_grad_is_linear_in_loss_weights():
-    params, feats, samples = _oracle_setup()
-    g0 = _flatten(grad(params, feats, samples, lambda_nce=0.0))
-    g1 = _flatten(grad(params, feats, samples, lambda_nce=1.0))
-    g2 = _flatten(grad(params, feats, samples, lambda_nce=2.0))
+    params, feats, sample = _oracle_setup()
+    g0 = _flatten(grad(params, feats, sample, lambda_nce=0.0))
+    g1 = _flatten(grad(params, feats, sample, lambda_nce=1.0))
+    g2 = _flatten(grad(params, feats, sample, lambda_nce=2.0))
     assert np.allclose(g0 + g2, 2.0 * g1, atol=1e-12)
 
 
 def test_grad_returns_a_new_buffer_per_call():
-    params, feats, samples = _oracle_setup()
-    g1 = grad(params, feats, samples)
+    params, feats, sample = _oracle_setup()
+    g1 = grad(params, feats, sample)
     first = g1.flat.tobytes()
-    g2 = grad(params, feats, samples, lambda_nce=2.0)
+    g2 = grad(params, feats, sample, lambda_nce=2.0)
     assert g1 is not g2
     assert not np.shares_memory(g1.flat, g2.flat)
     assert not np.shares_memory(g1.flat, params.flat)
@@ -434,8 +429,8 @@ def test_grad_returns_a_new_buffer_per_call():
 def test_grad_zero_at_perfect_reconstruction_without_nce():
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    samples = [ClusterSample(0, [0]), ClusterSample(1, [1])]
-    g = _flatten(grad(params, feats, samples, lambda_nce=0.0))
+    sample = ClusterSample([0, 1], [1, 1])
+    g = _flatten(grad(params, feats, sample, lambda_nce=0.0))
     assert np.abs(g).max() < 1e-15
 
 
@@ -523,17 +518,17 @@ def _reference_backward(layers, acts, d_out):
     return grads, dz
 
 
-def _reference_loss_and_grad(params, features, samples, gt):
+def _reference_loss_and_grad(params, features, sample, gt):
     """One step's loss and gradient as first written, at training's unit loss
     weights: new arrays for every layer gradient, gathered into a new
     AutoencoderParams."""
     lam_recon = lam_nce = lam_gt = 1.0
-    k = len(samples)
-    sizes = np.array([s.frame_indices.size for s in samples])
-    rows = np.concatenate([s.frame_indices for s in samples])
+    sizes = sample.sizes
+    k = sizes.size
+    rows = sample.frame_indices
     n_total = rows.size
     if gt is not None:
-        rows = np.concatenate([rows, np.asarray([gt[s.cluster_id] for s in samples],
+        rows = np.concatenate([rows, np.asarray([gt[j] for j in sample.cluster_ids],
                                                 dtype=np.int64)])
     enc_acts = _reference_forward(params.encoder, features[rows])
     h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
@@ -576,7 +571,7 @@ def _reference_loss_and_grad(params, features, samples, gt):
 def _reference_train(ds, partition, cfg):
     """The training loop as first written: a fresh gradient AutoencoderParams per
     step and an Adam update that allocates its temporaries, on the same
-    sample_cluster draws.  train must reproduce it bit for bit."""
+    sample_cluster draw per step.  train must reproduce it bit for bit."""
     k = partition.k
     gt = partition.gt_keyframes if cfg.mode == "supervised" else None
     n_sample = cfg.sample_size
@@ -591,8 +586,8 @@ def _reference_train(ds, partition, cfg):
     for _ in range(cfg.epochs):
         step_losses = []
         for _ in range(max(1, math.ceil(ds.n_frames / (k * n_sample)))):
-            samples = [sample_cluster(partition, j, n_sample, rng) for j in range(k)]
-            total, g = _reference_loss_and_grad(params, features, samples, gt)
+            sample = sample_cluster(partition, n_sample, rng)
+            total, g = _reference_loss_and_grad(params, features, sample, gt)
             t += 1
             m *= beta1
             m += (1.0 - beta1) * g.flat
@@ -655,6 +650,31 @@ def test_training_step_allocates_nothing_of_parameter_size(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == 2 * 8
     assert max(peaks[1:]) < params.flat.nbytes / 10
+
+
+def test_train_draws_one_sample_per_step_through_the_module_name(monkeypatch):
+    # The benchmark's tracer wraps selector.sample_cluster, so train must look
+    # it up there and call it once per step for all k clusters.
+    ds = _toy_scene(n=30)
+    part = ClusterPartition(3, np.arange(30) % 3)
+    cfg = TrainConfig(epochs=4, latent_dim=2, hidden_dims=(3,), sample_size=2, seed=1)
+    rows = []
+
+    def counting_sample_cluster(*args, **kwargs):
+        sample = sample_cluster(*args, **kwargs)
+        rows.append(sample.frame_indices.size)
+        return sample
+
+    monkeypatch.setattr(selector, "sample_cluster", counting_sample_cluster)
+    train(ds, part, cfg)
+    assert rows == [3 * 2] * (4 * 5)  # 5 steps of ceil(30 / 6) per epoch
+
+
+def test_train_refuses_an_empty_cluster_before_training():
+    ds = _toy_scene(n=30)
+    part = ClusterPartition(3, np.arange(30) % 2)  # cluster 2 empty
+    with pytest.raises(ValueError, match="cluster 2 is empty"):
+        train(ds, part, TrainConfig(epochs=1, latent_dim=2, hidden_dims=(3,)))
 
 
 def test_train_zero_epochs_returns_initial_params():
@@ -743,14 +763,29 @@ def test_train_config_validation():
 # ------------------------------------------------------------------ selection
 
 
+def _cosine_picks_by_loop(params, feats, part):
+    """The cosine pick written as a plain loop over clusters."""
+    picks = []
+    for members in part.members:
+        h = encode(params, np.asarray(feats, dtype=np.float64)[members])
+        u = h / (np.sqrt((h * h).sum(axis=1)) + 1e-12)[:, None]
+        mean = u.mean(axis=0)
+        mean_dir = mean / (math.sqrt(float(mean @ mean)) + 1e-12)
+        picks.append(int(members[np.argmax(u @ mean_dir)]))  # argmax keeps the first of ties
+    return picks
+
+
 def test_select_keyframes_identity_net_hand_case():
-    # Cluster of three frames, two coincident: pool is closest to the repeated
-    # value, and the tie between the two copies resolves to the lower index.
-    feats = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [8.0, 8.0]])
+    # Cluster 0 has unit directions [1, 0], [0, 1] and twice [0.6, 0.8], mean
+    # direction [0.646, 0.763]: the two copies of [6, 8] have cosine 0.998 and
+    # the tie goes to the lower index.  The Euclidean pick nearest the mean
+    # latent [3.25, 4.25] would be frame 1, since norms would count.
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [6.0, 8.0], [6.0, 8.0], [8.0, 8.0]])
     ds = SceneDataset("hand", feats)
-    part = ClusterPartition(2, [0, 0, 0, 1])
+    part = ClusterPartition(2, [0, 0, 0, 0, 1])
     result = select_keyframes(_identity_net(2), ds, part)
-    assert result.frame_indices == [0, 3]
+    assert result.frame_indices == [2, 4]
+    assert result.frame_indices == _cosine_picks_by_loop(_identity_net(2), feats, part)
     assert result.k == 2
 
 
@@ -764,17 +799,49 @@ def test_select_keyframes_rejects_a_partition_of_another_scene():
 
 def test_select_keyframes_matches_brute_force():
     rng = np.random.default_rng(11)
-    feats = rng.normal(size=(12, 5)).astype(np.float32)
+    feats = rng.normal(size=(40, 5)).astype(np.float32)
     ds = SceneDataset("brute", feats)
-    part = ClusterPartition(3, np.arange(12) % 3)
+    part = ClusterPartition(4, rng.integers(0, 4, size=40))
     params = init_params(5, (6,), 3, rng=2)
     result = select_keyframes(params, ds, part)
-    x = feats.astype(np.float64)
-    for j in range(3):
-        members = part.members[j]
-        h = encode(params, x[members])
-        d = ((h - h.mean(axis=0)) ** 2).sum(axis=1)
-        assert result.frame_indices[j] == members[np.argmin(d)]
+    assert result.frame_indices == _cosine_picks_by_loop(params, feats, part)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_select_keyframes_ignores_the_norm_of_a_latent():
+    # Through the identity net a frame's latent is its feature row, so scaling
+    # the row scales the latent.
+    feats = np.random.default_rng(12).normal(size=(24, 4))
+    part = ClusterPartition(3, np.arange(24) % 3)
+    want = select_keyframes(_identity_net(4), SceneDataset("scale", feats), part).frame_indices
+    for frame in range(24):
+        for c in (0.25, 4.0, 1e3):
+            scaled = feats.copy()
+            scaled[frame] *= c
+            got = select_keyframes(_identity_net(4), SceneDataset("scale", scaled), part)
+            assert got.frame_indices == want, (frame, c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_select_keyframes_cancelling_directions_pick_the_lowest_frame():
+    # Cluster 1 holds [-2, 0] and [2, 0]: its unit latents sum to exactly 0,
+    # so every member has cosine 0 and the lowest frame is picked.
+    feats = np.array([[0.0, 1.0], [-2.0, 0.0], [0.0, 1.0], [2.0, 0.0], [1.0, 1.0]])
+    part = ClusterPartition(2, [0, 1, 0, 1, 0])
+    result = select_keyframes(_identity_net(2), SceneDataset("cancel", feats), part)
+    assert result.frame_indices == [0, 1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_select_keyframes_zero_latent_gets_a_deterministic_pick():
+    # A zero latent has cosine 0 with any direction; cluster 1 is all zeros,
+    # so its mean direction is zero too and the lowest frame is picked.
+    feats = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    ds = SceneDataset("zero", feats)
+    part = ClusterPartition(2, [0, 0, 0, 1, 1])
+    first = select_keyframes(_identity_net(2), ds, part)
+    assert first.frame_indices == [1, 3]
+    assert select_keyframes(_identity_net(2), ds, part).frame_indices == [1, 3]
 
 
 def test_summary_result_validation():
