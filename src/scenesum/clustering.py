@@ -33,13 +33,16 @@ def _index_array(name: str, values, high: int) -> np.ndarray:
 class ClusterPartition:
     """Assignment of every frame to exactly one of k clusters.
 
-    members, per cluster its frames in ascending order, is derived from labels.
+    members, per cluster its frames in ascending order, is derived from labels;
+    the padded member table that sample_cluster reads is built on its first draw.
     """
 
     k: int
     labels: np.ndarray  # (n,) int64, values in [0, k)
     gt_keyframes: np.ndarray | None = None  # (k,) frame nearest each pose centroid
     members: list[np.ndarray] = field(init=False, repr=False)
+    _table: tuple[np.ndarray, np.ndarray] | None = field(  # see _member_table
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         check_count("k", self.k)
@@ -59,6 +62,18 @@ class ClusterPartition:
     @property
     def n_frames(self) -> int:
         return self.labels.size
+
+    def _member_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(table, sizes), built on the first call: table is (k, largest
+        cluster) int64, row j cluster j's members in ascending order padded
+        with n_frames; sizes holds each cluster's member count."""
+        if self._table is None:
+            sizes = np.array([m.size for m in self.members], dtype=np.int64)
+            table = np.full((self.k, max(int(sizes.max()), 1)), self.n_frames, dtype=np.int64)
+            for j, m in enumerate(self.members):
+                table[j, :m.size] = m
+            self._table = table, sizes
+        return self._table
 
     def nearest_members(self, dist) -> np.ndarray:
         """Per cluster, the member with the smallest dist[frame]; ties go to the
@@ -322,29 +337,39 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
     return part
 
 
+def _first_by_key(table: np.ndarray, keys: np.ndarray, n_sample: int) -> np.ndarray:
+    """(k, n_sample): per row of a member table, its first n_sample frames in
+    ascending order of keys[frame], equal keys lower frame first, which is the
+    order of np.lexsort((keys, labels)) within each cluster.  keys holds one
+    key per frame, then +inf for the padding index, so a row shorter than
+    n_sample ends in padding; past the table's width its last column repeats."""
+    ranks = np.argsort(keys[table], axis=1, kind="stable")
+    cols = ranks[:, np.minimum(np.arange(n_sample), table.shape[1] - 1)]
+    return table[np.arange(table.shape[0])[:, None], cols]
+
+
 def sample_cluster(partition: ClusterPartition, n_sample: int,
                    rng: np.random.Generator | int) -> ClusterSample:
     """One training step's sample: n_sample member frames of every cluster, in
     cluster-id order, from one draw.
 
     One rng.random key per frame puts each cluster's members in random order
-    (np.lexsort on keys within labels) and each cluster takes its first
-    n_sample, so no frame repeats.  A cluster smaller than n_sample draws with
-    replacement instead: rng.choice over its members, after the keys and in
-    cluster-id order.  Only such a cluster is checked for being empty; train
-    checks every cluster once.  An rng that is no Generator is a seed, which
-    must be an integer >= 0.
+    (a stable sort of the keys in each row of the partition's member table)
+    and each cluster takes its first n_sample, so no frame repeats.  A cluster
+    smaller than n_sample draws with replacement instead: rng.choice over its
+    members, after the keys and in cluster-id order.  Only such a cluster is
+    checked for being empty; train checks every cluster once.  An rng that is
+    no Generator is a seed, which must be an integer >= 0.
     """
     check_count("n_sample", n_sample)
     if not isinstance(rng, np.random.Generator):
         check_count("seed", rng, 0)
         rng = np.random.default_rng(rng)
-    labels = partition.labels
-    sizes = np.bincount(labels, minlength=partition.k)
-    order = np.lexsort((rng.random(labels.size), labels))
-    # row j reads the first n_sample of cluster j's run, held inside the run
-    offsets = np.minimum(np.arange(n_sample), sizes[:, None] - 1)
-    picks = order[(np.cumsum(sizes) - sizes)[:, None] + offsets]
+    table, sizes = partition._member_table()
+    keys = np.empty(partition.n_frames + 1)
+    rng.random(out=keys[:-1])
+    keys[-1] = np.inf  # the padding sorts after every key in [0, 1)
+    picks = _first_by_key(table, keys, n_sample)
     for j in np.flatnonzero(sizes < n_sample):
         if sizes[j] == 0:
             raise ValueError(f"cluster {j} is empty")

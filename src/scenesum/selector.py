@@ -79,10 +79,19 @@ def _dim_chain(first: int, middles: tuple[int, ...], last: int) -> list[tuple[in
 
 def init_params(input_dim: int, hidden_dims, latent_dim: int,
                 rng: np.random.Generator | int = 0) -> AutoencoderParams:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] for weights and biases."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] for weights and biases.
+
+    Every width must be an integer >= 1.  An rng that is no Generator is a
+    seed, which must be an integer >= 0.
+    """
+    check_count("input_dim", input_dim)
+    check_count("latent_dim", latent_dim)
     hidden_dims = tuple(hidden_dims)
+    for h in hidden_dims:
+        check_count("hidden dim", h)
+    if not isinstance(rng, np.random.Generator):
+        check_count("seed", rng, 0)
+        rng = np.random.default_rng(rng)
 
     def make(dims):
         layers = []
@@ -104,8 +113,9 @@ def _forward(layers, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
-        acts.append(np.tanh(z) if i < last else z)
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.tanh(z, out=z) if i < last else z)
     return acts
 
 
@@ -123,7 +133,7 @@ def _backward(layers, acts, d_out: np.ndarray, grads) -> np.ndarray:
             dz = (dz @ layers[i + 1][0].T) * (1.0 - acts[i + 1] ** 2)
         gw, gb = grads[i]
         np.matmul(acts[i].T, dz, out=gw)
-        np.sum(dz, axis=0, out=gb)
+        dz.sum(axis=0, out=gb)
     return dz
 
 
@@ -155,7 +165,7 @@ def _cosine(pools: np.ndarray):
     / (g |p|)) P, with |p| floored at tiny so a zero pool (S = 0) gets no 0/0."""
     norms = np.sqrt((pools * pools).sum(axis=1))
     guarded = norms + _COS_EPS
-    gg = np.outer(guarded, guarded)
+    gg = guarded[:, None] * guarded
     sim = (pools @ pools.T) / gg
 
     def backward(g_sim: np.ndarray) -> np.ndarray:
@@ -325,7 +335,7 @@ def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamSt
     The arithmetic is m += (1-b1)*g; v += (1-b2)*g*g;
     theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time in
     that order, in the state's scratch buffers; another order changes the
-    rounding.
+    rounding.  Once bc1 rounds to 1.0, m/bc1 is m and is not computed.
     """
     state.t += 1
     bc1 = 1.0 - _BETA1 ** state.t
@@ -339,8 +349,11 @@ def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamSt
     np.multiply(1.0 - _BETA2, g, out=step)
     step *= g
     v += step
-    np.divide(m, bc1, out=step)
-    step *= learning_rate
+    if bc1 == 1.0:  # from t = 356 on
+        np.multiply(m, learning_rate, out=step)
+    else:
+        np.divide(m, bc1, out=step)
+        step *= learning_rate
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
     denom += _ADAM_EPS

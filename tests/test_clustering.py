@@ -9,6 +9,7 @@ from scenesum.clustering import (
     _MAX_ITER,
     _PP_BLOCK_VALUES,
     _TOL,
+    _first_by_key,
     _kmeans_pp_rows,
     ClusterPartition,
     ClusterSample,
@@ -397,6 +398,80 @@ def test_sample_cluster_matches_the_reference_rule(labels, n_sample):
         assert got.sizes.tolist() == [n_sample] * part.k
         assert got.cluster_ids.tolist() == list(range(part.k))
     assert got_rng.random() == want_rng.random()  # both streams at the same place
+
+
+def _reference_sample_cluster(partition, n_sample, rng):
+    """sample_cluster as first written for one draw per step: np.lexsort of
+    fresh keys within labels over every frame, on every call."""
+    labels = partition.labels
+    sizes = np.bincount(labels, minlength=partition.k)
+    order = np.lexsort((rng.random(labels.size), labels))
+    offsets = np.minimum(np.arange(n_sample), sizes[:, None] - 1)
+    picks = order[(np.cumsum(sizes) - sizes)[:, None] + offsets]
+    for j in np.flatnonzero(sizes < n_sample):
+        if sizes[j] == 0:
+            raise ValueError(f"cluster {j} is empty")
+        picks[j] = rng.choice(partition.members[j], size=n_sample, replace=True)
+    return picks.ravel()
+
+
+def _scene_23():
+    return generate_synthetic(SyntheticConfig(n_frames=500, dim=64, seed=23))
+
+
+_ORACLE_PARTITIONS = {
+    "features-k20": lambda: cluster_features(_scene_23().features, 20),  # 25 frames each
+    "pose-k10": lambda: gt_pose_clustering(_scene_23().poses, 10),  # 35 to 67 frames
+    "small-and-exact": lambda: ClusterPartition(3, [2, 0, 1, 2, 1, 2, 1, 1, 2, 2, 0, 2]),
+    "k1": lambda: ClusterPartition(1, np.zeros(7, dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("name,n_sample", [
+    ("features-k20", 1), ("features-k20", 3), ("features-k20", 25), ("features-k20", 26),
+    ("pose-k10", 6), ("pose-k10", 40),
+    ("small-and-exact", 4),  # sizes 2, 4 and 6
+    ("k1", 1),
+])
+def test_sample_cluster_matches_the_lexsort_draw(name, n_sample):
+    part = _ORACLE_PARTITIONS[name]()
+    got_rng, want_rng = np.random.default_rng(29), np.random.default_rng(29)
+    for _ in range(4):
+        got = sample_cluster(part, n_sample, got_rng).frame_indices
+        assert got.tobytes() == _reference_sample_cluster(part, n_sample, want_rng).tobytes()
+    assert got_rng.random() == want_rng.random()
+    table, sizes = part._table
+    assert table.shape == (part.k, sizes.max())
+    assert sizes.tolist() == [m.size for m in part.members]
+
+
+def test_sample_cluster_raises_on_an_empty_cluster_like_the_lexsort_draw():
+    part = ClusterPartition(3, [1, 0, 1, 1, 1])  # cluster 0 smaller than N, cluster 2 empty
+    for draw in (sample_cluster, _reference_sample_cluster):
+        with pytest.raises(ValueError, match="cluster 2 is empty"):
+            draw(part, 3, np.random.default_rng(0))
+
+
+def test_member_table_is_built_on_the_first_draw():
+    part = cluster_features(_scene_23().features, 20)
+    assert part._table is None
+    sample_cluster(part, 3, 0)
+    table = part._table[0]
+    sample_cluster(part, 3, 1)
+    assert part._table[0] is table
+
+
+def test_first_by_key_sends_equal_keys_to_the_lower_frame():
+    labels = np.array([1, 0, 1, 1, 0, 2, 1, 0, 2, 1])
+    keys = np.array([0.5, 0.25, 0.5, 0.25, 0.25, 0.75, 0.5, 0.0, 0.75, 0.25])
+    table, _ = ClusterPartition(3, labels)._member_table()
+    got = _first_by_key(table, np.append(keys, np.inf), 3)
+    # cluster 2 has two members, so its row ends in the padding index 10
+    assert got.tolist() == [[7, 1, 4], [3, 9, 0], [5, 8, 10]]
+    order = np.lexsort((keys, labels))
+    for j in range(3):
+        run = order[labels[order] == j][:3]
+        assert got[j, :run.size].tolist() == run.tolist()
 
 
 def test_sample_cluster_without_replacement_when_possible():

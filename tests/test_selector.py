@@ -133,6 +133,18 @@ def test_init_params_deterministic():
     assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(a.encoder, b.encoder))
 
 
+@pytest.mark.parametrize("args,kwargs", [
+    ((0, (), 3), {}),
+    ((4, (3,), 2), {"rng": 1.5}),
+    ((4, (3,), 2), {"rng": True}),
+    ((4, (3, 0), 2), {}),
+    ((4, (3,), 0), {}),
+], ids=["input-dim-0", "rng-float", "rng-bool", "hidden-0", "latent-0"])
+def test_init_params_rejects_bad_widths_and_seeds(args, kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        init_params(*args, **kwargs)
+
+
 def test_params_validation_rejects_broken_mirror():
     good = init_params(4, (3,), 2, rng=0)
     with pytest.raises(ValueError):
@@ -347,6 +359,17 @@ def test_total_loss_needs_two_clusters():
         total_loss(params, np.ones((2, 2)), ClusterSample([0, 1], [2]))
 
 
+@pytest.mark.parametrize("gt", [None, [1, 3, 9]])
+def test_total_loss_with_grads_leaves_its_inputs_unchanged(gt):
+    # The forward pass adds the bias and applies tanh in place; only arrays it
+    # made itself may change.
+    params, feats, sample = _unequal_setup()
+    inputs = [params.flat, feats, sample.frame_indices, sample.sizes, sample.cluster_ids]
+    before = [a.tobytes() for a in inputs]
+    total_loss(params, feats, sample, gt, grads=selector._zeros_like(params))
+    assert [a.tobytes() for a in inputs] == before
+
+
 # ------------------------------------------------------------------ gradients
 
 
@@ -488,6 +511,28 @@ def test_adam_flat_update_equals_per_array_reference():
             theta -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
     assert all(np.array_equal(a, b) for a, b in
                zip(ref, [a for layer in params.encoder + params.decoder for a in layer]))
+
+
+def test_adam_update_past_unit_bias_correction_matches_the_plain_formula():
+    # From t = 356 on 1 - 0.9**t rounds to 1.0 and adam_step skips m / bc1;
+    # 400 steps cross that point and must still match the plain formula.
+    params = init_params(3, (4,), 2, rng=5)
+    ref = params.flat.copy()
+    ref_m, ref_v = np.zeros_like(ref), np.zeros_like(ref)
+    state = AdamState.for_params(params)
+    grads = selector._zeros_like(params)
+    rng = np.random.default_rng(6)
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 401):
+        grads.flat[:] = rng.normal(size=ref.size)
+        adam_step(params, grads, state, learning_rate=lr)
+        ref_m *= beta1
+        ref_m += (1.0 - beta1) * grads.flat
+        ref_v *= beta2
+        ref_v += (1.0 - beta2) * grads.flat * grads.flat
+        ref -= lr * (ref_m / (1.0 - beta1 ** t)) / (np.sqrt(ref_v / (1.0 - beta2 ** t)) + eps)
+        assert params.flat.tobytes() == ref.tobytes(), f"step {t}"
+    assert 1.0 - beta1 ** 355 != 1.0 and 1.0 - beta1 ** 356 == 1.0
 
 
 # ------------------------------------------------------------------- training
