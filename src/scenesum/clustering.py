@@ -17,6 +17,7 @@ from .dataset import check_count
 _MAX_ITER = 100  # Lloyd iterations per k-means run
 _TOL = 1e-6  # stop once no centroid moves farther than this
 _PP_BLOCK_VALUES = 32768  # values per block of the blocked k-means passes (256 KB)
+_SUM_GROUP = 8  # columns per bincount of the Lloyd cluster sums
 
 
 def _index_array(name: str, values, high: int) -> np.ndarray:
@@ -29,9 +30,15 @@ def _index_array(name: str, values, high: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-@dataclass
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class ClusterPartition:
-    """Assignment of every frame to exactly one of k clusters.
+    """Assignment of every frame to exactly one of k clusters, fixed at
+    construction: the fields cannot be reassigned and the arrays are read-only.
 
     members, per cluster its frames in ascending order, is derived from labels;
     the padded member table that sample_cluster reads is built on its first draw.
@@ -40,16 +47,19 @@ class ClusterPartition:
     k: int
     labels: np.ndarray  # (n,) int64, values in [0, k)
     gt_keyframes: np.ndarray | None = None  # (k,) frame nearest each pose centroid
-    members: list[np.ndarray] = field(init=False, repr=False)
+    members: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _table: tuple[np.ndarray, np.ndarray] | None = field(  # see _member_table
         init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         check_count("k", self.k)
-        self.labels = labels = _index_array("labels", self.labels, self.k)
-        # one stable sort groups the frames by cluster, each group ascending
-        order = np.argsort(labels, kind="stable")
-        self.members = np.split(order, np.searchsorted(labels[order], np.arange(1, self.k)))
+        labels = _read_only(_index_array("labels", self.labels, self.k))
+        object.__setattr__(self, "labels", labels)
+        # one stable sort groups the frames by cluster, each group ascending;
+        # the members are views of the read-only order
+        order = _read_only(np.argsort(labels, kind="stable"))
+        object.__setattr__(self, "members", tuple(np.split(
+            order, np.searchsorted(labels[order], np.arange(1, self.k)))))
         if self.gt_keyframes is not None:
             gt = _index_array("gt_keyframes", self.gt_keyframes, labels.size)
             if gt.shape != (self.k,):
@@ -57,7 +67,7 @@ class ClusterPartition:
             for j, f in enumerate(gt):
                 if labels[f] != j:
                     raise ValueError(f"gt keyframe {f} is not a member of cluster {j}")
-            self.gt_keyframes = gt
+            object.__setattr__(self, "gt_keyframes", _read_only(gt))
 
     @property
     def n_frames(self) -> int:
@@ -72,7 +82,7 @@ class ClusterPartition:
             table = np.full((self.k, max(int(sizes.max()), 1)), self.n_frames, dtype=np.int64)
             for j, m in enumerate(self.members):
                 table[j, :m.size] = m
-            self._table = table, sizes
+            object.__setattr__(self, "_table", (_read_only(table), _read_only(sizes)))
         return self._table
 
     def nearest_members(self, dist) -> np.ndarray:
@@ -220,10 +230,21 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     centroids = x[init_rows[:k]]
     history = []
     x_sq = (x * x).sum(axis=1)
-    # Cluster sums take one bincount per column of a C-contiguous transpose.
-    # bincount adds in index order, so each sum equals a sequential np.add.at
-    # bit for bit; a strided column view would be several times slower.
-    x_t = np.ascontiguousarray(x.T)
+    # Cluster sums take one bincount per group of up to 8 columns: x_g[g], a
+    # C-contiguous copy of columns g*width to (g+1)*width zero-padded past d,
+    # sends frame i's column c of the group to bin labels[i] + k*c.  A cluster's
+    # frames come in temporal runs, so one bincount per column would make each
+    # add wait on the previous add to the same bin; here consecutive adds go to
+    # `width` different bins.  bincount walks the weights in order, row i's
+    # `width` values before row i+1's, so each bin still adds its rows in index
+    # order and every sum equals a sequential np.add.at bit for bit.
+    width = min(_SUM_GROUP, d)
+    groups = -(-d // width)
+    x_g = np.zeros((groups, n, width))
+    for g in range(groups):
+        cols = x[:, g * width:(g + 1) * width]
+        x_g[g, :, :cols.shape[1]] = cols
+    bin_offsets = k * np.arange(width)
     # The assignment keeps one full x @ c.T product, since BLAS gives other
     # bytes on row blocks; the elementwise passes after it, the argmin and the
     # gather run over row blocks of about _PP_BLOCK_VALUES values in one buffer.
@@ -247,9 +268,11 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
         labels, dmin = assign(centroids)
         history.append(float(dmin.sum()))
         counts = np.bincount(labels, minlength=k)
-        sums = np.empty((k, d))
-        for c in range(d):
-            sums[:, c] = np.bincount(labels, weights=x_t[c], minlength=k)
+        bins = (labels[:, None] + bin_offsets).ravel()
+        sums_t = np.empty((groups, width * k))
+        for g in range(groups):
+            sums_t[g] = np.bincount(bins, weights=x_g[g].ravel(), minlength=width * k)
+        sums = sums_t.reshape(groups * width, k)[:d].T
         new_centroids = centroids.copy()
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -281,9 +304,17 @@ def balance_assignment(features, centroids) -> np.ndarray:
     centroid minus distance to nearest); each goes to its nearest centroid that
     still has room.  Room means the cluster is below ceil(n/k) and, once the
     n mod k above-floor slots are spoken for, below floor(n/k).
+    features needs at least k finite rows; centroids must be finite, 2-d, with
+    at least one row and the features' column count.  ValueError otherwise.
     """
-    x = np.asarray(features, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] < 1:
+        raise ValueError(f"centroids must be 2-d with at least one row, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("NaN or Inf detected in centroids")
+    x = _checked_points(features, len(c), 0)
+    if x.shape[1] != c.shape[1]:
+        raise ValueError(f"centroids have {c.shape[1]} columns, the features {x.shape[1]}")
     n, k = x.shape[0], c.shape[0]
     floor, extra = divmod(n, k)
     cap = floor + (1 if extra else 0)
@@ -328,13 +359,12 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
     if poses is None or len(poses) == 0:
         raise ValueError("ground-truth pose clustering requires poses")
     centroids, labels = kmeans(poses, k, seed=seed)
-    part = ClusterPartition(k, labels)
-    gt = part.nearest_members(np.sqrt(((poses - centroids[labels]) ** 2).sum(axis=1)))
+    gt = ClusterPartition(k, labels).nearest_members(
+        np.sqrt(((poses - centroids[labels]) ** 2).sum(axis=1)))
     empty = np.flatnonzero(gt < 0)
     if empty.size:
         raise ValueError(f"pose cluster {empty[0]} is empty; cannot pick a ground-truth keyframe")
-    part.gt_keyframes = gt  # each pick is a member of its cluster by construction
-    return part
+    return ClusterPartition(k, labels, gt_keyframes=gt)
 
 
 def _first_by_key(table: np.ndarray, keys: np.ndarray, n_sample: int) -> np.ndarray:

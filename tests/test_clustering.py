@@ -106,6 +106,13 @@ def _kmeans_cases():
     yield pytest.param(1e-7 * rng.normal(size=(40, 3)), 4, 2, id="sub-tolerance")
     scene = generate_synthetic(SyntheticConfig(n_frames=300, dim=16, seed=4))
     yield pytest.param(scene.features.astype(np.float64), 12, 1, id="scene")
+    # "reseed" at d = 20, where the sums take two full groups of 8 columns and
+    # a tail of 4: two of k = 5 centroids start as duplicates and empty; the
+    # one reseeded on row 0 then ties with its owner's mean only up to
+    # rounding and wins frames from it, so reseeded centroids have sums
+    x = np.repeat(np.random.default_rng(12).normal(size=(3, 20)), [5, 5, 2], axis=0)
+    assert len(np.unique(x, axis=0)) < 5
+    yield pytest.param(x, 5, 0, id="reseed-d20")
 
 
 def _block_rows(d):
@@ -309,6 +316,20 @@ def test_balance_sizes_differ_by_at_most_one():
     labels = balance_assignment(x, c)
     sizes = np.bincount(labels, minlength=3)
     assert sorted(sizes.tolist()) == [3, 3, 4]
+
+
+@pytest.mark.parametrize("features,centroids,match", [
+    (np.ones((5, 2)), np.ones((0, 2)), "at least one row"),
+    (np.ones((5, 2)), np.ones(2), "2-d"),
+    (np.ones((5, 2)), np.array([[0.0, np.nan]]), "NaN"),
+    (np.array([[0.0, np.inf]] * 5), np.ones((1, 2)), "NaN or Inf"),
+    (np.ones(5), np.ones((1, 1)), "2-d"),
+    (np.ones((5, 2)), np.ones((6, 2)), "exceeds"),
+    (np.ones((5, 2)), np.ones((2, 3)), "columns"),
+])
+def test_balance_rejects_bad_inputs(features, centroids, match):
+    with pytest.raises(ValueError, match=match):
+        balance_assignment(features, centroids)
 
 
 def test_balance_single_cluster():
@@ -537,6 +558,19 @@ def test_partition_validation_errors():
             ClusterPartition(2, [0, 0, 1, 1], gt_keyframes=gt)
     with pytest.raises(ValueError, match="integers"):
         ClusterPartition(2, [0.7, 1.2])
+
+
+def test_partition_is_fixed_at_construction():
+    p = ClusterPartition(2, [0, 0, 1, 1], gt_keyframes=[0, 2])
+    with pytest.raises(AttributeError):
+        p.labels = np.array([1, 1, 0, 0])
+    sample_cluster(p, 1, 0)  # builds the member table
+    table, sizes = p._member_table()
+    for arr in (p.labels, p.gt_keyframes, *p.members, table, sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert p.labels.tolist() == [0, 0, 1, 1]
+    assert [m.tolist() for m in p.members] == [[0, 1], [2, 3]]
 
 
 _THREE_PAIRS = ClusterPartition(3, [0, 0, 1, 1, 2, 2])
