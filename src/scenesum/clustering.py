@@ -35,31 +35,35 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterPartition:
     """Assignment of every frame to exactly one of k clusters, fixed at
     construction: the fields cannot be reassigned and the arrays are read-only.
 
-    members, per cluster its frames in ascending order, is derived from labels;
-    the padded member table that sample_cluster reads is built on its first draw.
+    sizes, table and members are derived from labels.  table is the padded
+    member table: (k, largest cluster) int64, row j cluster j's members in
+    ascending order, then n_frames; members[j] is the view table[j, :sizes[j]].
     """
 
     k: int
     labels: np.ndarray  # (n,) int64, values in [0, k)
     gt_keyframes: np.ndarray | None = None  # (k,) frame nearest each pose centroid
+    sizes: np.ndarray = field(init=False, repr=False)  # (k,) member count per cluster
+    table: np.ndarray = field(init=False, repr=False)
     members: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _table: tuple[np.ndarray, np.ndarray] | None = field(  # see _member_table
-        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         check_count("k", self.k)
         labels = _read_only(_index_array("labels", self.labels, self.k))
         object.__setattr__(self, "labels", labels)
-        # one stable sort groups the frames by cluster, each group ascending;
-        # the members are views of the read-only order
-        order = _read_only(np.argsort(labels, kind="stable"))
-        object.__setattr__(self, "members", tuple(np.split(
-            order, np.searchsorted(labels[order], np.arange(1, self.k)))))
+        sizes = _read_only(np.bincount(labels, minlength=self.k))
+        table = np.full((self.k, max(int(sizes.max()), 1)), labels.size, dtype=np.int64)
+        # a stable sort groups the frames by cluster, each group ascending, and
+        # a boolean mask fills the table row by row in that order
+        table[np.arange(table.shape[1]) < sizes[:, None]] = np.argsort(labels, kind="stable")
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "table", _read_only(table))
+        object.__setattr__(self, "members", tuple(table[j, :s] for j, s in enumerate(sizes)))
         if self.gt_keyframes is not None:
             gt = _index_array("gt_keyframes", self.gt_keyframes, labels.size)
             if gt.shape != (self.k,):
@@ -73,51 +77,33 @@ class ClusterPartition:
     def n_frames(self) -> int:
         return self.labels.size
 
-    def _member_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(table, sizes), built on the first call: table is (k, largest
-        cluster) int64, row j cluster j's members in ascending order padded
-        with n_frames; sizes holds each cluster's member count."""
-        if self._table is None:
-            sizes = np.array([m.size for m in self.members], dtype=np.int64)
-            table = np.full((self.k, max(int(sizes.max()), 1)), self.n_frames, dtype=np.int64)
-            for j, m in enumerate(self.members):
-                table[j, :m.size] = m
-            object.__setattr__(self, "_table", (_read_only(table), _read_only(sizes)))
-        return self._table
-
     def nearest_members(self, dist) -> np.ndarray:
         """Per cluster, the member with the smallest dist[frame]; ties go to the
-        lowest frame and an empty cluster gets -1.  dist holds one value per frame."""
-        picks = np.full(self.k, -1, dtype=np.int64)
-        for j, m in enumerate(self.members):
-            if m.size:
-                picks[j] = m[int(np.argmin(dist[m]))]
+        lowest frame and an empty cluster gets -1.  dist holds one value per
+        frame, shape (n_frames,); ValueError otherwise."""
+        dist = np.asarray(dist, dtype=np.float64)
+        if dist.shape != (self.n_frames,):
+            raise ValueError(f"dist must have shape ({self.n_frames},), got {dist.shape}")
+        # the padding index reads +inf, so it wins only in a row of padding;
+        # rows ascend, so argmin's first minimum is the lowest frame
+        cols = np.argmin(np.append(dist, np.inf)[self.table], axis=1)
+        picks = self.table[np.arange(self.k), cols]
+        picks[self.sizes == 0] = -1
         return picks
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ClusterSample:
-    """Frames drawn for one training step, grouped by cluster: the first
-    sizes[0] rows of frame_indices come from cluster cluster_ids[0], the next
-    sizes[1] from cluster_ids[1], and so on.  cluster_ids defaults to 0, 1, ...;
-    total_loss checks the frames and the ids."""
+    """Frames drawn for one training step: row q of the (k, N) table holds
+    the N frames drawn from cluster q.  total_loss checks the table."""
 
-    frame_indices: np.ndarray
-    sizes: np.ndarray
-    cluster_ids: np.ndarray | None = None
+    table: np.ndarray
 
-    def __post_init__(self):
-        self.frame_indices = np.asarray(self.frame_indices)
-        self.sizes = sizes = _index_array("sizes", self.sizes, self.frame_indices.size + 1)
-        if sizes.size and sizes.min() < 1:
-            raise ValueError("every cluster sample needs at least one frame")
-        if sizes.sum() != self.frame_indices.size:
-            raise ValueError(f"sizes add up to {sizes.sum()}, "
-                             f"not to the {self.frame_indices.size} frame indices")
-        ids = np.arange(sizes.size) if self.cluster_ids is None else np.asarray(self.cluster_ids)
-        if ids.shape != sizes.shape:
-            raise ValueError(f"{ids.size} cluster ids for {sizes.size} clusters")
-        self.cluster_ids = ids
+    @property
+    def frame_indices(self) -> np.ndarray:
+        """The k * N frames as one flat array, row after row; perfbench's
+        tracer counts the sampled rows by its length."""
+        return self.table.ravel()
 
 
 def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
@@ -395,7 +381,7 @@ def sample_cluster(partition: ClusterPartition, n_sample: int,
     if not isinstance(rng, np.random.Generator):
         check_count("seed", rng, 0)
         rng = np.random.default_rng(rng)
-    table, sizes = partition._member_table()
+    table, sizes = partition.table, partition.sizes
     keys = np.empty(partition.n_frames + 1)
     rng.random(out=keys[:-1])
     keys[-1] = np.inf  # the padding sorts after every key in [0, 1)
@@ -404,4 +390,4 @@ def sample_cluster(partition: ClusterPartition, n_sample: int,
         if sizes[j] == 0:
             raise ValueError(f"cluster {j} is empty")
         picks[j] = rng.choice(partition.members[j], size=n_sample, replace=True)
-    return ClusterSample(picks.ravel(), np.full(partition.k, n_sample))
+    return ClusterSample(_read_only(picks))

@@ -206,36 +206,40 @@ def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_ke
     """Weighted training loss over one step's sample of k clusters, and
     optionally its gradient.
 
-    sample holds every cluster's rows in one array, sample.sizes[q] of them
-    for cluster q, as sample_cluster draws them.
+    Row q of sample.table holds the N frames drawn from cluster q, as
+    sample_cluster draws them.
     Returns (total, breakdown) where breakdown holds the unweighted terms under
     keys 'recon', 'infonce', and (supervised only) 'gt'.  All sampled rows
     (then, in supervised mode, the k gt rows) go through the encoder as one
     stack, the sampled latents through the decoder as another.  Given grads, an
     AutoencoderParams shaped like params, the gradient overwrites every entry
-    of grads.flat.  A sampled frame outside features, or in supervised mode a
-    cluster id outside gt_keyframes, raises ValueError.
+    of grads.flat.  ValueError unless the table is (k, N) with k >= 2 and
+    N >= 1 and holds integer frames of features, and, in supervised mode,
+    gt_keyframes has shape (k,).
     """
     features = np.asarray(features, dtype=np.float64)
-    sizes = sample.sizes
-    k = sizes.size
+    table = np.asarray(sample.table)
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValueError(f"the sample table must be (k, N) with N >= 1, got shape {table.shape}")
+    k, n_sample = table.shape
     if k < 2:
         raise ValueError(f"need at least 2 clusters for the contrastive term, got {k}")
-    rows = sample.frame_indices
+    rows = table.ravel()
     n_total = rows.size
     supervised = gt_keyframes is not None
     if supervised:
-        ids = _index_array("cluster ids", sample.cluster_ids, len(gt_keyframes))
-        rows = np.concatenate([rows, np.asarray(gt_keyframes)[ids]])
+        gt_keyframes = np.asarray(gt_keyframes)
+        if gt_keyframes.shape != (k,):
+            raise ValueError(f"gt_keyframes must have shape ({k},), got {gt_keyframes.shape}")
+        rows = np.concatenate([rows, gt_keyframes])
     rows = _index_array("frame indices", rows, features.shape[0])
     enc_acts = _forward(params.encoder, features[rows])
     h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
     dec_acts = _forward(params.decoder, h)
     recon = recon_loss(x, dec_acts[-1])
 
-    # avg is the k x n averaging matrix: row q holds 1/size_q over cluster q's rows.
-    avg = np.zeros((k, n_total))
-    avg[np.repeat(np.arange(k), sizes), np.arange(n_total)] = np.repeat(1.0 / sizes, sizes)
+    # avg is the k x kN averaging matrix: row q holds 1/N over cluster q's rows.
+    avg = np.repeat(np.eye(k) / n_sample, n_sample, axis=1)
     pools = avg @ h
 
     sim, sim_backward = _cosine(pools)
@@ -365,9 +369,9 @@ def _check_partition(ds: SceneDataset, partition: ClusterPartition) -> None:
     """ValueError unless partition covers ds's frames and no cluster is empty."""
     if partition.n_frames != ds.n_frames:
         raise ValueError(f"partition covers {partition.n_frames} frames, dataset has {ds.n_frames}")
-    for j, members in enumerate(partition.members):
-        if members.size == 0:
-            raise ValueError(f"cluster {j} is empty")
+    empty = np.flatnonzero(partition.sizes == 0)
+    if empty.size:
+        raise ValueError(f"cluster {empty[0]} is empty")
 
 
 def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):

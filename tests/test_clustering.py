@@ -12,7 +12,6 @@ from scenesum.clustering import (
     _first_by_key,
     _kmeans_pp_rows,
     ClusterPartition,
-    ClusterSample,
     balance_assignment,
     cluster_features,
     gt_pose_clustering,
@@ -415,9 +414,8 @@ def test_sample_cluster_matches_the_reference_rule(labels, n_sample):
     for _ in range(5):
         got = sample_cluster(part, n_sample, got_rng)
         want = _reference_sample(part, n_sample, want_rng)
+        assert got.table.shape == (part.k, n_sample)
         assert got.frame_indices.tobytes() == want.tobytes()
-        assert got.sizes.tolist() == [n_sample] * part.k
-        assert got.cluster_ids.tolist() == list(range(part.k))
     assert got_rng.random() == want_rng.random()  # both streams at the same place
 
 
@@ -461,9 +459,9 @@ def test_sample_cluster_matches_the_lexsort_draw(name, n_sample):
         got = sample_cluster(part, n_sample, got_rng).frame_indices
         assert got.tobytes() == _reference_sample_cluster(part, n_sample, want_rng).tobytes()
     assert got_rng.random() == want_rng.random()
-    table, sizes = part._table
-    assert table.shape == (part.k, sizes.max())
-    assert sizes.tolist() == [m.size for m in part.members]
+    sizes = [int((part.labels == j).sum()) for j in range(part.k)]
+    assert part.sizes.tolist() == sizes
+    assert part.table.shape == (part.k, max(sizes))
 
 
 def test_sample_cluster_raises_on_an_empty_cluster_like_the_lexsort_draw():
@@ -473,20 +471,10 @@ def test_sample_cluster_raises_on_an_empty_cluster_like_the_lexsort_draw():
             draw(part, 3, np.random.default_rng(0))
 
 
-def test_member_table_is_built_on_the_first_draw():
-    part = cluster_features(_scene_23().features, 20)
-    assert part._table is None
-    sample_cluster(part, 3, 0)
-    table = part._table[0]
-    sample_cluster(part, 3, 1)
-    assert part._table[0] is table
-
-
 def test_first_by_key_sends_equal_keys_to_the_lower_frame():
     labels = np.array([1, 0, 1, 1, 0, 2, 1, 0, 2, 1])
     keys = np.array([0.5, 0.25, 0.5, 0.25, 0.25, 0.75, 0.5, 0.0, 0.75, 0.25])
-    table, _ = ClusterPartition(3, labels)._member_table()
-    got = _first_by_key(table, np.append(keys, np.inf), 3)
+    got = _first_by_key(ClusterPartition(3, labels).table, np.append(keys, np.inf), 3)
     # cluster 2 has two members, so its row ends in the padding index 10
     assert got.tolist() == [[7, 1, 4], [3, 9, 0], [5, 8, 10]]
     order = np.lexsort((keys, labels))
@@ -506,9 +494,9 @@ def test_sample_cluster_without_replacement_when_possible():
 def test_sample_cluster_small_cluster_uses_replacement():
     part = ClusterPartition(2, [0, 0, 1, 1, 1, 1])
     s = sample_cluster(part, 5, rng=1)
-    assert s.sizes.tolist() == [5, 5]
-    assert set(s.frame_indices[:5].tolist()) <= {0, 1}
-    assert set(s.frame_indices[5:].tolist()) <= {2, 3, 4, 5}
+    assert s.table.shape == (2, 5)
+    assert set(s.table[0].tolist()) <= {0, 1}
+    assert set(s.table[1].tolist()) <= {2, 3, 4, 5}
 
 
 def test_sample_cluster_is_deterministic_per_seed():
@@ -537,17 +525,6 @@ def test_sample_cluster_validation():
         sample_cluster(part, 1, rng=0)
 
 
-def test_cluster_sample_validation():
-    with pytest.raises(ValueError, match="add up"):
-        ClusterSample([0, 1, 2], [1, 1])
-    with pytest.raises(ValueError, match="at least one frame"):
-        ClusterSample([0, 1], [2, 0])
-    with pytest.raises(ValueError, match="cluster ids"):
-        ClusterSample([0, 1], [1, 1], [0])
-    with pytest.raises(ValueError, match="integers"):
-        ClusterSample([0, 1], [1.0, 1.0])
-
-
 def test_partition_validation_errors():
     with pytest.raises(ValueError):
         ClusterPartition(k=2, labels=np.array([0, 2]))
@@ -564,13 +541,64 @@ def test_partition_is_fixed_at_construction():
     p = ClusterPartition(2, [0, 0, 1, 1], gt_keyframes=[0, 2])
     with pytest.raises(AttributeError):
         p.labels = np.array([1, 1, 0, 0])
-    sample_cluster(p, 1, 0)  # builds the member table
-    table, sizes = p._member_table()
-    for arr in (p.labels, p.gt_keyframes, *p.members, table, sizes):
+    for arr in (p.labels, p.gt_keyframes, *p.members, p.table, p.sizes,
+                sample_cluster(p, 1, 0).table):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     assert p.labels.tolist() == [0, 0, 1, 1]
     assert [m.tolist() for m in p.members] == [[0, 1], [2, 3]]
+    # partitions compare and hash by identity, not by their arrays
+    assert p == p and p != ClusterPartition(2, [0, 0, 1, 1], gt_keyframes=[0, 2])
+    assert hash(p) == hash(p)
+
+
+def test_member_table_pads_each_row_with_n_frames():
+    p = ClusterPartition(4, [2, 0, 2, 2, 0, 3, 2])  # cluster 1 empty
+    assert p.sizes.tolist() == [2, 0, 4, 1]
+    assert p.table.tolist() == [[1, 4, 7, 7], [7, 7, 7, 7], [0, 2, 3, 6], [5, 7, 7, 7]]
+    assert [m.tolist() for m in p.members] == [[1, 4], [], [0, 2, 3, 6], [5]]
+    assert all(np.shares_memory(m, p.table) for m in p.members if m.size)
+
+
+def _reference_nearest_members(partition, dist):
+    """nearest_members as first written: one argmin per cluster over its members."""
+    picks = np.full(partition.k, -1, dtype=np.int64)
+    for j in range(partition.k):
+        m = np.flatnonzero(partition.labels == j)
+        if m.size:
+            picks[j] = m[int(np.argmin(dist[m]))]
+    return picks
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nearest_members_matches_the_per_cluster_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+    part = ClusterPartition(k + 1, rng.integers(1, k + 1, size=n))  # cluster 0 is empty
+    # values rounded to quarters tie; NaN and +-inf land on some frames
+    dist = np.round(rng.normal(size=n) * 4) / 4
+    dist[rng.random(n) < 0.1] = np.nan
+    dist[rng.random(n) < 0.1] = np.inf
+    dist[rng.random(n) < 0.1] = -np.inf
+    got = part.nearest_members(dist)
+    assert got.tolist() == _reference_nearest_members(part, dist).tolist()
+    all_inf = np.full(n, np.inf)
+    assert (part.nearest_members(all_inf).tolist()
+            == _reference_nearest_members(part, all_inf).tolist())
+
+
+def test_nearest_members_breaks_ties_low_and_gives_an_empty_cluster_minus_one():
+    part = ClusterPartition(3, [2, 0, 2, 0])  # frames 1 and 3 of cluster 0 tie
+    assert part.nearest_members([0.5, 0.25, 0.0, 0.25]).tolist() == [1, -1, 2]
+
+
+@pytest.mark.parametrize("dist", [
+    np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros((1, 4)), np.float64(0.0),
+], ids=["short", "long", "column", "row", "scalar"])
+def test_nearest_members_rejects_a_dist_of_another_shape(dist):
+    # a longer dist would put a real value at the padding index n_frames
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        ClusterPartition(2, [0, 1, 1, 0]).nearest_members(dist)
 
 
 _THREE_PAIRS = ClusterPartition(3, [0, 0, 1, 1, 2, 2])

@@ -64,14 +64,16 @@ def _oracle_setup():
     params = AutoencoderParams(input_dim=3, hidden_dims=(4,), latent_dim=2,
                                encoder=encoder, decoder=decoder)
     feats = rng.normal(0.0, 1.0, size=(8, 3))
-    return params, feats, ClusterSample([0, 1, 2, 3, 4, 5], [2, 2, 2])
+    return params, feats, ClusterSample(np.array([[0, 1], [2, 3], [4, 5]]))
 
 
-def _unequal_setup():
-    """The oracle net on clusters of 3, 1 and 5 sampled frames."""
+def _repeat_setup():
+    """The oracle net on other features and three clusters of 3 sampled
+    frames; cluster 1 draws frame 3 twice, as a cluster smaller than N draws
+    with replacement."""
     params, _, _ = _oracle_setup()
     feats = np.random.default_rng(8).normal(0.0, 1.0, size=(10, 3))
-    return params, feats, ClusterSample([0, 1, 2, 3, 4, 5, 6, 7, 8], [3, 1, 5])
+    return params, feats, ClusterSample(np.array([[0, 1, 2], [3, 9, 3], [6, 7, 8]]))
 
 
 def _mlp(layers, x):
@@ -177,7 +179,7 @@ def test_decode_matches_hand_computation():
     hand = np.array([-0.3962128573157874, 0.16517927474370905])
     assert np.allclose(_mlp(params.decoder, [0.8799947459358899])[0], hand, atol=1e-12)
     feats = np.array([[0.6, -0.8], [0.6, -0.8]])
-    _, breakdown = total_loss(params, feats, ClusterSample([0, 1], [1, 1]))
+    _, breakdown = total_loss(params, feats, ClusterSample(np.array([[0], [1]])))
     assert abs(breakdown["recon"] - float(((feats[0] - hand) ** 2).sum())) < 1e-12
 
 
@@ -200,18 +202,17 @@ def test_identity_net_round_trips_input():
     params = _identity_net(3)
     xs = np.random.default_rng(3).normal(size=(4, 3))
     assert np.allclose(encode(params, xs), xs, atol=1e-15)
-    assert total_loss(params, xs, ClusterSample([0, 1, 2, 3], [2, 2]))[1]["recon"] == 0.0
+    assert total_loss(params, xs, ClusterSample(np.array([[0, 1], [2, 3]])))[1]["recon"] == 0.0
 
 
 def test_pool_is_row_mean():
-    # Through an identity net the pools are the row means of the sampled
-    # features: [3, 2] for cluster 0 and [0, 1] for cluster 1, cosine 2/sqrt(13).
+    # Through an identity net the pools are the means of the sampled features
+    # of each row: [2, 3] for cluster 0 and [2.5, 0.5] for cluster 1, cosine
+    # 6.5 / sqrt(13 * 6.5) = sqrt(1/2).
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0], [0.0, 1.0]])
-    _, breakdown = total_loss(_identity_net(2), feats, ClusterSample([0, 1, 2, 3], [3, 1]))
-    want = 2.0 * math.log1p(math.exp(2.0 / math.sqrt(13.0) - 1.0))
+    _, breakdown = total_loss(_identity_net(2), feats, ClusterSample(np.array([[0, 1], [2, 3]])))
+    want = 2.0 * math.log1p(math.exp(math.sqrt(0.5) - 1.0))
     assert abs(breakdown["infonce"] - want) < 1e-11
-    with pytest.raises(ValueError, match="at least one frame"):
-        total_loss(_identity_net(2), feats, ClusterSample([3], [0, 1]))
 
 
 # -------------------------------------------------------------------- losses
@@ -262,7 +263,7 @@ def test_total_loss_identity_net_orthogonal_clusters():
     # autoencoder: zero reconstruction error, both ordered pairs at cosine 0.
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sample = ClusterSample([0, 1], [1, 1])
+    sample = ClusterSample(np.array([[0], [1]]))
     total, breakdown = total_loss(params, feats, sample)
     assert breakdown["recon"] == 0.0
     assert abs(total - 2.0 * math.log(1 + math.exp(-1))) < 1e-12
@@ -293,7 +294,7 @@ def test_total_loss_supervised_gt_term_vanishes_for_singleton_pools():
     # gt keyframe equal to the member contributes exactly zero.
     params = init_params(3, (4,), 2, rng=4)
     feats = np.random.default_rng(5).normal(size=(2, 3))
-    sample = ClusterSample([0, 1], [1, 1])
+    sample = ClusterSample(np.array([[0], [1]]))
     base, _ = total_loss(params, feats, sample)
     sup, breakdown = total_loss(params, feats, sample, [0, 1])
     assert breakdown["gt"] < 1e-24
@@ -310,14 +311,14 @@ def test_total_loss_is_linear_in_weights():
 
 
 @pytest.mark.parametrize("gt", [None, [1, 3, 9]])
-def test_total_loss_matches_per_cluster_loop_on_unequal_samples(gt):
+def test_total_loss_matches_per_cluster_loop(gt):
     # A loop over clusters and ordered cluster pairs, written here without the
     # library's loss helpers, is the reference for the batched loss.
-    params, feats, sample = _unequal_setup()
+    params, feats, sample = _repeat_setup()
     lams = {"lambda_recon": 0.7, "lambda_nce": 1.3, "lambda_gt": 2.1}
     batched, _ = total_loss(params, feats, sample, gt, **lams)
 
-    xs = np.split(feats[sample.frame_indices], np.cumsum(sample.sizes)[:-1])
+    xs = list(feats[sample.table])
     pools = [encode(params, x).mean(axis=0) for x in xs]
     n_total = sum(len(x) for x in xs)
     recon = sum(float(((x - _mlp(params.decoder, encode(params, x))) ** 2).sum())
@@ -336,35 +337,37 @@ def test_total_loss_matches_per_cluster_loop_on_unequal_samples(gt):
     assert abs(batched - expected) <= 1e-12 * abs(expected)
 
 
-@pytest.mark.parametrize("frames,ids,gt", [
-    ([[0.7, 1.2], [2]], [0, 1], None),
-    ([[-1], [2]], [0, 1], None),
-    ([[6], [2]], [0, 1], None),
-    ([[0], [2]], [0, 7], [0, 2]),
-    ([[0], [2]], [0, -1], [0, 2]),
-], ids=["float-frames", "frame-minus-1", "frame-past-end", "cluster-7", "cluster-minus-1"])
-def test_total_loss_rejects_malformed_samples(frames, ids, gt):
-    # a 6-frame scene: frames must be integers in [0, 6), and in supervised
-    # mode cluster ids must index gt_keyframes
+@pytest.mark.parametrize("table,gt,match", [
+    ([[0.7, 1.2], [2.0, 3.0]], None, "frame indices"),
+    ([[-1], [2]], None, "frame indices"),
+    ([[6], [2]], None, "frame indices"),
+    ([[0], [2]], [0, 2, 5], "gt_keyframes"),
+    ([[0], [2]], [0], "gt_keyframes"),
+    ([0, 2], None, "sample table"),
+    (np.zeros((2, 0), dtype=np.int64), None, "sample table"),
+], ids=["float-frames", "frame-minus-1", "frame-past-end", "gt-too-long", "gt-too-short",
+        "table-1-d", "n-0"])
+def test_total_loss_rejects_malformed_samples(table, gt, match):
+    # a 6-frame scene: the table must be (k, N) with N >= 1 and integer frames
+    # in [0, 6), and in supervised mode gt_keyframes must hold one frame per row
     params = init_params(2, (3,), 2, rng=0)
     feats = np.random.default_rng(1).normal(size=(6, 2))
-    sample = ClusterSample(np.concatenate(frames), [len(f) for f in frames], ids)
-    with pytest.raises(ValueError, match="frame indices" if gt is None else "cluster ids"):
-        total_loss(params, feats, sample, gt)
+    with pytest.raises(ValueError, match=match):
+        total_loss(params, feats, ClusterSample(np.array(table)), gt)
 
 
 def test_total_loss_needs_two_clusters():
     params = init_params(2, (2,), 1, rng=0)
-    with pytest.raises(ValueError):
-        total_loss(params, np.ones((2, 2)), ClusterSample([0, 1], [2]))
+    with pytest.raises(ValueError, match="2 clusters"):
+        total_loss(params, np.ones((2, 2)), ClusterSample(np.array([[0, 1]])))
 
 
 @pytest.mark.parametrize("gt", [None, [1, 3, 9]])
 def test_total_loss_with_grads_leaves_its_inputs_unchanged(gt):
     # The forward pass adds the bias and applies tanh in place; only arrays it
     # made itself may change.
-    params, feats, sample = _unequal_setup()
-    inputs = [params.flat, feats, sample.frame_indices, sample.sizes, sample.cluster_ids]
+    params, feats, sample = _repeat_setup()
+    inputs = [params.flat, feats, sample.table]
     before = [a.tobytes() for a in inputs]
     total_loss(params, feats, sample, gt, grads=selector._zeros_like(params))
     assert [a.tobytes() for a in inputs] == before
@@ -391,8 +394,8 @@ def test_grad_matches_finite_differences_supervised():
 
 
 @pytest.mark.parametrize("gt", [None, [1, 3, 9]])
-def test_grad_matches_finite_differences_unequal_samples(gt):
-    params, feats, sample = _unequal_setup()
+def test_grad_matches_finite_differences_with_a_repeated_frame(gt):
+    params, feats, sample = _repeat_setup()
     g = _flatten(grad(params, feats, sample, gt))
     fd = _fd_grad(params, feats, sample, gt)
     denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
@@ -421,7 +424,7 @@ def test_grad_is_finite_when_a_pool_is_zero():
     # pool is exactly 0; the guarded norms keep the gradient finite there
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    sample = ClusterSample([0, 1, 2], [2, 1])
+    sample = ClusterSample(np.array([[0, 1], [2, 2]]))
     total, _ = total_loss(params, feats, sample)
     assert abs(total - 2.0 * math.log1p(math.exp(-1.0))) < 1e-12
     assert np.isfinite(grad(params, feats, sample).flat).all()
@@ -452,7 +455,7 @@ def test_grad_returns_a_new_buffer_per_call():
 def test_grad_zero_at_perfect_reconstruction_without_nce():
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sample = ClusterSample([0, 1], [1, 1])
+    sample = ClusterSample(np.array([[0], [1]]))
     g = _flatten(grad(params, feats, sample, lambda_nce=0.0))
     assert np.abs(g).max() < 1e-15
 
@@ -568,19 +571,17 @@ def _reference_loss_and_grad(params, features, sample, gt):
     weights: new arrays for every layer gradient, gathered into a new
     AutoencoderParams."""
     lam_recon = lam_nce = lam_gt = 1.0
-    sizes = sample.sizes
-    k = sizes.size
-    rows = sample.frame_indices
+    k, n_sample = sample.table.shape
+    rows = sample.table.ravel()
     n_total = rows.size
     if gt is not None:
-        rows = np.concatenate([rows, np.asarray([gt[j] for j in sample.cluster_ids],
-                                                dtype=np.int64)])
+        rows = np.concatenate([rows, np.asarray([gt[j] for j in range(k)], dtype=np.int64)])
     enc_acts = _reference_forward(params.encoder, features[rows])
     h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
     dec_acts = _reference_forward(params.decoder, h)
     recon = float(((x - dec_acts[-1]) ** 2).sum()) / n_total
     avg = np.zeros((k, n_total))
-    avg[np.repeat(np.arange(k), sizes), np.arange(n_total)] = np.repeat(1.0 / sizes, sizes)
+    avg[np.repeat(np.arange(k), n_sample), np.arange(n_total)] = 1.0 / n_sample
     pools = avg @ h
     norms = np.sqrt((pools * pools).sum(axis=1))
     guarded = norms + 1e-12
