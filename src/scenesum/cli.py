@@ -105,11 +105,14 @@ def _check(key: str, value) -> None:
             raise UsageError(f"{key} must be {op} {bound}, got {value}")
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _write(files: dict[Path, str]) -> int:
+    """Write each {path: text} file as UTF-8 with no newline translation and
+    report it; every text is rendered before the first file is written."""
+    for path, text in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+        print(f"wrote {path}")
+    return 0
 
 
 def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
@@ -169,10 +172,7 @@ def cmd_summarize(args) -> int:
     ds = load_dataset(args.manifest)
     summary = _run_method(ds, resolved["method"], resolved["k"], resolved["seed"], resolved)
     summary.config.update(resolved)
-    out = Path(args.out)
-    _write_json(summary.as_dict(), out)
-    print(f"wrote {out}")
-    return 0
+    return _write({Path(args.out): json.dumps(summary.as_dict(), indent=2) + "\n"})
 
 
 def cmd_evaluate(args) -> int:
@@ -198,24 +198,16 @@ def cmd_evaluate(args) -> int:
                                      resolved["steps"])
     area = metrics.auc(curve)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".csv")
-    json_path = out.with_suffix(".json")
-    metrics.write_curve_csv(curve, csv_path)
     report = {"method": summary["method"], "k": summary["k"], "r_max": resolved["r_max"],
               "steps": resolved["steps"], "auc": area, "config": resolved}
-    _write_json(report, json_path)
-    written = [csv_path, json_path]
+    files = {out.with_suffix(".csv"): metrics.curve_csv(curve),
+             out.with_suffix(".json"): json.dumps(report, indent=2) + "\n"}
     if args.svg:
-        svg_path = out.with_suffix(".svg")
-        svg = render_line_chart(curve.thresholds, curve.values,
-                                title=f"{summary['method']} divergence curve (k={summary['k']})",
-                                x_label="distance threshold r (m)", y_label="divergence D")
-        svg_path.write_text(svg)
-        written.append(svg_path)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+        files[out.with_suffix(".svg")] = render_line_chart(
+            curve.thresholds, curve.values,
+            title=f"{summary['method']} divergence curve (k={summary['k']})",
+            x_label="distance threshold r (m)", y_label="divergence D")
+    return _write(files)
 
 
 def _parse_list(text: str, cast, key: str) -> list:
@@ -269,14 +261,8 @@ def cmd_sweep(args) -> int:
             sd = (sum((a - mean) ** 2 for a in aucs) / len(aucs)) ** 0.5
             rows.append([method, str(k), "agg", repr(mean), repr(sd)])
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        fh.write("method,k,seed,auc,sd\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    print(f"wrote {out}")
-    return 0
+    text = "method,k,seed,auc,sd\n" + "".join(",".join(row) + "\n" for row in rows)
+    return _write({Path(args.out): text})
 
 
 class _Command(NamedTuple):

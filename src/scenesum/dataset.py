@@ -71,10 +71,14 @@ class SceneDataset:
         return self.features.shape[1]
 
     def pose_positions(self, frame_indices) -> np.ndarray:
-        """Position rows of the given frames, shaped frame_indices.shape + (3,)."""
+        """Position rows of the given frames, shaped frame_indices.shape + (3,).
+        A float, bool or string index is a ValueError, never a coerced row."""
         if self.poses is None:
             raise ValueError("dataset has no poses")
-        return self.poses[np.asarray(frame_indices, dtype=np.int64)]
+        idx = np.asarray(frame_indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"frame indices must be integers, got {idx.dtype}")
+        return self.poses[idx.astype(np.int64)]
 
 
 @dataclass

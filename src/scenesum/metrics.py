@@ -5,6 +5,7 @@ summary has few keyframe pairs closer than the threshold."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -95,10 +96,11 @@ def auc(curve: DivergenceCurve) -> float:
     return float((np.diff(t) * (v[1:] + v[:-1]) / 2.0).sum())
 
 
-def write_curve_csv(curve: DivergenceCurve, path) -> None:
-    """Export the curve as CSV with header r,D."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "D"])
-        for r, d in zip(curve.thresholds, curve.values):
-            writer.writerow([repr(float(r)), repr(float(d))])
+def curve_csv(curve: DivergenceCurve) -> str:
+    """The curve as CSV text with header r,D, in the csv module's \\r\\n lines."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["r", "D"])
+    for r, d in zip(curve.thresholds, curve.values):
+        writer.writerow([repr(float(r)), repr(float(d))])
+    return buf.getvalue()

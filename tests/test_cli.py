@@ -398,10 +398,11 @@ def _summary(draw):
 @example(json.dumps({"method": ["x"], "k": 2, "frames": [0, 5]}))
 @example(json.dumps({"method": "x", "k": 0, "frames": []}))
 @example(json.dumps({"method": "a\ud800", "k": 2, "frames": [0, 5]}))  # no UTF-8 encoding
+@example(json.dumps({"method": "café 東京", "k": 2, "frames": [0, 5]}))
 def test_evaluate_reads_a_summary_or_exits_1(scene_dir, text):
     with tempfile.TemporaryDirectory() as tmp:
         summary, out = Path(tmp) / "summary.json", Path(tmp) / "eval"
-        summary.write_text(text)
+        summary.write_text(text, encoding="utf-8")
         rc = main(["evaluate", str(summary), str(scene_dir / "manifest.json"), "--svg",
                    "--out", str(out)])
         written = sorted(p.name for p in Path(tmp).iterdir())
@@ -591,6 +592,31 @@ def test_config_file_values_obey_the_option_rules(scene_dir, tmp_path, capsys, a
     assert main(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
     assert "must be" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.json"]
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    # Under an ASCII locale with UTF-8 mode off, a write that leaves the encoding
+    # to the locale fails on a non-ASCII method name, and EncodingWarning (made
+    # an error here) flags any open that names no encoding at all.
+    src = str(Path(scenesum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0"}
+    manifest, summary = str(tmp_path / "scene" / "manifest.json"), tmp_path / "summary.json"
+
+    def cli(*argv):
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "scenesum.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    cli("generate", "--out", str(tmp_path / "scene"), "--frames", "60", "--dim", "8")
+    cli("summarize", manifest, "--method", "uniform", "--k", "4", "--out", str(summary))
+    payload = json.loads(summary.read_text(encoding="utf-8"))
+    summary.write_text(json.dumps({**payload, "method": "café 東京"}), encoding="utf-8")
+    cli("evaluate", str(summary), manifest, "--svg", "--out", str(tmp_path / "eval"))
+    cli("sweep", manifest, "--methods", "uniform,change", "--out", str(tmp_path / "sweep.csv"))
+    assert "café 東京" in (tmp_path / "eval.svg").read_bytes().decode("utf-8")
 
 
 def test_cli_import_reaches_every_module():

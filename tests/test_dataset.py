@@ -69,6 +69,9 @@ def test_pose_positions_subset():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     with pytest.raises(IndexError):
         ds.pose_positions([ds.n_frames])
+    for idx in ([1.7], np.array([2.9]), ["2"], [True, False]):  # never coerced to a row
+        with pytest.raises(ValueError, match="integers"):
+            ds.pose_positions(idx)
 
 
 def test_pose_positions_requires_poses():
@@ -406,7 +409,7 @@ def test_manifest_parses_to_its_scene_or_value_error(text):
         manifest = save_dataset(SceneDataset("s", feats, np.ones((3, 3))),
                                 Path(tmp) / "manifest.json")
         raw = (Path(tmp) / "features.bin").read_bytes()
-        manifest.write_text(text)
+        manifest.write_text(text, encoding="utf-8")
         ds = _load_or_value_error(manifest)
     if ds is None:
         return

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 
@@ -13,10 +14,10 @@ from scenesum.metrics import (
     DivergenceCurve,
     _close_pair_counts,
     auc,
+    curve_csv,
     divergence,
     divergence_curve,
     similar_pair_count,
-    write_curve_csv,
 )
 
 
@@ -176,12 +177,9 @@ def test_curve_validation():
         auc(DivergenceCurve(np.array([1.0]), np.array([0.5])))
 
 
-def test_curve_csv_round_trip(tmp_path):
+def test_curve_csv_round_trip():
     curve = divergence_curve(np.random.default_rng(6).uniform(0, 5, size=(5, 2)), 3.0, 10)
-    path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(curve_csv(curve), newline="")))
     assert rows[0] == ["r", "D"]
     assert len(rows) == 12
     back_t = np.array([float(r[0]) for r in rows[1:]])
