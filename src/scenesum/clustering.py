@@ -303,7 +303,6 @@ def balance_assignment(features, centroids) -> np.ndarray:
         raise ValueError(f"centroids have {c.shape[1]} columns, the features {x.shape[1]}")
     n, k = x.shape[0], c.shape[0]
     floor, extra = divmod(n, k)
-    cap = floor + (1 if extra else 0)
 
     labels = np.zeros(n, dtype=np.int64)
     if k == 1:
@@ -318,18 +317,16 @@ def balance_assignment(features, centroids) -> np.ndarray:
     sizes = np.zeros(k, dtype=np.int64)
     above_floor = 0
     for i in order:
+        room = floor + (above_floor < extra)  # an above-floor slot is still free
         for j in preference[i]:
-            if sizes[j] >= cap:
-                continue
-            if above_floor >= extra and sizes[j] >= floor:
-                continue
-            labels[i] = j
-            sizes[j] += 1
-            if sizes[j] > floor:
-                above_floor += 1
-            break
+            if sizes[j] < room:
+                break
         else:
-            raise RuntimeError("capacity bookkeeping failed")  # unreachable when cap*k >= n
+            raise RuntimeError("capacity bookkeeping failed")  # unreachable: room >= frames left
+        labels[i] = j
+        sizes[j] += 1
+        if sizes[j] > floor:
+            above_floor += 1
     return labels
 
 

@@ -9,6 +9,7 @@ file and an optional pose CSV.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,43 +182,36 @@ def save_dataset(ds: SceneDataset, manifest_path) -> Path:
     return manifest_path
 
 
-def _first_bad_byte(path: Path) -> str:
-    """Where the first byte of a file that does not decode as UTF-8 sits.  The
-    text reader decodes ahead of the rows it returns, so the raw bytes tell."""
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start)
-        return f"byte {raw[exc.start]:#04x} in " + ("the header" if line == 0 else f"row {line - 1}")
-    return "the file changed while it was read"
-
-
 def _load_poses(path: Path, n_frames: int) -> list[tuple[float, float, float]]:
     """Rows (x, y, z) of a pose CSV; SceneDataset checks their finiteness."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start)
+        where = "the header" if line == 0 else f"row {line - 1}"
+        raise ValueError(f"pose file {path} is not UTF-8 text: "
+                         f"byte {raw[exc.start]:#04x} in {where}") from exc
     poses = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != POSE_HEADER:
-                raise ValueError(f"pose file {path} must start with header {','.join(POSE_HEADER)}")
-            for row in reader:
-                if len(row) != 4:
-                    raise ValueError(f"malformed pose row {len(poses)}: {row!r}")
-                try:
-                    frame = int(row[0])
-                    xyz = tuple(float(v) for v in row[1:])
-                except ValueError as exc:
-                    raise ValueError(f"malformed pose row {len(poses)}: {row!r}") from exc
-                if frame != len(poses):
-                    raise ValueError(
-                        f"pose rows must be ordered 0..n-1, got frame {frame} at row {len(poses)}")
-                poses.append(xyz)
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"malformed pose file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"pose file {path} is not UTF-8 text: {_first_bad_byte(path)}") from exc
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header is None or tuple(header) != POSE_HEADER:
+            raise ValueError(f"pose file {path} must start with header {','.join(POSE_HEADER)}")
+        for row in reader:
+            if len(row) != 4:
+                raise ValueError(f"malformed pose row {len(poses)}: {row!r}")
+            try:
+                frame = int(row[0])
+                xyz = tuple(float(v) for v in row[1:])
+            except ValueError as exc:
+                raise ValueError(f"malformed pose row {len(poses)}: {row!r}") from exc
+            if frame != len(poses):
+                raise ValueError(
+                    f"pose rows must be ordered 0..n-1, got frame {frame} at row {len(poses)}")
+            poses.append(xyz)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ValueError(f"malformed pose file {path}: {exc}") from exc
     if len(poses) != n_frames:
         raise ValueError(f"pose count {len(poses)} does not match manifest n_frames {n_frames}")
     return poses

@@ -31,81 +31,65 @@ _LAMBDA_RECON, _LAMBDA_NCE, _LAMBDA_GT = 1.0, 1.0, 1.0  # loss term weights in t
 
 @dataclass
 class AutoencoderParams:
-    """Weights of a mirrored MLP autoencoder.
+    """Weights of a mirrored MLP autoencoder, in one flat float64 vector.
 
-    Each layer is a (weight, bias) pair with weight shape (fan_in, fan_out).
-    Hidden layers use tanh; the encoder output and decoder output are linear.
-    The arrays are copied into one float64 buffer, `flat`, encoder layers
-    first; the (weight, bias) pairs are views into it, so an update of `flat`
-    is an update of every layer.
+    The widths run input_dim -> *hidden_dims -> latent_dim in the encoder and
+    back in the decoder, each an integer >= 1.  Hidden layers use tanh; the
+    encoder and decoder outputs are linear.  flat holds each layer's weight,
+    shape (fan_in, fan_out), then its bias, encoder first; it defaults to zeros,
+    and a given flat is copied and must be a finite 1-d float vector of that
+    size.  ValueError otherwise.  encoder and decoder list (weight, bias) views
+    into flat, so an update of flat is an update of every layer.
     """
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     latent_dim: int
-    encoder: list[tuple[np.ndarray, np.ndarray]]
-    decoder: list[tuple[np.ndarray, np.ndarray]]
-    flat: np.ndarray = field(init=False, repr=False)
+    flat: np.ndarray | None = field(default=None, repr=False)
+    encoder: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    decoder: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        enc_dims = _dim_chain(self.input_dim, self.hidden_dims, self.latent_dim)
-        dec_dims = _dim_chain(self.latent_dim, self.hidden_dims[::-1], self.input_dim)
-        for name, layers, dims in (("encoder", self.encoder, enc_dims),
-                                   ("decoder", self.decoder, dec_dims)):
-            if len(layers) != len(dims):
-                raise ValueError(f"{name} must have {len(dims)} layers, got {len(layers)}")
-            for i, ((w, b), (din, dout)) in enumerate(zip(layers, dims)):
-                if w.shape != (din, dout) or b.shape != (dout,):
-                    raise ValueError(f"{name} layer {i} has shape {w.shape}/{b.shape}, "
-                                     f"expected {(din, dout)}/{(dout,)}")
-                if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                    raise ValueError(f"{name} layer {i} contains NaN or Inf")
-        self.flat = np.concatenate([a.ravel() for w, b in [*self.encoder, *self.decoder]
-                                    for a in (w, b)], dtype=np.float64)
+        self.hidden_dims = tuple(self.hidden_dims)
+        check_count("input_dim", self.input_dim)
+        check_count("latent_dim", self.latent_dim)
+        for h in self.hidden_dims:
+            check_count("hidden dim", h)
+        widths = [int(w) for w in (self.input_dim, *self.hidden_dims, self.latent_dim)]
+        self.hidden_dims = tuple(widths[1:-1])
+        dims = list(zip(widths[:-1], widths[1:]))
+        dims += [(dout, din) for din, dout in reversed(dims)]
+        size = sum((din + 1) * dout for din, dout in dims)
+        if self.flat is None:
+            self.flat = np.zeros(size)
+        else:
+            flat = np.asarray(self.flat)
+            if flat.dtype.kind != "f" or flat.shape != (size,) or not np.isfinite(flat).all():
+                raise ValueError(f"flat must be a finite 1-d float vector of size {size}, "
+                                 f"got {flat.dtype} of shape {flat.shape}")
+            self.flat = flat.astype(np.float64)
         views, pos = [], 0
-        for din, dout in enc_dims + dec_dims:
-            w = self.flat[pos:pos + din * dout].reshape(din, dout)
-            pos += din * dout
-            views.append((w, self.flat[pos:pos + dout]))
-            pos += dout
-        self.encoder, self.decoder = views[:len(enc_dims)], views[len(enc_dims):]
-
-
-def _dim_chain(first: int, middles: tuple[int, ...], last: int) -> list[tuple[int, int]]:
-    dims = [first, *middles, last]
-    return list(zip(dims[:-1], dims[1:]))
+        for din, dout in dims:
+            views.append((self.flat[pos:pos + din * dout].reshape(din, dout),
+                          self.flat[pos + din * dout:pos + (din + 1) * dout]))
+            pos += (din + 1) * dout
+        self.encoder, self.decoder = views[:len(dims) // 2], views[len(dims) // 2:]
 
 
 def init_params(input_dim: int, hidden_dims, latent_dim: int,
                 rng: np.random.Generator | int = 0) -> AutoencoderParams:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] for weights and biases.
-
-    Every width must be an integer >= 1.  An rng that is no Generator is a
-    seed, which must be an integer >= 0.
-    """
-    check_count("input_dim", input_dim)
-    check_count("latent_dim", latent_dim)
-    hidden_dims = tuple(hidden_dims)
-    for h in hidden_dims:
-        check_count("hidden dim", h)
+    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn layer by layer, weight
+    then bias, encoder first.  The widths are AutoencoderParams'; an rng that is no
+    Generator is a seed, which must be an integer >= 0."""
+    params = AutoencoderParams(input_dim, hidden_dims, latent_dim)
     if not isinstance(rng, np.random.Generator):
         check_count("seed", rng, 0)
         rng = np.random.default_rng(rng)
-
-    def make(dims):
-        layers = []
-        for din, dout in dims:
-            bound = 1.0 / math.sqrt(din)
-            layers.append((rng.uniform(-bound, bound, size=(din, dout)),
-                           rng.uniform(-bound, bound, size=dout)))
-        return layers
-
-    return AutoencoderParams(
-        input_dim=input_dim, hidden_dims=hidden_dims, latent_dim=latent_dim,
-        encoder=make(_dim_chain(input_dim, hidden_dims, latent_dim)),
-        decoder=make(_dim_chain(latent_dim, hidden_dims[::-1], input_dim)),
-    )
+    for w, b in params.encoder + params.decoder:
+        bound = 1.0 / math.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return params
 
 
 def _forward(layers, x: np.ndarray) -> list[np.ndarray]:
@@ -270,19 +254,11 @@ def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_ke
     return total, breakdown
 
 
-def _zeros_like(params: AutoencoderParams) -> AutoencoderParams:
-    """A zero AutoencoderParams of params' shapes, with a buffer of its own."""
-    return AutoencoderParams(
-        input_dim=params.input_dim, hidden_dims=params.hidden_dims, latent_dim=params.latent_dim,
-        encoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.encoder],
-        decoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.decoder])
-
-
 def grad(params: AutoencoderParams, features, sample: ClusterSample, gt_keyframes=None, *,
          lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
          lambda_gt: float = _LAMBDA_GT) -> AutoencoderParams:
     """Analytic gradient of total_loss, as a new AutoencoderParams shaped like params."""
-    g = _zeros_like(params)
+    g = AutoencoderParams(params.input_dim, params.hidden_dims, params.latent_dim)
     total_loss(params, features, sample, gt_keyframes, lambda_recon=lambda_recon,
                lambda_nce=lambda_nce, lambda_gt=lambda_gt, grads=g)
     return g
@@ -401,7 +377,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     params = init_params(ds.dim, cfg.hidden_dims, cfg.latent_dim, rng)
     features = np.asarray(ds.features, dtype=np.float64)
     state = AdamState.for_params(params)
-    grads = _zeros_like(params)  # overwritten by every step
+    grads = AutoencoderParams(ds.dim, cfg.hidden_dims, cfg.latent_dim)  # overwritten by every step
     steps = max(1, math.ceil(ds.n_frames / (k * n_sample)))
 
     history = []

@@ -65,9 +65,8 @@ def test_vsumm_agrees_with_identity_encoder_selection():
 
     ds = SceneDataset("blobs", feats)
     labels = np.repeat(np.arange(3), 4)
-    eye, zero = np.eye(2), np.zeros(2)
-    identity = AutoencoderParams(input_dim=2, hidden_dims=(), latent_dim=2,
-                                 encoder=[(eye, zero)], decoder=[(eye, zero)])
+    eye, zero = np.eye(2).ravel(), np.zeros(2)
+    identity = AutoencoderParams(2, (), 2, np.concatenate([eye, zero, eye, zero]))
     # align cluster ids with the k-means labels used by vsumm
     from scenesum.clustering import kmeans
 

@@ -27,6 +27,13 @@ from scenesum.selector import (
 )
 
 
+def _net(input_dim, hidden_dims, latent_dim, encoder, decoder):
+    """AutoencoderParams from per-layer (weight, bias) lists, concatenated in
+    flat's order: each weight then its bias, encoder first."""
+    flat = np.concatenate([a.ravel() for layer in [*encoder, *decoder] for a in layer])
+    return AutoencoderParams(input_dim, hidden_dims, latent_dim, flat)
+
+
 def _literal_net():
     """2 -> tanh(2) -> 1 encoder with a mirrored decoder, literal weights."""
     encoder = [
@@ -37,17 +44,13 @@ def _literal_net():
         (np.array([[0.9, 0.3]]), np.array([-0.2, 0.6])),
         (np.array([[0.7, -0.3], [-1.1, 0.25]]), np.array([0.0, 0.15])),
     ]
-    return AutoencoderParams(input_dim=2, hidden_dims=(2,), latent_dim=1,
-                             encoder=encoder, decoder=decoder)
+    return _net(2, (2,), 1, encoder, decoder)
 
 
 def _identity_net(dim):
     """Single linear layer both ways with unit weights: encode(x) == x."""
-    eye = np.eye(dim)
-    zero = np.zeros(dim)
-    return AutoencoderParams(input_dim=dim, hidden_dims=(), latent_dim=dim,
-                             encoder=[(eye.copy(), zero.copy())],
-                             decoder=[(eye.copy(), zero.copy())])
+    eye, zero = np.eye(dim), np.zeros(dim)
+    return _net(dim, (), dim, [(eye, zero)], [(eye, zero)])
 
 
 def _oracle_setup():
@@ -61,8 +64,7 @@ def _oracle_setup():
         (rng.normal(0.0, 0.7, size=(2, 4)), rng.normal(0.0, 0.7, size=4)),
         (rng.normal(0.0, 0.7, size=(4, 3)), rng.normal(0.0, 0.7, size=3)),
     ]
-    params = AutoencoderParams(input_dim=3, hidden_dims=(4,), latent_dim=2,
-                               encoder=encoder, decoder=decoder)
+    params = _net(3, (4,), 2, encoder, decoder)
     feats = rng.normal(0.0, 1.0, size=(8, 3))
     return params, feats, ClusterSample(np.array([[0, 1], [2, 3], [4, 5]]))
 
@@ -147,19 +149,36 @@ def test_init_params_rejects_bad_widths_and_seeds(args, kwargs):
         init_params(*args, **kwargs)
 
 
-def test_params_validation_rejects_broken_mirror():
-    good = init_params(4, (3,), 2, rng=0)
-    with pytest.raises(ValueError):
-        AutoencoderParams(input_dim=4, hidden_dims=(3,), latent_dim=2,
-                          encoder=good.encoder, decoder=good.decoder[:1])
-    bad_w = [(np.zeros((4, 2)), np.zeros(2)), good.encoder[1]]
-    with pytest.raises(ValueError):
-        AutoencoderParams(input_dim=4, hidden_dims=(3,), latent_dim=2,
-                          encoder=bad_w, decoder=good.decoder)
-    nan_enc = [(good.encoder[0][0] * np.nan, good.encoder[0][1]), good.encoder[1]]
-    with pytest.raises(ValueError):
-        AutoencoderParams(input_dim=4, hidden_dims=(3,), latent_dim=2,
-                          encoder=nan_enc, decoder=good.decoder)
+@pytest.mark.parametrize("hidden", [(), (128,), (3, 5)])
+@pytest.mark.parametrize("generator", [False, True], ids=["seed", "generator"])
+def test_init_params_matches_per_layer_draws(hidden, generator):
+    # the reference draws each layer's weight, then its bias, as new arrays,
+    # encoder first, and concatenates them: flat must match it bit for bit
+    def rng():
+        return np.random.default_rng(11) if generator else 11
+    widths = [4, *hidden, 2]
+    dims = list(zip(widths[:-1], widths[1:]))
+    dims += [(dout, din) for din, dout in reversed(dims)]
+    ref_rng = np.random.default_rng(rng())
+    layers = []
+    for din, dout in dims:
+        bound = 1.0 / math.sqrt(din)
+        layers.append((ref_rng.uniform(-bound, bound, size=(din, dout)),
+                       ref_rng.uniform(-bound, bound, size=dout)))
+    ref = np.concatenate([a.ravel() for layer in layers for a in layer])
+    assert init_params(4, hidden, 2, rng=rng()).flat.tobytes() == ref.tobytes()
+
+
+def test_params_reject_malformed_widths_and_flat():
+    size = init_params(4, (3,), 2).flat.size
+    for bad in (3.7, 4.0, True, 0):
+        for widths in ((bad, (3,), 2), (4, (bad,), 2), (4, (3,), bad)):
+            with pytest.raises(ValueError, match="integer"):
+                AutoencoderParams(*widths)
+    for flat in (np.zeros(size - 1), np.zeros((1, size)), np.full(size, np.nan),
+                 np.full(size, "0.5"), np.zeros(size, dtype=object), np.zeros(size, dtype=bool)):
+        with pytest.raises(ValueError, match="flat"):
+            AutoencoderParams(4, (3,), 2, flat)
 
 
 # ------------------------------------------------------------- forward passes
@@ -369,7 +388,7 @@ def test_total_loss_with_grads_leaves_its_inputs_unchanged(gt):
     params, feats, sample = _repeat_setup()
     inputs = [params.flat, feats, sample.table]
     before = [a.tobytes() for a in inputs]
-    total_loss(params, feats, sample, gt, grads=selector._zeros_like(params))
+    total_loss(params, feats, sample, gt, grads=AutoencoderParams(3, (4,), 2))
     assert [a.tobytes() for a in inputs] == before
 
 
@@ -466,11 +485,7 @@ def test_grad_zero_at_perfect_reconstruction_without_nce():
 def test_adam_zero_gradient_is_identity():
     params = init_params(3, (2,), 2, rng=0)
     before = _flatten(params).copy()
-    zeros = AutoencoderParams(
-        input_dim=3, hidden_dims=(2,), latent_dim=2,
-        encoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.encoder],
-        decoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.decoder],
-    )
+    zeros = AutoencoderParams(3, (2,), 2)
     state = AdamState.for_params(params)
     adam_step(params, zeros, state, learning_rate=0.1)
     assert state.t == 1
@@ -479,12 +494,8 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_first_step_moves_by_learning_rate():
     # With bias correction the first update is lr * g / (|g| + eps) = lr * sign(g).
-    params = AutoencoderParams(input_dim=1, hidden_dims=(), latent_dim=1,
-                               encoder=[(np.array([[1.0]]), np.array([0.5]))],
-                               decoder=[(np.array([[1.0]]), np.array([0.0]))])
-    grads = AutoencoderParams(input_dim=1, hidden_dims=(), latent_dim=1,
-                              encoder=[(np.array([[3.0]]), np.array([-2.0]))],
-                              decoder=[(np.array([[0.0]]), np.array([0.0]))])
+    params = AutoencoderParams(1, (), 1, np.array([1.0, 0.5, 1.0, 0.0]))
+    grads = AutoencoderParams(1, (), 1, np.array([3.0, -2.0, 0.0, 0.0]))
     state = AdamState.for_params(params)
     adam_step(params, grads, state, learning_rate=0.01)
     assert abs(params.encoder[0][0][0, 0] - (1.0 - 0.01)) < 1e-9
@@ -523,7 +534,7 @@ def test_adam_update_past_unit_bias_correction_matches_the_plain_formula():
     ref = params.flat.copy()
     ref_m, ref_v = np.zeros_like(ref), np.zeros_like(ref)
     state = AdamState.for_params(params)
-    grads = selector._zeros_like(params)
+    grads = AutoencoderParams(3, (4,), 2)
     rng = np.random.default_rng(6)
     lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 401):
@@ -609,8 +620,7 @@ def _reference_loss_and_grad(params, features, sample, gt):
     else:
         dh += avg.T @ d_pools
     enc_grads, _ = _reference_backward(params.encoder, enc_acts, dh)
-    g = AutoencoderParams(input_dim=params.input_dim, hidden_dims=params.hidden_dims,
-                          latent_dim=params.latent_dim, encoder=enc_grads, decoder=dec_grads)
+    g = _net(params.input_dim, params.hidden_dims, params.latent_dim, enc_grads, dec_grads)
     return total, g
 
 
