@@ -139,16 +139,13 @@ def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
     try:
         cfg = TrainConfig(batch_size=opts["batch_size"], learning_rate=opts["lr"],
                           epochs=opts["epochs"], latent_dim=opts["latent"],
-                          sample_size=opts["n_sample"],
-                          mode="supervised" if supervised else "self_supervised", seed=seed)
+                          sample_size=opts["n_sample"], seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if supervised:
-        partition = gt_pose_clustering(ds.poses, k, seed=seed)
-    else:
-        partition = cluster_features(ds.features, k, seed=seed)
+    partition = (gt_pose_clustering(ds.poses, k, seed=seed) if supervised
+                 else cluster_features(ds.features, k, seed=seed))
     params, _ = train(ds, partition, cfg)
-    return select_keyframes(params, ds, partition, method=method)
+    return select_keyframes(params, ds, partition)
 
 
 def cmd_generate(args) -> int:

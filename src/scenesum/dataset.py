@@ -32,6 +32,15 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_real(name: str, value, zero_ok: bool = False) -> None:
+    """ValueError unless value is a finite int, float or numpy number > 0, or
+    >= 0 when zero_ok.  A bool or a str is no number here."""
+    real = isinstance(value, (float, np.floating)) and np.isfinite(value)
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (real or whole) or value < 0 or (value == 0 and not zero_ok):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
 @dataclass
 class SceneDataset:
     """Frame sequence with features and, when available, ground-truth poses.
@@ -100,13 +109,9 @@ class SyntheticConfig:
         check_count("seed", self.seed, 0)
         if self.feature_mode not in _FEATURE_MODES:
             raise ValueError(f"feature_mode must be one of {_FEATURE_MODES}, got {self.feature_mode!r}")
-        # written so that NaN fails every bound
-        if not 0 < self.box_side < np.inf:
-            raise ValueError(f"box_side must be finite and > 0, got {self.box_side}")
-        if not 0 < self.step_sigma < np.inf:
-            raise ValueError(f"step_sigma must be finite and > 0, got {self.step_sigma}")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        check_real("box_side", self.box_side)
+        check_real("step_sigma", self.step_sigma)
+        check_real("noise_sigma", self.noise_sigma, zero_ok=True)
 
 
 def _reflect(values: np.ndarray, side: float) -> np.ndarray:

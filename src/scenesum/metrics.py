@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_count
+from .dataset import check_count, check_real
 
 
 def _positions(positions) -> np.ndarray:
@@ -40,8 +39,7 @@ def _close_pair_counts(p: np.ndarray, thresholds) -> np.ndarray:
 def similar_pair_count(positions, r: float) -> int:
     """Number of ordered pairs (i, j), i != j, with distance strictly below r."""
     p = _positions(positions)
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"threshold r must be finite and >= 0, got {r}")
+    check_real("threshold r", r, zero_ok=True)
     return int(_close_pair_counts(p, [r])[0])
 
 
@@ -79,8 +77,7 @@ class DivergenceCurve:
 def divergence_curve(positions, r_max: float, steps: int = 100) -> DivergenceCurve:
     """Divergence at thresholds i * r_max / steps for i in 0..steps."""
     p = _positions(positions)
-    if not (math.isfinite(r_max) and r_max > 0):
-        raise ValueError(f"r_max must be finite and > 0, got {r_max}")
+    check_real("r_max", r_max)
     check_count("steps", steps, 2)
     k = p.shape[0]
     thresholds = np.arange(steps + 1) * (r_max / steps)

@@ -20,16 +20,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterPartition, ClusterSample, _index_array, sample_cluster
-from .dataset import SceneDataset, check_count
+from .dataset import SceneDataset, check_count, check_real
 
 _COS_EPS = 1e-12  # norm guard of the cosines in training and in the keyframe pick
 _TINY = np.finfo(np.float64).tiny
-_MODES = ("self_supervised", "supervised")
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # plain Adam
 _LAMBDA_RECON, _LAMBDA_NCE, _LAMBDA_GT = 1.0, 1.0, 1.0  # loss term weights in training
 
 
-@dataclass
+def _hidden_widths(hidden_dims) -> tuple[int, ...]:
+    """hidden_dims as a tuple of ints; ValueError unless a sequence of integers >= 1."""
+    if not np.iterable(hidden_dims):
+        raise ValueError(f"hidden_dims must be a sequence of integers >= 1, got {hidden_dims!r}")
+    widths = tuple(hidden_dims)
+    for h in widths:
+        check_count("hidden dim", h)
+    return tuple(int(h) for h in widths)
+
+
+@dataclass(eq=False)
 class AutoencoderParams:
     """Weights of a mirrored MLP autoencoder, in one flat float64 vector.
 
@@ -50,13 +59,10 @@ class AutoencoderParams:
     decoder: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.hidden_dims = tuple(self.hidden_dims)
         check_count("input_dim", self.input_dim)
         check_count("latent_dim", self.latent_dim)
-        for h in self.hidden_dims:
-            check_count("hidden dim", h)
-        widths = [int(w) for w in (self.input_dim, *self.hidden_dims, self.latent_dim)]
-        self.hidden_dims = tuple(widths[1:-1])
+        self.hidden_dims = _hidden_widths(self.hidden_dims)
+        widths = [int(self.input_dim), *self.hidden_dims, int(self.latent_dim)]
         dims = list(zip(widths[:-1], widths[1:]))
         dims += [(dout, din) for din, dout in reversed(dims)]
         size = sum((din + 1) * dout for din, dout in dims)
@@ -274,20 +280,14 @@ class TrainConfig:
     latent_dim: int = 64  # reference runs use 2048; validated but not required here
     hidden_dims: tuple[int, ...] = (128,)
     sample_size: int = 8
-    mode: str = "self_supervised"
     seed: int = 0
 
     def __post_init__(self):
         for name, low in (("batch_size", 1), ("latent_dim", 1), ("sample_size", 1),
                           ("epochs", 0), ("seed", 0)):
             check_count(name, getattr(self, name), low)
-        for h in self.hidden_dims:
-            check_count("hidden dim", h)
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        self.hidden_dims = _hidden_widths(self.hidden_dims)
+        check_real("learning_rate", self.learning_rate)
 
 
 @dataclass
@@ -356,16 +356,13 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     Each epoch runs ceil(n_frames / (k * N)) steps; each step makes one
     sample_cluster call, which draws N frames of every cluster as one
     ClusterSample.  N is reduced with a warning if k * N would exceed
-    cfg.batch_size.  Fully deterministic given cfg.seed.
+    cfg.batch_size.  A partition with gt_keyframes trains supervised, adding
+    total_loss's gt term.  Fully deterministic given cfg.seed.
     """
     _check_partition(ds, partition)
     k = partition.k
     if k < 2:
         raise ValueError(f"training needs at least 2 clusters, got k={k}")
-    supervised = cfg.mode == "supervised"
-    gt = partition.gt_keyframes if supervised else None
-    if supervised and gt is None:
-        raise ValueError("supervised training requires a partition with gt_keyframes")
 
     n_sample = cfg.sample_size
     if k * n_sample > cfg.batch_size:
@@ -385,7 +382,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
         step_losses = []
         for step in range(steps):
             sample = sample_cluster(partition, n_sample, rng)
-            total, _ = total_loss(params, features, sample, gt, grads=grads)
+            total, _ = total_loss(params, features, sample, partition.gt_keyframes, grads=grads)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
             adam_step(params, grads, state, learning_rate=cfg.learning_rate)
@@ -404,9 +401,10 @@ class SummaryResult:
 
     def __post_init__(self):
         # bool is an int subclass and int() would truncate floats: take integers only.
-        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer))
-               for i in self.frame_indices):
-            raise ValueError("frame indices must be integers")
+        if not np.iterable(self.frame_indices) or any(
+                isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                for i in self.frame_indices):
+            raise ValueError("frame indices must be a sequence of integers")
         self.frame_indices = [int(i) for i in self.frame_indices]
         if any(i < 0 for i in self.frame_indices):
             raise ValueError("frame indices must be non-negative")
@@ -422,8 +420,8 @@ class SummaryResult:
                 "config": dict(self.config)}
 
 
-def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: ClusterPartition,
-                     method: str = "scenesum") -> SummaryResult:
+def select_keyframes(params: AutoencoderParams, ds: SceneDataset,
+                     partition: ClusterPartition) -> SummaryResult:
     """Per cluster, the frame whose encoding is nearest by cosine to the
     cluster's mean direction.
 
@@ -432,10 +430,12 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset, partition: Clu
     the mean direction.  The contrastive term sees only cosines and leaves
     latent norms free, so the pick ignores them too.  A zero encoding or a
     zero mean direction gives cosine 0.  Ties go to the lowest frame index.
-    Frames are listed in cluster-id order.
+    Frames are listed in cluster-id order.  The summary is named
+    "scenesum-supervised" if the partition carries gt_keyframes, else "scenesum".
     """
     _check_partition(ds, partition)
     u = _unit_rows(encode(params, np.asarray(ds.features, dtype=np.float64)))
     mean_dirs = _unit_rows(np.stack([u[m].mean(axis=0) for m in partition.members]))
     frames = partition.nearest_members(-(u * mean_dirs[partition.labels]).sum(axis=1))
+    method = "scenesum" if partition.gt_keyframes is None else "scenesum-supervised"
     return SummaryResult(method=method, frame_indices=frames.tolist())

@@ -164,8 +164,8 @@ def desk_grid():
                 scene = select_keyframes(params, ds, part)
 
                 gt_part = gt_pose_clustering(ds.poses, k, seed=seed)
-                sup_params, _ = train(ds, gt_part, TrainConfig(mode="supervised", seed=seed))
-                sup = select_keyframes(sup_params, ds, gt_part, method="scenesum-supervised")
+                sup_params, _ = train(ds, gt_part, TrainConfig(seed=seed))
+                sup = select_keyframes(sup_params, ds, gt_part)
 
                 rand = random_summary(ds.n_frames, k, seed=seed)
                 vs = vsumm_centroid(ds.features, k, seed=seed)

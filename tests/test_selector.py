@@ -175,6 +175,12 @@ def test_params_reject_malformed_widths_and_flat():
         for widths in ((bad, (3,), 2), (4, (bad,), 2), (4, (3,), bad)):
             with pytest.raises(ValueError, match="integer"):
                 AutoencoderParams(*widths)
+    for hidden in (3, np.int64(3), None):  # a bare width is no sequence of widths
+        with pytest.raises(ValueError, match="integer"):
+            AutoencoderParams(4, hidden, 2)
+    # models compare by identity, as partitions do, not by their flat arrays
+    a = init_params(4, (3,), 2)
+    assert a == a and (a == init_params(4, (3,), 2)) is False
     for flat in (np.zeros(size - 1), np.zeros((1, size)), np.full(size, np.nan),
                  np.full(size, "0.5"), np.zeros(size, dtype=object), np.zeros(size, dtype=bool)):
         with pytest.raises(ValueError, match="flat"):
@@ -629,7 +635,7 @@ def _reference_train(ds, partition, cfg):
     step and an Adam update that allocates its temporaries, on the same
     sample_cluster draw per step.  train must reproduce it bit for bit."""
     k = partition.k
-    gt = partition.gt_keyframes if cfg.mode == "supervised" else None
+    gt = partition.gt_keyframes
     n_sample = cfg.sample_size
     if k * n_sample > cfg.batch_size:
         n_sample = max(1, cfg.batch_size // k)
@@ -659,17 +665,17 @@ def _reference_train(ds, partition, cfg):
 @pytest.mark.parametrize("case", [
     # k * N = 32 > 20: the per-cluster sample is cut to 5
     dict(k=4, sample_size=8, batch_size=20),
-    dict(k=3, mode="supervised", sample_size=3),
+    dict(k=3, supervised=True, sample_size=3),
     dict(k=3, hidden_dims=()),
     dict(k=4, hidden_dims=(3, 4), sample_size=2),
-    dict(k=2, mode="supervised", hidden_dims=(3, 4), sample_size=5, seed=3),
+    dict(k=2, supervised=True, hidden_dims=(3, 4), sample_size=5, seed=3),
 ], ids=["cut-sample", "supervised", "no-hidden", "two-hidden", "supervised-two-hidden"])
 def test_train_matches_reference_loop_bit_for_bit(case):
     case = dict(case)
     k = case.pop("k")
+    gt = np.arange(k) + 2 * k if case.pop("supervised", False) else None
     ds = _toy_scene(n=60, dim=6, seed=4)
-    labels = np.arange(60) % k
-    part = ClusterPartition(k, labels, gt_keyframes=np.arange(k) + 2 * k)
+    part = ClusterPartition(k, np.arange(60) % k, gt_keyframes=gt)
     cfg = TrainConfig(epochs=6, latent_dim=3, **{"hidden_dims": (5,), **case})
     got_params, got_history = train(ds, part, cfg)
     want_params, want_history = _reference_train(ds, part, cfg)
@@ -787,9 +793,6 @@ def test_train_validation():
     two = ClusterPartition(2, np.arange(29) % 2)
     with pytest.raises(ValueError):
         train(ds, two, TrainConfig(epochs=1))
-    ok = ClusterPartition(2, np.arange(30) % 2)
-    with pytest.raises(ValueError, match="gt_keyframes"):
-        train(ds, ok, TrainConfig(epochs=1, mode="supervised"))
 
 
 def test_train_config_validation():
@@ -801,19 +804,23 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
-        TrainConfig(mode="semi")
-    with pytest.raises(ValueError):
         TrainConfig(sample_size=0)
     # counts and seeds must be integers: a float, a bool or a string is refused up
     # front rather than failing in train or being coerced
     for bad in ({"epochs": 1.5}, {"latent_dim": 2.5}, {"batch_size": True},
                 {"sample_size": 2.0}, {"hidden_dims": (2.5,)}, {"hidden_dims": (True,)},
                 {"hidden_dims": (0,)}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
-                {"epochs": "3"}):
+                {"epochs": "3"}, {"hidden_dims": 3}, {"hidden_dims": np.int64(3)}):
         with pytest.raises(ValueError, match="integer"):
             TrainConfig(**bad)
-    cfg = TrainConfig(epochs=0, hidden_dims=(np.int64(3),), seed=np.int32(2))
+    # the learning rate is a finite real number > 0, never a str, None or a bool
+    for bad in ("1", None, True, math.nan, math.inf, -1e-3):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
+    cfg = TrainConfig(epochs=0, hidden_dims=(np.int64(3),), seed=np.int32(2),
+                      learning_rate=np.float32(0.5))
     assert cfg.hidden_dims == (3,) and type(cfg.hidden_dims[0]) is int
+    assert TrainConfig(learning_rate=np.int64(1)).learning_rate == 1
 
 
 # ------------------------------------------------------------------ selection
@@ -843,6 +850,15 @@ def test_select_keyframes_identity_net_hand_case():
     assert result.frame_indices == [2, 4]
     assert result.frame_indices == _cosine_picks_by_loop(_identity_net(2), feats, part)
     assert result.k == 2
+
+
+def test_select_keyframes_names_a_summary_supervised_exactly_when_the_partition_has_gt():
+    ds = SceneDataset("tag", np.arange(12.0).reshape(6, 2))
+    labels = [0, 0, 0, 1, 1, 1]
+    plain = select_keyframes(_identity_net(2), ds, ClusterPartition(2, labels))
+    gt = select_keyframes(_identity_net(2), ds, ClusterPartition(2, labels, gt_keyframes=[1, 4]))
+    assert (plain.method, gt.method) == ("scenesum", "scenesum-supervised")
+    assert plain.frame_indices == gt.frame_indices  # the tag alone depends on gt_keyframes
 
 
 def test_select_keyframes_rejects_a_partition_of_another_scene():
@@ -911,6 +927,6 @@ def test_summary_result_validation():
     with pytest.raises(ValueError):
         SummaryResult(method="x", frame_indices=[-1])
     assert SummaryResult(method="x", frame_indices=np.array([3, 1])).frame_indices == [3, 1]
-    for bad in ([1.7, 2.2], [True, 3], ["4"]):
+    for bad in ([1.7, 2.2], [True, 3], ["4"], None, 5, np.int64(5)):
         with pytest.raises(ValueError):
             SummaryResult(method="x", frame_indices=bad)
