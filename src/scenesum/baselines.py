@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .clustering import ClusterPartition, kmeans
+from .clustering import ClusterPartition, _checked_points, kmeans
 from .dataset import check_count
 from .selector import SummaryResult
 
@@ -47,7 +47,6 @@ def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> SummaryRe
     frames not yet selected so the summary stays k distinct indices.
     init_rows, from clustering.kmeans_pp_rows for this seed, goes to kmeans."""
     x = np.asarray(features, dtype=np.float64)
-    _check_k(x.shape[0], k)
     centroids, labels = kmeans(x, k, seed=seed, init_rows=init_rows)
     # squared distance of each frame to its centroid, computed in one n x d
     # buffer: at 5000 x 128 two more fresh buffers made this 3x slower
@@ -66,12 +65,10 @@ def change_detect_summary(features, k: int) -> SummaryResult:
 
     Frame 0 scores 0; score ties resolve to the lowest frame index.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = _checked_points(features, k)
     n = x.shape[0]
-    _check_k(n, k)
     scores = np.zeros(n)
-    if n > 1:
-        scores[1:] = np.abs(np.diff(x, axis=0)).sum(axis=1)
+    scores[1:] = np.abs(np.diff(x, axis=0)).sum(axis=1)
     ranked = np.lexsort((np.arange(n), -scores))
     frames = sorted(int(i) for i in ranked[:k])
     return SummaryResult(method="change", frame_indices=frames, config={"n": n, "k": k})

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import baselines, metrics
 from .clustering import cluster_features, gt_pose_clustering, kmeans_pp_rows
-from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, load_dataset,
-                      read_json_object, save_dataset)
+from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, is_finite,
+                      load_dataset, read_json_object, save_dataset)
 from .selector import SummaryResult, TrainConfig, select_keyframes, train
 from .svgchart import render_line_chart
 
@@ -85,7 +84,7 @@ def _resolve(args) -> dict:
         # default's type, tested with `type() is` because bool subclasses int
         kind = type(_DEFAULTS[key])
         if kind is float:
-            ok = type(value) in (int, float) and math.isfinite(value)
+            ok = type(value) in (int, float) and is_finite(value)
         else:
             ok = type(value) is kind
         if not ok:

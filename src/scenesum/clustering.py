@@ -117,13 +117,6 @@ def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
     return np.maximum(out, 0.0, out=out)
 
 
-def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distances of every row of x to every row of c, clamped at 0."""
-    cross = x @ c.T
-    return _sq_dists_from_cross(cross, (x * x).sum(axis=1), (c * c).sum(axis=1),
-                                np.empty_like(cross))
-
-
 def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
     """((x - x[idx]) ** 2).sum(axis=1) into out, len(buf) rows at a time.
 
@@ -148,35 +141,33 @@ def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) 
 def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of x that k-means++ picks as the k initial centres, in pick order."""
     n, d = x.shape
-    buf = np.empty((min(n, max(1, _PP_BLOCK_VALUES // max(d, 1))), d))
+    buf = np.empty((min(n, max(1, _PP_BLOCK_VALUES // d)), d))
     chosen = [int(rng.integers(n))]
-    taken = set(chosen)
     d2 = _sq_dists_to_row(x, chosen[0], buf, np.empty(n))
     new = np.empty(n)
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # every remaining point coincides with a chosen centroid
-            idx = next(i for i in range(n) if i not in taken)
+            idx = int(np.setdiff1d(np.arange(n), chosen)[0])
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        taken.add(idx)
         np.minimum(d2, _sq_dists_to_row(x, idx, buf, new), out=d2)
     return np.array(chosen, dtype=np.int64)
 
 
-def _checked_points(features, k: int, seed: int) -> np.ndarray:
-    """features as a C-order float64 matrix of at least k finite rows; ValueError otherwise."""
+def _checked_points(features, k: int) -> np.ndarray:
+    """The one feature-matrix check: features as a C-order float64 2-d matrix of
+    finite values, at least one column and at least k rows, k an integer >= 1."""
     # C order for the blocked seeding pass; the results do not depend on the
     # caller's memory layout
     x = np.asarray(features, dtype=np.float64, order="C")
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-d, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"features must be 2-d with at least one column, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("NaN or Inf detected in features")
     check_count("k", k)
-    check_count("seed", seed, 0)
     if k > x.shape[0]:
         raise ValueError(f"k ({k}) exceeds number of frames ({x.shape[0]})")
     return x
@@ -190,7 +181,8 @@ def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
     runs kmeans at several k for one seed can seed once, at the largest k, and
     pass the rows as kmeans(..., init_rows=).
     """
-    x = _checked_points(features, k, seed)
+    x = _checked_points(features, k)
+    check_count("seed", seed, 0)
     return _kmeans_pp_rows(x, k, np.random.default_rng(seed))
 
 
@@ -205,7 +197,8 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     Returns (centroids, labels), plus the per-assignment inertia history when
     return_history is set.
     """
-    x = _checked_points(features, k, seed)
+    x = _checked_points(features, k)
+    check_count("seed", seed, 0)
     n, d = x.shape
     if init_rows is None:
         init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed))
@@ -290,15 +283,15 @@ def balance_assignment(features, centroids) -> np.ndarray:
     centroid minus distance to nearest); each goes to its nearest centroid that
     still has room.  Room means the cluster is below ceil(n/k) and, once the
     n mod k above-floor slots are spoken for, below floor(n/k).
-    features needs at least k finite rows; centroids must be finite, 2-d, with
-    at least one row and the features' column count.  ValueError otherwise.
+    features pass the feature-matrix check at k; centroids must be finite, 2-d,
+    with at least one row and the features' column count.  ValueError otherwise.
     """
     c = np.asarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] < 1:
         raise ValueError(f"centroids must be 2-d with at least one row, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("NaN or Inf detected in centroids")
-    x = _checked_points(features, len(c), 0)
+    x = _checked_points(features, len(c))
     if x.shape[1] != c.shape[1]:
         raise ValueError(f"centroids have {c.shape[1]} columns, the features {x.shape[1]}")
     n, k = x.shape[0], c.shape[0]
@@ -308,7 +301,8 @@ def balance_assignment(features, centroids) -> np.ndarray:
     if k == 1:
         return labels
 
-    dist = np.sqrt(_pairwise_sq_dists(x, c))
+    dist = np.sqrt(_sq_dists_from_cross(x @ c.T, (x * x).sum(axis=1), (c * c).sum(axis=1),
+                                        np.empty((n, k))))
     preference = np.argsort(dist, axis=1, kind="stable")  # ties to lowest id
     nearest_two = np.take_along_axis(dist, preference[:, :2], axis=1)
     margin = nearest_two[:, 1] - nearest_two[:, 0]

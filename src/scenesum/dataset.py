@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,12 +34,16 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def is_finite(value) -> bool:
+    """Whether a number is finite as a float; an int too large for one is not."""
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+
+
 def check_real(name: str, value, zero_ok: bool = False) -> None:
     """ValueError unless value is a finite int, float or numpy number > 0, or
     >= 0 when zero_ok.  A bool or a str is no number here."""
-    real = isinstance(value, (float, np.floating)) and np.isfinite(value)
-    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (real or whole) or value < 0 or (value == 0 and not zero_ok):
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and is_finite(value)) or value < 0 or (value == 0 and not zero_ok):
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
@@ -114,14 +120,6 @@ class SyntheticConfig:
         check_real("noise_sigma", self.noise_sigma, zero_ok=True)
 
 
-def _reflect(values: np.ndarray, side: float) -> np.ndarray:
-    # Fold an unconstrained coordinate back into [0, side] as if bouncing off
-    # the walls; folding the cumulative sum is equivalent to reflecting each step.
-    period = 2.0 * side
-    m = np.mod(values, period)
-    return np.where(m > side, period - m, m)
-
-
 def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
     """Simulate a reflected 2-d random walk and per-frame feature vectors.
 
@@ -134,7 +132,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
     steps = rng.normal(0.0, cfg.step_sigma, size=(cfg.n_frames - 1, 2))
     center = cfg.box_side / 2.0
     raw = center + np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
-    xy = _reflect(raw, cfg.box_side)
+    # Fold each coordinate back into [0, box_side] as if bouncing off the
+    # walls; folding the cumulative sum is equivalent to reflecting each step.
+    period = 2.0 * cfg.box_side
+    m = np.mod(raw, period)
+    xy = np.where(m > cfg.box_side, period - m, m)
 
     if cfg.feature_mode == "pose_correlated":
         # Frequency scale 2*pi/box_side gives wavelengths on the order of the

@@ -290,22 +290,14 @@ class TrainConfig:
         check_real("learning_rate", self.learning_rate)
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators over the flat parameter buffer, and two
-    scratch buffers of the same size that adam_step computes the update in."""
+    """Adam's state for params at step t = 0: zero first/second moments over
+    params.flat and two scratch buffers of its size for adam_step's update."""
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, params: AutoencoderParams):
+        self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        self.t = 0
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
-
-    @classmethod
-    def for_params(cls, params: AutoencoderParams) -> "AdamState":
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: AutoencoderParams, grads: AutoencoderParams, state: AdamState, *,
@@ -373,7 +365,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     params = init_params(ds.dim, cfg.hidden_dims, cfg.latent_dim, rng)
     features = np.asarray(ds.features, dtype=np.float64)
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     grads = AutoencoderParams(ds.dim, cfg.hidden_dims, cfg.latent_dim)  # overwritten by every step
     steps = max(1, math.ceil(ds.n_frames / (k * n_sample)))
 
@@ -434,7 +426,7 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset,
     "scenesum-supervised" if the partition carries gt_keyframes, else "scenesum".
     """
     _check_partition(ds, partition)
-    u = _unit_rows(encode(params, np.asarray(ds.features, dtype=np.float64)))
+    u = _unit_rows(encode(params, ds.features))
     mean_dirs = _unit_rows(np.stack([u[m].mean(axis=0) for m in partition.members]))
     frames = partition.nearest_members(-(u * mean_dirs[partition.labels]).sum(axis=1))
     method = "scenesum" if partition.gt_keyframes is None else "scenesum-supervised"

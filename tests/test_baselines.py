@@ -107,6 +107,18 @@ def test_baselines_validate_k():
         change_detect_summary(np.ones((5, 2)), 0)
 
 
+@pytest.mark.parametrize("features", [
+    np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, 0.0]]),
+    np.array([[0.0, 1.0], [np.inf, 1.0], [2.0, 0.0]]),
+    np.arange(3.0),
+    np.ones((3, 0)),
+], ids=["nan", "inf", "1-d", "zero-columns"])
+@pytest.mark.parametrize("fn", [vsumm_centroid, change_detect_summary], ids=["vsumm", "change"])
+def test_feature_baselines_reject_malformed_features(fn, features):
+    with pytest.raises(ValueError):
+        fn(features, 2)
+
+
 def test_method_tags():
     assert uniform_summary(4, 2).method == "uniform"
     assert random_summary(4, 2).method == "random"

@@ -177,15 +177,21 @@ def test_config_file_must_hold_an_object(scene_dir, tmp_path):
     ["evaluate", "{tmp}/s.json", "{scene}", "--r-max", "nan", "--out", "{tmp}/e"],
     ["evaluate", "{tmp}/s.json", "{scene}", "--r-max", "inf", "--out", "{tmp}/e"],
     ["evaluate", "{tmp}/s.json", "{scene}", "--config", "{tmp}/inf.json", "--out", "{tmp}/e"],
+    ["generate", "--out", "{tmp}/g", "--config", "{tmp}/huge_box.json"],
+    ["evaluate", "{tmp}/s.json", "{scene}", "--config", "{tmp}/huge_r.json", "--out", "{tmp}/e"],
     ["sweep", "{scene}", "--methods", "uniform", "--ks", "2", "--r-max", "nan",
      "--out", "{tmp}/x.csv"],
     ["summarize", "{scene}", "--method", "uniform", "--lr", "nan", "--out", "{tmp}/x.json"],
 ], ids=["box-nan", "box-inf", "step-inf", "noise-inf", "generate-config-nan", "eval-nan",
-        "eval-inf", "eval-config-inf", "sweep-nan", "lr-nan"])
+        "eval-inf", "eval-config-inf", "generate-config-huge-int", "eval-config-huge-int",
+        "sweep-nan", "lr-nan"])
 def test_non_finite_real_option_is_a_usage_error(scene_dir, tmp_path, capsys, argv):
     # JSON config files may spell NaN and Infinity, which Python's parser accepts
     (tmp_path / "nan.json").write_text('{"noise_sigma": NaN}')
     (tmp_path / "inf.json").write_text('{"r_max": Infinity}')
+    # an integer too large for a float is no finite real either
+    (tmp_path / "huge_box.json").write_text(json.dumps({"box_side": 10**400}))
+    (tmp_path / "huge_r.json").write_text(json.dumps({"r_max": 10**400}))
     (tmp_path / "s.json").write_text(json.dumps({"method": "x", "k": 2, "frames": [0, 5]}))
     before = sorted(p.name for p in tmp_path.iterdir())
     argv = [a.format(tmp=tmp_path, scene=scene_dir / "manifest.json") for a in argv]

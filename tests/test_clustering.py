@@ -290,6 +290,10 @@ def test_kmeans_input_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         kmeans(bad, 2)
+    # a matrix without columns has no points to cluster
+    for fn in (kmeans, kmeans_pp_rows):
+        with pytest.raises(ValueError, match="column"):
+            fn(np.ones((3, 0)), 2)
 
 
 def test_balance_keeps_already_balanced_assignment():
@@ -325,6 +329,7 @@ def test_balance_sizes_differ_by_at_most_one():
     (np.ones(5), np.ones((1, 1)), "2-d"),
     (np.ones((5, 2)), np.ones((6, 2)), "exceeds"),
     (np.ones((5, 2)), np.ones((2, 3)), "columns"),
+    (np.ones((5, 0)), np.ones((2, 0)), "column"),
 ])
 def test_balance_rejects_bad_inputs(features, centroids, match):
     with pytest.raises(ValueError, match=match):

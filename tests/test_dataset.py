@@ -98,7 +98,7 @@ def test_synthetic_config_validation():
             SyntheticConfig(seed=bad)
     # a real knob is a finite number: a str, None or a bool is refused, not coerced
     for key in ("box_side", "step_sigma", "noise_sigma"):
-        for bad in (float("nan"), float("inf"), "1", None, True):
+        for bad in (float("nan"), float("inf"), 10**400, "1", None, True):
             with pytest.raises(ValueError, match=key):
                 SyntheticConfig(**{key: bad})
     SyntheticConfig(box_side=np.float32(5.0), step_sigma=np.int64(2), noise_sigma=0)

@@ -155,7 +155,8 @@ def test_curve_steps_may_be_a_numpy_integer():
     assert curve.thresholds.tolist() == [0.0, 0.75, 1.5, 2.25, 3.0]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "3", None, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "3", None, True,
+                                 pytest.param(10**400, id="huge-int")])
 @pytest.mark.parametrize("fn", [similar_pair_count, divergence, divergence_curve],
                          ids=["similar_pair_count", "divergence", "divergence_curve"])
 def test_non_finite_threshold_is_rejected(fn, bad):

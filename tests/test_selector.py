@@ -492,7 +492,7 @@ def test_adam_zero_gradient_is_identity():
     params = init_params(3, (2,), 2, rng=0)
     before = _flatten(params).copy()
     zeros = AutoencoderParams(3, (2,), 2)
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     adam_step(params, zeros, state, learning_rate=0.1)
     assert state.t == 1
     assert np.array_equal(_flatten(params), before)
@@ -502,7 +502,7 @@ def test_adam_first_step_moves_by_learning_rate():
     # With bias correction the first update is lr * g / (|g| + eps) = lr * sign(g).
     params = AutoencoderParams(1, (), 1, np.array([1.0, 0.5, 1.0, 0.0]))
     grads = AutoencoderParams(1, (), 1, np.array([3.0, -2.0, 0.0, 0.0]))
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     adam_step(params, grads, state, learning_rate=0.01)
     assert abs(params.encoder[0][0][0, 0] - (1.0 - 0.01)) < 1e-9
     assert abs(params.encoder[0][1][0] - (0.5 + 0.01)) < 1e-9
@@ -516,7 +516,7 @@ def test_adam_flat_update_equals_per_array_reference():
     ref = [a.copy() for layer in params.encoder + params.decoder for a in layer]
     ref_m = [np.zeros_like(a) for a in ref]
     ref_v = [np.zeros_like(a) for a in ref]
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     rng = np.random.default_rng(4)
     lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 4):
@@ -539,7 +539,7 @@ def test_adam_update_past_unit_bias_correction_matches_the_plain_formula():
     params = init_params(3, (4,), 2, rng=5)
     ref = params.flat.copy()
     ref_m, ref_v = np.zeros_like(ref), np.zeros_like(ref)
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     grads = AutoencoderParams(3, (4,), 2)
     rng = np.random.default_rng(6)
     lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -814,7 +814,7 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match="integer"):
             TrainConfig(**bad)
     # the learning rate is a finite real number > 0, never a str, None or a bool
-    for bad in ("1", None, True, math.nan, math.inf, -1e-3):
+    for bad in ("1", None, True, math.nan, math.inf, 10**400, -1e-3):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=bad)
     cfg = TrainConfig(epochs=0, hidden_dims=(np.int64(3),), seed=np.int32(2),
