@@ -27,7 +27,7 @@ def uniform_summary(n: int, k: int) -> SummaryResult:
         frames = [0]
     else:
         frames = [int(math.floor(i * (n - 1) / (k - 1) + 0.5)) for i in range(k)]
-    return SummaryResult(method="uniform", frame_indices=frames, config={"n": n, "k": k})
+    return SummaryResult(method="uniform", frame_indices=frames)
 
 
 def random_summary(n: int, k: int, seed: int = 0) -> SummaryResult:
@@ -36,8 +36,7 @@ def random_summary(n: int, k: int, seed: int = 0) -> SummaryResult:
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     frames = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
-    return SummaryResult(method="random", frame_indices=frames,
-                         config={"n": n, "k": k, "seed": seed})
+    return SummaryResult(method="random", frame_indices=frames)
 
 
 def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> SummaryResult:
@@ -56,8 +55,7 @@ def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> SummaryRe
     used = set(picks.tolist())
     spare = (i for i in range(x.shape[0]) if i not in used)
     frames = [int(f) if f >= 0 else next(spare) for f in picks]
-    return SummaryResult(method="vsumm", frame_indices=frames,
-                         config={"n": x.shape[0], "k": k, "seed": seed})
+    return SummaryResult(method="vsumm", frame_indices=frames)
 
 
 def change_detect_summary(features, k: int) -> SummaryResult:
@@ -71,4 +69,4 @@ def change_detect_summary(features, k: int) -> SummaryResult:
     scores[1:] = np.abs(np.diff(x, axis=0)).sum(axis=1)
     ranked = np.lexsort((np.arange(n), -scores))
     frames = sorted(int(i) for i in ranked[:k])
-    return SummaryResult(method="change", frame_indices=frames, config={"n": n, "k": k})
+    return SummaryResult(method="change", frame_indices=frames)

@@ -5,8 +5,10 @@ Commands: generate (synthetic scenes), summarize (pick keyframes), evaluate
 Exit codes: 0 success, 1 I/O or data failure, 2 usage error, 3 missing
 capability (e.g. a pose-dependent method on a pose-free dataset).
 
-Option precedence is flags > --config JSON file > built-in defaults, and the
-resolved configuration is embedded in every output file.
+Option precedence is flags > --config JSON file > built-in defaults.  The
+resolved configuration is embedded, as "config", in the two JSON outputs: the
+summary (for every method) and the evaluate report.  The manifest, sweep.csv,
+the curve CSV and the SVG chart do not carry it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ _DEFAULTS = {
     "noise_sigma": _SYNTH.noise_sigma,
     "method": "scenesum",
     "k": 10,
-    "n_sample": _TRAIN.sample_size,
     "epochs": _TRAIN.epochs,
     "lr": _TRAIN.learning_rate,
     "latent": _TRAIN.latent_dim,
@@ -137,8 +138,7 @@ def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
         raise CapabilityError("method scenesum-supervised requires a dataset with poses")
     try:
         cfg = TrainConfig(batch_size=opts["batch_size"], learning_rate=opts["lr"],
-                          epochs=opts["epochs"], latent_dim=opts["latent"],
-                          sample_size=opts["n_sample"], seed=seed)
+                          epochs=opts["epochs"], latent_dim=opts["latent"], seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     partition = (gt_pose_clustering(ds.poses, k, seed=seed) if supervised
@@ -167,8 +167,9 @@ def cmd_summarize(args) -> int:
     resolved = _resolve(args)
     ds = load_dataset(args.manifest)
     summary = _run_method(ds, resolved["method"], resolved["k"], resolved["seed"], resolved)
-    summary.config.update(resolved)
-    return _write({Path(args.out): json.dumps(summary.as_dict(), indent=2) + "\n"})
+    frames = summary.frame_indices
+    record = {"method": summary.method, "k": len(frames), "frames": frames, "config": resolved}
+    return _write({Path(args.out): json.dumps(record, indent=2) + "\n"})
 
 
 def cmd_evaluate(args) -> int:
@@ -269,7 +270,7 @@ class _Command(NamedTuple):
     out: dict  # add_argument keywords for --out
 
 
-_TRAIN_KEYS = ("n_sample", "epochs", "lr", "latent", "batch_size")
+_TRAIN_KEYS = ("epochs", "lr", "latent", "batch_size")
 _MANIFEST = ("manifest", "path to the dataset manifest")
 _COMMANDS = {
     "generate": _Command(

@@ -14,7 +14,6 @@ and backward over the pools, and one pair loss that returns its value and dL/dS.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,17 +273,15 @@ def grad(params: AutoencoderParams, features, sample: ClusterSample, gt_keyframe
 class TrainConfig:
     """Training hyperparameters; defaults are desk-scale except where noted."""
 
-    batch_size: int = 64
+    batch_size: int = 64  # a step draws max(1, batch_size // k) frames of each of k clusters
     learning_rate: float = 1e-3
     epochs: int = 100
     latent_dim: int = 64  # reference runs use 2048; validated but not required here
     hidden_dims: tuple[int, ...] = (128,)
-    sample_size: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("latent_dim", 1), ("sample_size", 1),
-                          ("epochs", 0), ("seed", 0)):
+        for name, low in (("batch_size", 1), ("latent_dim", 1), ("epochs", 0), ("seed", 0)):
             check_count(name, getattr(self, name), low)
         self.hidden_dims = _hidden_widths(self.hidden_dims)
         check_real("learning_rate", self.learning_rate)
@@ -346,22 +343,16 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     """Fit the autoencoder on cluster samples; returns (params, per-epoch mean loss).
 
     Each epoch runs ceil(n_frames / (k * N)) steps; each step makes one
-    sample_cluster call, which draws N frames of every cluster as one
-    ClusterSample.  N is reduced with a warning if k * N would exceed
-    cfg.batch_size.  A partition with gt_keyframes trains supervised, adding
-    total_loss's gt term.  Fully deterministic given cfg.seed.
+    sample_cluster call, which draws N = max(1, cfg.batch_size // k) frames of
+    every cluster as one ClusterSample.  A partition with gt_keyframes trains
+    supervised, adding total_loss's gt term.  Fully deterministic given cfg.seed.
     """
     _check_partition(ds, partition)
     k = partition.k
     if k < 2:
         raise ValueError(f"training needs at least 2 clusters, got k={k}")
 
-    n_sample = cfg.sample_size
-    if k * n_sample > cfg.batch_size:
-        n_sample = max(1, cfg.batch_size // k)
-        warnings.warn(f"reducing per-cluster sample size {cfg.sample_size} -> {n_sample} "
-                      f"so k*N stays within batch_size={cfg.batch_size}")
-
+    n_sample = max(1, cfg.batch_size // k)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(ds.dim, cfg.hidden_dims, cfg.latent_dim, rng)
     features = np.asarray(ds.features, dtype=np.float64)
@@ -385,11 +376,10 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
 
 @dataclass
 class SummaryResult:
-    """Selected keyframes with the method tag and the config that produced them."""
+    """Selected keyframes with the tag of the method that picked them."""
 
     method: str
     frame_indices: list[int]
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # bool is an int subclass and int() would truncate floats: take integers only.
@@ -402,14 +392,6 @@ class SummaryResult:
             raise ValueError("frame indices must be non-negative")
         if len(set(self.frame_indices)) != len(self.frame_indices):
             raise ValueError("frame indices must be distinct")
-
-    @property
-    def k(self) -> int:
-        return len(self.frame_indices)
-
-    def as_dict(self) -> dict:
-        return {"method": self.method, "k": self.k, "frames": list(self.frame_indices),
-                "config": dict(self.config)}
 
 
 def select_keyframes(params: AutoencoderParams, ds: SceneDataset,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -155,22 +154,20 @@ def desk_grid():
     ds = generate_synthetic(SyntheticConfig(n_frames=500, dim=64, box_side=20.0, seed=23))
     aucs = {}
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # per-cluster sample cap notice
-        for k in (10, 20):
-            for seed in range(5):
-                part = cluster_features(ds.features, k, seed=seed)
-                params, _ = train(ds, part, TrainConfig(seed=seed))
-                scene = select_keyframes(params, ds, part)
+    for k in (10, 20):
+        for seed in range(5):
+            part = cluster_features(ds.features, k, seed=seed)
+            params, _ = train(ds, part, TrainConfig(seed=seed))
+            scene = select_keyframes(params, ds, part)
 
-                gt_part = gt_pose_clustering(ds.poses, k, seed=seed)
-                sup_params, _ = train(ds, gt_part, TrainConfig(seed=seed))
-                sup = select_keyframes(sup_params, ds, gt_part)
+            gt_part = gt_pose_clustering(ds.poses, k, seed=seed)
+            sup_params, _ = train(ds, gt_part, TrainConfig(seed=seed))
+            sup = select_keyframes(sup_params, ds, gt_part)
 
-                rand = random_summary(ds.n_frames, k, seed=seed)
-                vs = vsumm_centroid(ds.features, k, seed=seed)
-                for summary in (scene, sup, rand, vs):
-                    aucs[(summary.method, k, seed)] = _area(ds, summary.frame_indices)
+            rand = random_summary(ds.n_frames, k, seed=seed)
+            vs = vsumm_centroid(ds.features, k, seed=seed)
+            for summary in (scene, sup, rand, vs):
+                aucs[(summary.method, k, seed)] = _area(ds, summary.frame_indices)
     return {"aucs": aucs, "elapsed": time.perf_counter() - t0}
 
 

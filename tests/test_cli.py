@@ -73,6 +73,12 @@ def test_no_command_is_a_usage_error():
     assert main([]) == 2
 
 
+def _resolved_summarize_options(**flags) -> list:
+    """summarize's (key, value) options as resolved from flags over the defaults,
+    in the order a summary's config lists them."""
+    return [(key, flags.get(key, _DEFAULTS[key])) for key in _COMMANDS["summarize"].keys]
+
+
 @pytest.mark.parametrize("method", ["uniform", "random", "vsumm", "change"])
 def test_summarize_baseline_methods(scene_dir, tmp_path, method):
     out = tmp_path / f"{method}.json"
@@ -84,7 +90,8 @@ def test_summarize_baseline_methods(scene_dir, tmp_path, method):
     assert payload["k"] == 4
     assert len(set(payload["frames"])) == 4
     assert all(0 <= f < 60 for f in payload["frames"])
-    assert payload["config"]["k"] == 4
+    # a baseline's record of how it was made is the resolved options, nothing else
+    assert list(payload["config"].items()) == _resolved_summarize_options(method=method, k=4)
 
 
 def test_summarize_scenesum(scene_dir, tmp_path):
@@ -94,8 +101,10 @@ def test_summarize_scenesum(scene_dir, tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["method"] == "scenesum"
+    assert payload["k"] == 3
     assert len(set(payload["frames"])) == 3
-    assert payload["config"]["epochs"] == 20
+    assert list(payload["config"].items()) == _resolved_summarize_options(
+        method="scenesum", k=3, epochs=20, latent=6)
 
 
 def test_summarize_supervised_needs_poses(poseless_dir, tmp_path, capsys):
@@ -226,12 +235,14 @@ def test_negative_seed_is_a_usage_error(scene_dir, tmp_path, capsys, argv):
 
 
 def test_config_file_rejects_unknown_keys(scene_dir, tmp_path):
-    cfg = tmp_path / "typo.json"
-    cfg.write_text(json.dumps({"epoch": 1}))
-    rc = main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
-               "--config", str(cfg), "--out", str(tmp_path / "x.json")])
-    assert rc == 2
-    assert not (tmp_path / "x.json").exists()
+    # a typo, and n_sample, a key that batch_size replaced
+    for payload in ({"epoch": 1}, {"n_sample": 8}):
+        cfg = tmp_path / "unknown.json"
+        cfg.write_text(json.dumps(payload))
+        rc = main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
+                   "--config", str(cfg), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("payload", [{"k": 5.7}, {"k": True}, {"k": "5"}, {"lr": True},
@@ -554,10 +565,10 @@ def test_sweep_requires_poses(poseless_dir, tmp_path):
 
 _FLAGS = {
     "generate": "--frames --dim --mode --seed --box-side --step-sigma --noise-sigma --out --config",
-    "summarize": "--method --k --seed --n-sample --epochs --lr --latent --batch-size --out --config",
+    "summarize": "--method --k --seed --epochs --lr --latent --batch-size --out --config",
     "evaluate": "--r-max --steps --svg --out --config",
-    "sweep": "--methods --ks --seeds --r-max --steps --n-sample --epochs --lr --latent "
-             "--batch-size --out --config",
+    "sweep": "--methods --ks --seeds --r-max --steps --epochs --lr --latent --batch-size "
+             "--out --config",
 }
 
 

@@ -35,7 +35,7 @@ def test_tracer_counts_every_sampled_row_of_a_traced_summary(tmp_path):
                     "dataset": dataset, "metrics": metrics, "selector": selector})
     try:
         rc = cli.main(["summarize", str(scene / "manifest.json"), "--method", "scenesum",
-                       "--k", str(k), "--n-sample", str(n_sample), "--epochs", "2",
+                       "--k", str(k), "--batch-size", str(k * n_sample), "--epochs", "2",
                        "--latent", "4", "--out", str(tmp_path / "summary.json")])
     finally:
         tracer.uninstall()

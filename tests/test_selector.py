@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -636,9 +637,7 @@ def _reference_train(ds, partition, cfg):
     sample_cluster draw per step.  train must reproduce it bit for bit."""
     k = partition.k
     gt = partition.gt_keyframes
-    n_sample = cfg.sample_size
-    if k * n_sample > cfg.batch_size:
-        n_sample = max(1, cfg.batch_size // k)
+    n_sample = max(1, cfg.batch_size // k)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(ds.dim, cfg.hidden_dims, cfg.latent_dim, rng)
     features = np.asarray(ds.features, dtype=np.float64)
@@ -661,14 +660,13 @@ def _reference_train(ds, partition, cfg):
     return params, history
 
 
-@pytest.mark.filterwarnings("ignore:reducing per-cluster sample size")
 @pytest.mark.parametrize("case", [
-    # k * N = 32 > 20: the per-cluster sample is cut to 5
-    dict(k=4, sample_size=8, batch_size=20),
-    dict(k=3, supervised=True, sample_size=3),
-    dict(k=3, hidden_dims=()),
-    dict(k=4, hidden_dims=(3, 4), sample_size=2),
-    dict(k=2, supervised=True, hidden_dims=(3, 4), sample_size=5, seed=3),
+    # N = batch_size // k frames per cluster: 5, 3, 8, 2 and 5
+    dict(k=4, batch_size=20),
+    dict(k=3, supervised=True, batch_size=9),
+    dict(k=3, hidden_dims=(), batch_size=24),
+    dict(k=4, hidden_dims=(3, 4), batch_size=8),
+    dict(k=2, supervised=True, hidden_dims=(3, 4), batch_size=10, seed=3),
 ], ids=["cut-sample", "supervised", "no-hidden", "two-hidden", "supervised-two-hidden"])
 def test_train_matches_reference_loop_bit_for_bit(case):
     case = dict(case)
@@ -690,7 +688,7 @@ def test_training_step_allocates_nothing_of_parameter_size(monkeypatch):
     # from mark to mark around every Adam call; the first interval holds set-up.
     ds = _toy_scene(n=16, dim=128, seed=3)
     part = ClusterPartition(2, np.arange(16) % 2)
-    cfg = TrainConfig(epochs=1, latent_dim=16, hidden_dims=(512,), sample_size=1, seed=0)
+    cfg = TrainConfig(epochs=1, latent_dim=16, hidden_dims=(512,), batch_size=2, seed=0)
     real_adam_step = selector.adam_step
     peaks, base = [], [0]
 
@@ -719,7 +717,7 @@ def test_train_draws_one_sample_per_step_through_the_module_name(monkeypatch):
     # it up there and call it once per step for all k clusters.
     ds = _toy_scene(n=30)
     part = ClusterPartition(3, np.arange(30) % 3)
-    cfg = TrainConfig(epochs=4, latent_dim=2, hidden_dims=(3,), sample_size=2, seed=1)
+    cfg = TrainConfig(epochs=4, latent_dim=2, hidden_dims=(3,), batch_size=6, seed=1)
     rows = []
 
     def counting_sample_cluster(*args, **kwargs):
@@ -752,7 +750,7 @@ def test_train_zero_epochs_returns_initial_params():
 def test_train_is_deterministic():
     ds = _toy_scene()
     part = ClusterPartition(3, np.arange(30) % 3)
-    cfg = TrainConfig(epochs=3, latent_dim=2, hidden_dims=(3,), sample_size=2, seed=1)
+    cfg = TrainConfig(epochs=3, latent_dim=2, hidden_dims=(3,), batch_size=6, seed=1)
     p1, h1 = train(ds, part, cfg)
     p2, h2 = train(ds, part, cfg)
     assert h1 == h2
@@ -762,7 +760,7 @@ def test_train_is_deterministic():
 def test_train_reduces_loss():
     ds = _toy_scene(n=60, dim=6, seed=2)
     part = ClusterPartition(3, np.arange(60) % 3)
-    cfg = TrainConfig(epochs=40, latent_dim=4, hidden_dims=(8,), sample_size=4, seed=0)
+    cfg = TrainConfig(epochs=40, latent_dim=4, hidden_dims=(8,), batch_size=12, seed=0)
     _, history = train(ds, part, cfg)
     assert history[-1] < history[0]
 
@@ -771,18 +769,32 @@ def test_train_rejects_non_finite_loss():
     ds = _toy_scene(n=60, dim=6, seed=2)
     part = ClusterPartition(3, np.arange(60) % 3)
     cfg = TrainConfig(epochs=3, learning_rate=1e300, latent_dim=4, hidden_dims=(8,),
-                      sample_size=4, seed=0)
+                      batch_size=12, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"training loss is .* at epoch \d+, step \d+"):
             train(ds, part, cfg)
 
 
-def test_train_warns_when_batch_cannot_hold_samples():
-    ds = _toy_scene(n=40)
-    part = ClusterPartition(5, np.arange(40) % 5)
-    cfg = TrainConfig(epochs=1, latent_dim=2, hidden_dims=(3,), sample_size=8, batch_size=16)
-    with pytest.warns(UserWarning, match="reducing"):
+@pytest.mark.parametrize("k", [8, 10, 20, 65, 100])
+def test_default_training_draws_the_batch_split_over_the_clusters(monkeypatch, k):
+    # The default batch of 64 holds N = max(1, 64 // k) frames of each cluster,
+    # one frame each once k > 64, and training says nothing about it.
+    ds = _toy_scene(n=200)
+    part = ClusterPartition(k, np.arange(200) % k)
+    cfg = TrainConfig(epochs=1, latent_dim=2, hidden_dims=(3,))
+    shapes = []
+
+    def recording_sample_cluster(*args, **kwargs):
+        sample = sample_cluster(*args, **kwargs)
+        shapes.append(sample.table.shape)
+        return sample
+
+    monkeypatch.setattr(selector, "sample_cluster", recording_sample_cluster)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         train(ds, part, cfg)
+    n_sample = max(1, 64 // k)
+    assert shapes == [(k, n_sample)] * math.ceil(200 / (k * n_sample))
 
 
 def test_train_validation():
@@ -803,12 +815,12 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(sample_size=0)
+    with pytest.raises(TypeError):  # batch_size alone sets the per-cluster sample
+        TrainConfig(sample_size=8)
     # counts and seeds must be integers: a float, a bool or a string is refused up
     # front rather than failing in train or being coerced
     for bad in ({"epochs": 1.5}, {"latent_dim": 2.5}, {"batch_size": True},
-                {"sample_size": 2.0}, {"hidden_dims": (2.5,)}, {"hidden_dims": (True,)},
+                {"batch_size": 2.0}, {"hidden_dims": (2.5,)}, {"hidden_dims": (True,)},
                 {"hidden_dims": (0,)}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
                 {"epochs": "3"}, {"hidden_dims": 3}, {"hidden_dims": np.int64(3)}):
         with pytest.raises(ValueError, match="integer"):
@@ -849,7 +861,6 @@ def test_select_keyframes_identity_net_hand_case():
     result = select_keyframes(_identity_net(2), ds, part)
     assert result.frame_indices == [2, 4]
     assert result.frame_indices == _cosine_picks_by_loop(_identity_net(2), feats, part)
-    assert result.k == 2
 
 
 def test_select_keyframes_names_a_summary_supervised_exactly_when_the_partition_has_gt():
@@ -920,8 +931,7 @@ def test_summary_result_validation():
     from scenesum.selector import SummaryResult
 
     r = SummaryResult(method="x", frame_indices=[4, 2, 7])
-    assert r.k == 3
-    assert r.as_dict()["frames"] == [4, 2, 7]
+    assert (r.method, r.frame_indices) == ("x", [4, 2, 7])
     with pytest.raises(ValueError):
         SummaryResult(method="x", frame_indices=[1, 1])
     with pytest.raises(ValueError):
