@@ -1,6 +1,6 @@
 """Classic summarizers used for comparison: evenly spaced frames, seeded random
 frames, nearest-to-centroid cluster representatives, and content-change peaks.
-Every baseline returns k distinct frame indices."""
+Every baseline returns k distinct frame indices as a list of ints."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from .clustering import ClusterPartition, _checked_points, kmeans
 from .dataset import check_count
-from .selector import SummaryResult
 
 
 def _check_k(n: int, k: int) -> None:
@@ -20,26 +19,23 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"k ({k}) exceeds number of frames ({n})")
 
 
-def uniform_summary(n: int, k: int) -> SummaryResult:
+def uniform_summary(n: int, k: int) -> list[int]:
     """Evenly spaced indices round(i * (n-1) / (k-1)); frame 0 alone when k=1."""
     _check_k(n, k)
     if k == 1:
-        frames = [0]
-    else:
-        frames = [int(math.floor(i * (n - 1) / (k - 1) + 0.5)) for i in range(k)]
-    return SummaryResult(method="uniform", frame_indices=frames)
+        return [0]
+    return [int(math.floor(i * (n - 1) / (k - 1) + 0.5)) for i in range(k)]
 
 
-def random_summary(n: int, k: int, seed: int = 0) -> SummaryResult:
+def random_summary(n: int, k: int, seed: int = 0) -> list[int]:
     """k distinct frames drawn uniformly, sorted ascending; deterministic per seed."""
     _check_k(n, k)
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    frames = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
-    return SummaryResult(method="random", frame_indices=frames)
+    return sorted(rng.choice(n, size=k, replace=False).tolist())
 
 
-def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> SummaryResult:
+def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> list[int]:
     """k-means on features; each cluster is represented by the frame nearest its
     centroid (ties to the lowest index).  Empty clusters, which only occur for
     degenerate inputs such as all-identical frames, fall back to the lowest
@@ -54,11 +50,10 @@ def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> SummaryRe
     picks = ClusterPartition(k, labels).nearest_members(np.square(diff, out=diff).sum(axis=1))
     used = set(picks.tolist())
     spare = (i for i in range(x.shape[0]) if i not in used)
-    frames = [int(f) if f >= 0 else next(spare) for f in picks]
-    return SummaryResult(method="vsumm", frame_indices=frames)
+    return [int(f) if f >= 0 else next(spare) for f in picks]
 
 
-def change_detect_summary(features, k: int) -> SummaryResult:
+def change_detect_summary(features, k: int) -> list[int]:
     """Top-k frames by L1 change against the previous frame, sorted ascending.
 
     Frame 0 scores 0; score ties resolve to the lowest frame index.
@@ -68,5 +63,4 @@ def change_detect_summary(features, k: int) -> SummaryResult:
     scores = np.zeros(n)
     scores[1:] = np.abs(np.diff(x, axis=0)).sum(axis=1)
     ranked = np.lexsort((np.arange(n), -scores))
-    frames = sorted(int(i) for i in ranked[:k])
-    return SummaryResult(method="change", frame_indices=frames)
+    return sorted(ranked[:k].tolist())

@@ -21,12 +21,13 @@ from typing import Callable, NamedTuple
 
 from . import baselines, metrics
 from .clustering import cluster_features, gt_pose_clustering, kmeans_pp_rows
-from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, is_finite,
-                      load_dataset, read_json_object, save_dataset)
-from .selector import SummaryResult, TrainConfig, select_keyframes, train
+from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, index_array,
+                      is_finite, load_dataset, read_json_object, save_dataset)
+from .selector import TrainConfig, select_keyframes, train
 from .svgchart import render_line_chart
 
-METHODS = ("scenesum", "scenesum-supervised", "uniform", "random", "vsumm", "change")
+TRAINED_METHODS = ("scenesum", "scenesum-supervised")  # they need k >= 2
+METHODS = (*TRAINED_METHODS, "uniform", "random", "vsumm", "change")
 SEED_FREE_METHODS = ("uniform", "change")  # their summary does not depend on the seed
 GENERATE_MODES = {"pose-correlated": "pose_correlated", "appearance-only": "appearance_only"}
 
@@ -115,24 +116,29 @@ def _write(files: dict[Path, str]) -> int:
     return 0
 
 
-def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
-                init_rows=None) -> SummaryResult:
-    """Produce a summary with a method from METHODS; opts carries training knobs.
-    init_rows, kmeans_pp_rows for this seed at some k2 >= k, seeds vsumm's k-means."""
-    n = ds.n_frames
+def _check_k(method: str, k: int, n: int) -> None:
+    """UsageError unless method can pick k keyframes of n frames."""
     if not 1 <= k <= n:
         raise UsageError(f"k must be in [1, {n}], got {k}")
+    if k < 2 and method in TRAINED_METHODS:
+        raise UsageError(f"method {method} needs k >= 2, got k={k}")
+
+
+def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
+                init_rows=None) -> list[int]:
+    """The frames a method from METHODS picks; opts carries training knobs.
+    init_rows, kmeans_pp_rows for this seed at some k2 >= k, seeds vsumm's k-means;
+    every other method ignores it."""
+    _check_k(method, k, ds.n_frames)
     if method == "uniform":
-        return baselines.uniform_summary(n, k)
+        return baselines.uniform_summary(ds.n_frames, k)
     if method == "random":
-        return baselines.random_summary(n, k, seed)
+        return baselines.random_summary(ds.n_frames, k, seed)
     if method == "vsumm":
         return baselines.vsumm_centroid(ds.features, k, seed, init_rows)
     if method == "change":
         return baselines.change_detect_summary(ds.features, k)
 
-    if k < 2:
-        raise UsageError(f"method {method} needs k >= 2, got k={k}")
     supervised = method == "scenesum-supervised"
     if supervised and ds.poses is None:
         raise CapabilityError("method scenesum-supervised requires a dataset with poses")
@@ -166,9 +172,8 @@ def cmd_generate(args) -> int:
 def cmd_summarize(args) -> int:
     resolved = _resolve(args)
     ds = load_dataset(args.manifest)
-    summary = _run_method(ds, resolved["method"], resolved["k"], resolved["seed"], resolved)
-    frames = summary.frame_indices
-    record = {"method": summary.method, "k": len(frames), "frames": frames, "config": resolved}
+    frames = _run_method(ds, resolved["method"], resolved["k"], resolved["seed"], resolved)
+    record = {"method": resolved["method"], "k": len(frames), "frames": frames, "config": resolved}
     return _write({Path(args.out): json.dumps(record, indent=2) + "\n"})
 
 
@@ -181,12 +186,12 @@ def cmd_evaluate(args) -> int:
     ds = load_dataset(args.manifest)
     if ds.poses is None:
         raise CapabilityError("evaluate requires a dataset with poses")
-    if not (isinstance(summary["method"], str) and isinstance(summary["frames"], list)):
-        raise ValueError("summary method must be a string and frames a list of frame indices")
+    if not isinstance(summary["method"], str):
+        raise ValueError("summary method must be a string")
     summary["method"].encode()  # a lone surrogate fails here, not halfway through the writes
-    frames = SummaryResult(summary["method"], summary["frames"]).frame_indices
-    if any(f >= ds.n_frames for f in frames):
-        raise ValueError("summary frame indices fall outside the dataset")
+    frames = index_array("summary frames", summary["frames"], ds.n_frames)
+    if len(set(frames.tolist())) != frames.size:
+        raise ValueError("summary frames must be distinct")
     k = summary["k"]
     if type(k) is not int or k != len(frames):
         raise ValueError(f"summary k {k!r} does not match its {len(frames)} frames")
@@ -229,20 +234,21 @@ def cmd_sweep(args) -> int:
     if ds.poses is None:
         raise CapabilityError("sweep requires a dataset with poses for evaluation")
 
+    for method in methods:  # every cell is checked before the first one runs
+        for k in ks:
+            _check_k(method, k, ds.n_frames)
+
     # k-means++ picks the same first centres at every k, so vsumm seeds once
-    # per seed, at the largest valid k, and each cell starts from a prefix
-    pp_k = max((k for k in ks if 1 <= k <= ds.n_frames), default=0)
+    # per seed, at the largest k, and each cell starts from a prefix
+    pp_k = max(ks)
     pp_rows = {}  # seed -> kmeans_pp_rows at pp_k
 
     def score(method: str, k: int, seed: int) -> float:
-        init_rows = None
-        if method == "vsumm" and 1 <= k <= pp_k:
-            if seed not in pp_rows:
-                pp_rows[seed] = kmeans_pp_rows(ds.features, pp_k, seed)
-            init_rows = pp_rows[seed]
-        summary = _run_method(ds, method, k, seed, resolved, init_rows)
-        curve = metrics.divergence_curve(ds.pose_positions(summary.frame_indices),
-                                         resolved["r_max"], resolved["steps"])
+        if method == "vsumm" and seed not in pp_rows:
+            pp_rows[seed] = kmeans_pp_rows(ds.features, pp_k, seed)
+        frames = _run_method(ds, method, k, seed, resolved, pp_rows.get(seed))
+        curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
+                                         resolved["steps"])
         return metrics.auc(curve)
 
     rows = []

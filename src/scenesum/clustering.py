@@ -12,22 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import check_count
+from .dataset import check_count, index_array
 
 _MAX_ITER = 100  # Lloyd iterations per k-means run
 _TOL = 1e-6  # stop once no centroid moves farther than this
 _PP_BLOCK_VALUES = 32768  # values per block of the blocked k-means passes (256 KB)
 _SUM_GROUP = 8  # columns per bincount of the Lloyd cluster sums
-
-
-def _index_array(name: str, values, high: int) -> np.ndarray:
-    """values as a 1-d int64 array in [0, high); ValueError for anything else."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
-        raise ValueError(f"{name} must be a 1-d array of integers, got {arr.dtype} {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= high):
-        raise ValueError(f"{name} out of range [0, {high})")
-    return arr.astype(np.int64)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -54,7 +44,7 @@ class ClusterPartition:
 
     def __post_init__(self):
         check_count("k", self.k)
-        labels = _read_only(_index_array("labels", self.labels, self.k))
+        labels = _read_only(index_array("labels", self.labels, self.k))
         object.__setattr__(self, "labels", labels)
         sizes = _read_only(np.bincount(labels, minlength=self.k))
         table = np.full((self.k, max(int(sizes.max()), 1)), labels.size, dtype=np.int64)
@@ -65,7 +55,7 @@ class ClusterPartition:
         object.__setattr__(self, "table", _read_only(table))
         object.__setattr__(self, "members", tuple(table[j, :s] for j, s in enumerate(sizes)))
         if self.gt_keyframes is not None:
-            gt = _index_array("gt_keyframes", self.gt_keyframes, labels.size)
+            gt = index_array("gt_keyframes", self.gt_keyframes, labels.size)
             if gt.shape != (self.k,):
                 raise ValueError(f"gt_keyframes must have shape ({self.k},)")
             for j, f in enumerate(gt):
@@ -203,7 +193,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     if init_rows is None:
         init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed))
     else:
-        init_rows = _index_array("init_rows", init_rows, n)
+        init_rows = index_array("init_rows", init_rows, n)
         if init_rows.size < k:
             raise ValueError(f"init_rows holds {init_rows.size} rows, fewer than k ({k})")
     centroids = x[init_rows[:k]]

@@ -34,6 +34,20 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def index_array(name: str, values, high: int) -> np.ndarray:
+    """The one frame-index check: values as a 1-d int64 array of integers in [0, high),
+    else ValueError.  No bool, also not in a list numpy would make integers of."""
+    arr = np.asarray(values)
+    if (arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer))
+            or (not isinstance(values, np.ndarray)
+                and any(isinstance(v, (bool, np.bool_)) for v in values))):
+        raise ValueError(f"{name} must be a 1-d array of integers, not bools, "
+                         f"got {arr.dtype} {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= high):
+        raise ValueError(f"{name} out of range [0, {high})")
+    return arr.astype(np.int64)
+
+
 def is_finite(value) -> bool:
     """Whether a number is finite as a float; an int too large for one is not."""
     return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
@@ -87,14 +101,11 @@ class SceneDataset:
         return self.features.shape[1]
 
     def pose_positions(self, frame_indices) -> np.ndarray:
-        """Position rows of the given frames, shaped frame_indices.shape + (3,).
-        A float, bool or string index is a ValueError, never a coerced row."""
+        """The (len(frame_indices), 3) position rows of the given frames, which
+        must pass index_array against n_frames: never a coerced or wrapped row."""
         if self.poses is None:
             raise ValueError("dataset has no poses")
-        idx = np.asarray(frame_indices)
-        if idx.size and not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(f"frame indices must be integers, got {idx.dtype}")
-        return self.poses[idx.astype(np.int64)]
+        return self.poses[index_array("frame indices", frame_indices, self.n_frames)]
 
 
 @dataclass

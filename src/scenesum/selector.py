@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterPartition, ClusterSample, _index_array, sample_cluster
-from .dataset import SceneDataset, check_count, check_real
+from .clustering import ClusterPartition, ClusterSample, sample_cluster
+from .dataset import SceneDataset, check_count, check_real, index_array
 
 _COS_EPS = 1e-12  # norm guard of the cosines in training and in the keyframe pick
 _TINY = np.finfo(np.float64).tiny
@@ -221,7 +221,7 @@ def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_ke
         if gt_keyframes.shape != (k,):
             raise ValueError(f"gt_keyframes must have shape ({k},), got {gt_keyframes.shape}")
         rows = np.concatenate([rows, gt_keyframes])
-    rows = _index_array("frame indices", rows, features.shape[0])
+    rows = index_array("frame indices", rows, features.shape[0])
     enc_acts = _forward(params.encoder, features[rows])
     h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
     dec_acts = _forward(params.decoder, h)
@@ -374,28 +374,8 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     return params, history
 
 
-@dataclass
-class SummaryResult:
-    """Selected keyframes with the tag of the method that picked them."""
-
-    method: str
-    frame_indices: list[int]
-
-    def __post_init__(self):
-        # bool is an int subclass and int() would truncate floats: take integers only.
-        if not np.iterable(self.frame_indices) or any(
-                isinstance(i, bool) or not isinstance(i, (int, np.integer))
-                for i in self.frame_indices):
-            raise ValueError("frame indices must be a sequence of integers")
-        self.frame_indices = [int(i) for i in self.frame_indices]
-        if any(i < 0 for i in self.frame_indices):
-            raise ValueError("frame indices must be non-negative")
-        if len(set(self.frame_indices)) != len(self.frame_indices):
-            raise ValueError("frame indices must be distinct")
-
-
 def select_keyframes(params: AutoencoderParams, ds: SceneDataset,
-                     partition: ClusterPartition) -> SummaryResult:
+                     partition: ClusterPartition) -> list[int]:
     """Per cluster, the frame whose encoding is nearest by cosine to the
     cluster's mean direction.
 
@@ -404,12 +384,9 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset,
     the mean direction.  The contrastive term sees only cosines and leaves
     latent norms free, so the pick ignores them too.  A zero encoding or a
     zero mean direction gives cosine 0.  Ties go to the lowest frame index.
-    Frames are listed in cluster-id order.  The summary is named
-    "scenesum-supervised" if the partition carries gt_keyframes, else "scenesum".
+    Frames are listed in cluster-id order.
     """
     _check_partition(ds, partition)
     u = _unit_rows(encode(params, ds.features))
     mean_dirs = _unit_rows(np.stack([u[m].mean(axis=0) for m in partition.members]))
-    frames = partition.nearest_members(-(u * mean_dirs[partition.labels]).sum(axis=1))
-    method = "scenesum" if partition.gt_keyframes is None else "scenesum-supervised"
-    return SummaryResult(method=method, frame_indices=frames.tolist())
+    return partition.nearest_members(-(u * mean_dirs[partition.labels]).sum(axis=1)).tolist()

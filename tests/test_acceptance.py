@@ -166,8 +166,9 @@ def desk_grid():
 
             rand = random_summary(ds.n_frames, k, seed=seed)
             vs = vsumm_centroid(ds.features, k, seed=seed)
-            for summary in (scene, sup, rand, vs):
-                aucs[(summary.method, k, seed)] = _area(ds, summary.frame_indices)
+            for method, frames in (("scenesum", scene), ("scenesum-supervised", sup),
+                                   ("random", rand), ("vsumm", vs)):
+                aucs[(method, k, seed)] = _area(ds, frames)
     return {"aucs": aucs, "elapsed": time.perf_counter() - t0}
 
 

@@ -17,14 +17,14 @@ from scenesum.selector import AutoencoderParams, select_keyframes
 
 
 def test_uniform_evenly_spaced():
-    assert uniform_summary(7, 3).frame_indices == [0, 3, 6]
-    assert uniform_summary(10, 1).frame_indices == [0]
-    assert uniform_summary(5, 5).frame_indices == [0, 1, 2, 3, 4]
+    assert uniform_summary(7, 3) == [0, 3, 6]
+    assert uniform_summary(10, 1) == [0]
+    assert uniform_summary(5, 5) == [0, 1, 2, 3, 4]
 
 
 def test_uniform_spans_full_range():
     for n, k in ((100, 7), (31, 4), (9, 2)):
-        frames = uniform_summary(n, k).frame_indices
+        frames = uniform_summary(n, k)
         assert frames[0] == 0 and frames[-1] == n - 1
         assert frames == sorted(frames)
         assert len(set(frames)) == k
@@ -34,11 +34,11 @@ def test_random_summary_is_seeded():
     a = random_summary(50, 6, seed=3)
     b = random_summary(50, 6, seed=3)
     c = random_summary(50, 6, seed=4)
-    assert a.frame_indices == b.frame_indices
-    assert a.frame_indices != c.frame_indices
-    assert a.frame_indices == sorted(a.frame_indices)
-    assert len(set(a.frame_indices)) == 6
-    assert all(0 <= f < 50 for f in a.frame_indices)
+    assert a == b
+    assert a != c
+    assert a == sorted(a)
+    assert len(set(a)) == 6
+    assert all(0 <= f < 50 for f in a)
 
 
 def test_vsumm_picks_one_frame_per_blob():
@@ -46,13 +46,13 @@ def test_vsumm_picks_one_frame_per_blob():
     centers = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
     feats = np.vstack([c + 0.05 * rng.standard_normal((5, 2)) for c in centers])
     result = vsumm_centroid(feats, 3, seed=1)
-    blobs = sorted(f // 5 for f in result.frame_indices)
+    blobs = sorted(f // 5 for f in result)
     assert blobs == [0, 1, 2]
 
 
 def test_vsumm_identical_frames_falls_back_to_lowest_indices():
     result = vsumm_centroid(np.ones((6, 3)), 3, seed=0)
-    assert result.frame_indices == [0, 1, 2]
+    assert result == [0, 1, 2]
 
 
 def test_vsumm_agrees_with_identity_encoder_selection():
@@ -73,25 +73,25 @@ def test_vsumm_agrees_with_identity_encoder_selection():
     _, km_labels = kmeans(feats, 3, seed=0)
     part = ClusterPartition(3, km_labels)
     ours = select_keyframes(identity, ds, part)
-    assert sorted(ours.frame_indices) == sorted(vs.frame_indices)
+    assert sorted(ours) == sorted(vs)
 
 
 def test_change_detect_constant_features():
     result = change_detect_summary(np.ones((8, 3)), 3)
-    assert result.frame_indices == [0, 1, 2]
+    assert result == [0, 1, 2]
 
 
 def test_change_detect_finds_the_jump():
     feats = np.zeros((10, 4))
     feats[5:] = 10.0  # one step change between frames 4 and 5
     result = change_detect_summary(feats, 1)
-    assert result.frame_indices == [5]
+    assert result == [5]
     top3 = change_detect_summary(feats, 3)
-    assert top3.frame_indices == [0, 1, 5]  # zero-score ties resolve to lowest
+    assert top3 == [0, 1, 5]  # zero-score ties resolve to lowest
 
 
 def test_change_detect_single_frame():
-    assert change_detect_summary(np.ones((1, 2)), 1).frame_indices == [0]
+    assert change_detect_summary(np.ones((1, 2)), 1) == [0]
 
 
 def test_baselines_validate_k():
@@ -119,13 +119,6 @@ def test_feature_baselines_reject_malformed_features(fn, features):
         fn(features, 2)
 
 
-def test_method_tags():
-    assert uniform_summary(4, 2).method == "uniform"
-    assert random_summary(4, 2).method == "random"
-    assert vsumm_centroid(np.eye(4), 2).method == "vsumm"
-    assert change_detect_summary(np.eye(4), 2).method == "change"
-
-
 _COUNT_CALLS = {
     "uniform": lambda k: uniform_summary(6, k),
     "uniform-n": lambda n: uniform_summary(n, 2),
@@ -147,4 +140,5 @@ def test_baseline_counts_must_be_integers(call, bad):
 
 @pytest.mark.parametrize("call", _COUNT_CALLS)
 def test_baseline_numpy_integer_counts_are_accepted(call):
-    assert len(_COUNT_CALLS[call](np.int64(2)).frame_indices) == 2
+    frames = _COUNT_CALLS[call](np.int64(2))
+    assert type(frames) is list and len(frames) == 2 and all(type(f) is int for f in frames)

@@ -121,7 +121,9 @@ def test_summarize_supervised_on_posed_scene(scene_dir, tmp_path):
                "scenesum-supervised", "--k", "3", "--epochs", "10", "--latent", "6",
                "--out", str(out)])
     assert rc == 0
-    assert len(json.loads(out.read_text())["frames"]) == 3
+    payload = json.loads(out.read_text())
+    assert payload["method"] == "scenesum-supervised"  # the CLI names the summary it ran
+    assert len(payload["frames"]) == 3
 
 
 def test_summarize_rejects_oversized_k(scene_dir, tmp_path):
@@ -334,10 +336,12 @@ def test_evaluate_rejects_bad_summary(scene_dir, tmp_path):
     assert not (tmp_path / "e.json").exists()
 
 
-@pytest.mark.parametrize("frames", [[3, 3, 3], [1.7, 5], [True, 4]])
+@pytest.mark.parametrize("frames", [[3, 3, 3], [1.7, 5], [True, 4], [1, 1], [-1], [1.7, 2.2],
+                                    [True, 3], ["4"], None, 5, [[1, 2]]])
 def test_evaluate_rejects_malformed_frames(scene_dir, tmp_path, frames):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"method": "x", "k": len(frames), "frames": frames}))
+    k = len(frames) if isinstance(frames, list) else 1
+    bad.write_text(json.dumps({"method": "x", "k": k, "frames": frames}))
     rc = main(["evaluate", str(bad), str(scene_dir / "manifest.json"),
                "--out", str(tmp_path / "e")])
     assert rc == 1
@@ -497,7 +501,7 @@ def test_sweep_equals_one_run_per_cell(tmp_path):
         for k in ks:
             aucs = []
             for seed in seeds:
-                frames = _run_method(ds, method, k, seed, _DEFAULTS).frame_indices
+                frames = _run_method(ds, method, k, seed, _DEFAULTS)
                 curve = metrics.divergence_curve(ds.pose_positions(frames), _DEFAULTS["r_max"],
                                                  _DEFAULTS["steps"])
                 aucs.append(metrics.auc(curve))
@@ -515,6 +519,22 @@ def test_sweep_rejects_k_outside_the_scene(scene_dir, tmp_path, capsys, methods,
                "--seeds", "0,1", "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: k must be in [1, 60], got {bad}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("methods,ks,err", [
+    ("scenesum,uniform", "20,61", "k must be in [1, 60], got 61"),
+    ("uniform,scenesum-supervised", "3,1", "method scenesum-supervised needs k >= 2, got k=1"),
+])
+def test_sweep_checks_every_cell_before_it_runs_any(scene_dir, tmp_path, capsys, monkeypatch,
+                                                     methods, ks, err):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell ran before every cell was checked")
+    monkeypatch.setattr("scenesum.cli.train", no_training)
+    rc = main(["sweep", str(scene_dir / "manifest.json"), "--methods", methods, "--ks", ks,
+               "--seeds", "0,1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
     assert not (tmp_path / "s.csv").exists()
 
 

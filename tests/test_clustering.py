@@ -233,6 +233,7 @@ def test_kmeans_from_shared_pp_rows_matches_reference_bit_for_bit(x, k, seed):
     ([-1, 1, 2], "out of range"),
     ([0, 1], "fewer than k"),
     ([], "fewer than k"),
+    ([True, 1, 2], "integers"),
 ])
 def test_kmeans_rejects_bad_init_rows(rows, match):
     with pytest.raises(ValueError, match=match):
@@ -540,6 +541,16 @@ def test_partition_validation_errors():
             ClusterPartition(2, [0, 0, 1, 1], gt_keyframes=gt)
     with pytest.raises(ValueError, match="integers"):
         ClusterPartition(2, [0.7, 1.2])
+
+
+def test_partition_refuses_a_bool_for_a_label_or_a_frame():
+    # numpy turns [True, 0, 1] into the integers [1, 0, 1]; a bool is still no label
+    for labels in ([True, 0, 1], [0, np.False_, 1]):
+        with pytest.raises(ValueError, match="integers"):
+            ClusterPartition(2, labels)
+    for gt in ([True, 2], [0, np.True_]):
+        with pytest.raises(ValueError, match="integers"):
+            ClusterPartition(2, [0, 1, 1], gt_keyframes=gt)
 
 
 def test_partition_is_fixed_at_construction():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from scenesum.cli import main
-from scenesum.dataset import SceneDataset, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
+from scenesum.dataset import (SceneDataset, SyntheticConfig, generate_synthetic, index_array,
+                              load_dataset, save_dataset)
 
 
 def _small_cfg(**kwargs):
@@ -63,15 +64,45 @@ def test_pose_positions_subset():
     sub = ds.pose_positions([5, 1])
     full = ds.poses
     assert np.array_equal(sub, full[[5, 1]])
-    for idx in ([], [0, 0, -1], np.array([[2, 3], [4, 1]]), np.int64(7)):
+    for idx in ([], [3, 3, 0], np.array([7, 2], dtype=np.uint8)):
         got = ds.pose_positions(idx)
         want = full[np.asarray(idx, dtype=np.int64)]
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    with pytest.raises(IndexError):
-        ds.pose_positions([ds.n_frames])
+        assert got.shape == want.shape == (len(idx), 3) and got.tobytes() == want.tobytes()
+    for idx in ([-1], [0, 0, -1], [ds.n_frames]):  # never a wrapped row or an IndexError
+        with pytest.raises(ValueError, match=r"out of range \[0, 40\)"):
+            ds.pose_positions(idx)
+    for idx in (np.array([[2, 3], [4, 1]]), np.int64(7)):  # frames come as a 1-d list
+        with pytest.raises(ValueError, match="1-d"):
+            ds.pose_positions(idx)
     for idx in ([1.7], np.array([2.9]), ["2"], [True, False]):  # never coerced to a row
         with pytest.raises(ValueError, match="integers"):
             ds.pose_positions(idx)
+
+
+@pytest.mark.parametrize("values", [[4, 2, 7], [1, 1], [], np.array([3, 1], dtype=np.int32),
+                                    (0, np.int64(7))])
+def test_frame_index_check_takes_1d_integers_in_range(values):
+    got = index_array("frames", values, 8)
+    assert got.dtype == np.int64 and got.tolist() == [int(v) for v in values]
+
+
+@pytest.mark.parametrize("values,match", [
+    ([-1], "out of range"),
+    ([8], "out of range"),
+    ([1.7, 2.2], "integers"),
+    ([True, 3], "integers"),
+    ([np.True_, 3], "integers"),
+    (np.array([True, False]), "integers"),
+    (["4"], "integers"),
+    ([10**30], "integers"),
+    (None, "1-d"),
+    (5, "1-d"),
+    (np.int64(5), "1-d"),
+    ([[1, 2]], "1-d"),
+])
+def test_frame_index_check_refuses_anything_else(values, match):
+    with pytest.raises(ValueError, match=match):
+        index_array("frames", values, 8)
 
 
 def test_pose_positions_requires_poses():
