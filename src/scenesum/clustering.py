@@ -16,7 +16,7 @@ from .dataset import check_count, index_array
 
 _MAX_ITER = 100  # Lloyd iterations per k-means run
 _TOL = 1e-6  # stop once no centroid moves farther than this
-_PP_BLOCK_VALUES = 32768  # values per block of the blocked k-means passes (256 KB)
+_BLOCK_VALUES = 32768  # values per block of the blocked passes over rows (256 KB)
 _SUM_GROUP = 8  # columns per bincount of the Lloyd cluster sums
 
 
@@ -131,7 +131,7 @@ def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) 
 def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of x that k-means++ picks as the k initial centres, in pick order."""
     n, d = x.shape
-    buf = np.empty((min(n, max(1, _PP_BLOCK_VALUES // d)), d))
+    buf = np.empty((min(n, max(1, _BLOCK_VALUES // d)), d))
     chosen = [int(rng.integers(n))]
     d2 = _sq_dists_to_row(x, chosen[0], buf, np.empty(n))
     new = np.empty(n)
@@ -216,8 +216,8 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     bin_offsets = k * np.arange(width)
     # The assignment keeps one full x @ c.T product, since BLAS gives other
     # bytes on row blocks; the elementwise passes after it, the argmin and the
-    # gather run over row blocks of about _PP_BLOCK_VALUES values in one buffer.
-    block = min(n, max(1, _PP_BLOCK_VALUES // k))
+    # gather run over row blocks of about _BLOCK_VALUES values in one buffer.
+    block = min(n, max(1, _BLOCK_VALUES // k))
     buf = np.empty((block, k))
     block_rows = np.arange(block)
 

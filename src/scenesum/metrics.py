@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import _BLOCK_VALUES
 from .dataset import check_count, check_real
 
 
@@ -27,13 +28,32 @@ def _positions(positions) -> np.ndarray:
 def _close_pair_counts(p: np.ndarray, thresholds) -> np.ndarray:
     """Per threshold r, the ordered pairs (i, j), i != j, closer than r.
 
-    One sort serves every threshold: the pairs closer than r are those left of
-    r's leftmost insertion point among the sorted distances.
+    Distances are taken a block of rows at a time, at most _BLOCK_VALUES of
+    them and never more than k rows, so memory stays bounded at any k.  Each
+    block adds its squared differences to zeros axis by axis, the left-to-right
+    order of a sum over the last axis, so every distance has the bytes of the
+    one (k, k) matrix.  One sort per block serves every threshold: the block's
+    pairs closer than r are those left of r's leftmost insertion point among
+    its sorted distances.
     """
-    diff = p[:, None, :] - p[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(dist, np.inf)  # self-pairs never count
-    return np.searchsorted(np.sort(dist, axis=None), thresholds, side="left")
+    k, dims = p.shape
+    thresholds = np.asarray(thresholds)
+    rows = min(k, max(1, _BLOCK_VALUES // k))
+    buf, sq = np.empty((rows, k)), np.empty((rows, k))
+    counts = np.zeros(thresholds.shape, dtype=np.intp)
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        block, term = buf[:stop - start], sq[:stop - start]
+        block.fill(0.0)
+        for axis in range(dims):
+            np.subtract(p[start:stop, axis, None], p[None, :, axis], out=term)
+            block += np.square(term, out=term)
+        np.sqrt(block, out=block)
+        flat = block.reshape(-1)
+        flat[start::k + 1] = np.inf  # row i's self-pair sits at i * k + start + i
+        flat.sort()
+        counts += np.searchsorted(flat, thresholds, side="left")
+    return counts
 
 
 def similar_pair_count(positions, r: float) -> int:

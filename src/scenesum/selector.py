@@ -204,24 +204,27 @@ def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_ke
     AutoencoderParams shaped like params, the gradient overwrites every entry
     of grads.flat.  ValueError unless the table is (k, N) with k >= 2 and
     N >= 1 and holds integer frames of features, and, in supervised mode,
-    gt_keyframes has shape (k,).
+    gt_keyframes holds k of them; a bool is no frame, also not in a list.
     """
     features = np.asarray(features, dtype=np.float64)
+    n_frames = features.shape[0]
     table = np.asarray(sample.table)
     if table.ndim != 2 or table.shape[1] < 1:
         raise ValueError(f"the sample table must be (k, N) with N >= 1, got shape {table.shape}")
     k, n_sample = table.shape
     if k < 2:
         raise ValueError(f"need at least 2 clusters for the contrastive term, got {k}")
-    rows = table.ravel()
+    if not isinstance(sample.table, np.ndarray):  # np.asarray made integers of any bools
+        for row in sample.table:
+            index_array("frame indices", row, n_frames)
+    rows = index_array("frame indices", table.ravel(), n_frames)
     n_total = rows.size
     supervised = gt_keyframes is not None
     if supervised:
-        gt_keyframes = np.asarray(gt_keyframes)
+        gt_keyframes = index_array("gt_keyframes", gt_keyframes, n_frames)
         if gt_keyframes.shape != (k,):
             raise ValueError(f"gt_keyframes must have shape ({k},), got {gt_keyframes.shape}")
         rows = np.concatenate([rows, gt_keyframes])
-    rows = index_array("frame indices", rows, features.shape[0])
     enc_acts = _forward(params.encoder, features[rows])
     h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
     dec_acts = _forward(params.decoder, h)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from scenesum.clustering import (
+    _BLOCK_VALUES,
     _MAX_ITER,
-    _PP_BLOCK_VALUES,
     _TOL,
     _first_by_key,
     _kmeans_pp_rows,
@@ -115,7 +115,7 @@ def _kmeans_cases():
 
 
 def _block_rows(d):
-    return max(1, _PP_BLOCK_VALUES // d)
+    return max(1, _BLOCK_VALUES // d)
 
 
 def _block_crossing_cases():
@@ -186,7 +186,7 @@ def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
 
 
 def _assign_block_cases():
-    """Shapes around the assignment's row blocks (_PP_BLOCK_VALUES // k rows):
+    """Shapes around the assignment's row blocks (_BLOCK_VALUES // k rows):
     k = 512 makes blocks of 64 rows, so n crosses several of them."""
     rng = np.random.default_rng(14)
     for n in (512, 513, 575, 577, 1025):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -67,6 +68,52 @@ def test_close_pair_counts_match_one_comparison_per_threshold():
         thresholds = np.concatenate([np.arange(11) * 0.5, np.unique(dist[np.isfinite(dist)])])
         want = [(dist < r).sum() for r in thresholds]
         assert _close_pair_counts(pos, thresholds).tolist() == want
+
+
+def _one_shot_close_pair_counts(p, thresholds):
+    # The kernel as one (k, k) distance matrix and one sort of all k^2 distances.
+    diff = p[:, None, :] - p[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    return np.searchsorted(np.sort(dist, axis=None), thresholds, side="left")
+
+
+@pytest.mark.parametrize("k", [1, 2, 181, 182, 183, 1000])
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("grid", [False, True], ids=["random", "grid"])
+def test_row_blocks_count_as_one_distance_matrix(k, dims, grid):
+    # 32768 // 181 = 181 rows: k = 181 is one block, 182 a block of 180 rows
+    # and a ragged one of 2, 183 blocks of 179 and 4; k = 1000 has 32 rows a
+    # block and a last one of 8.  Grid positions put distances on thresholds.
+    rng = np.random.default_rng(k * 10 + dims)
+    pos = (np.round(rng.uniform(0, 12, size=(k, dims))) if grid
+           else rng.uniform(0, 10, size=(k, dims)))
+    thresholds = rng.permutation(np.concatenate([np.arange(25) * 0.5, rng.uniform(0, 14, 25)]))
+    assert (_close_pair_counts(pos, thresholds).tolist()
+            == _one_shot_close_pair_counts(pos, thresholds).tolist())
+    r_max = 9.0
+    steps = 36
+    want = _one_shot_close_pair_counts(pos, np.arange(steps + 1) * (r_max / steps)) / (k * k)
+    assert divergence_curve(pos, r_max, steps).values.tobytes() == want.tobytes()
+    for r in (0.0, 1.0, 2.5, 4.0):
+        count = int(_one_shot_close_pair_counts(pos, [r])[0])
+        assert similar_pair_count(pos, r) == count
+        assert divergence(pos, r) == count / (k * k)
+
+
+@pytest.mark.parametrize("k,bound", [(2000, 2 * 2**20), (10, 16 * 2**10)])
+def test_divergence_curve_memory_is_bounded(k, bound):
+    # One (k, k) distance matrix at k = 2000 would be 32 MB; two row blocks
+    # of at most 32768 values (256 KB each) are all the kernel holds, and a
+    # small k holds no full-size block either.
+    pos = np.random.default_rng(8).uniform(0, 10, size=(k, 3))
+    tracemalloc.start()
+    try:
+        divergence_curve(pos, 5.0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_curve_values_equal_divergence_at_each_threshold():

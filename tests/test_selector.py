@@ -382,6 +382,20 @@ def test_total_loss_rejects_malformed_samples(table, gt, match):
         total_loss(params, feats, ClusterSample(np.array(table)), gt)
 
 
+@pytest.mark.parametrize("table,gt", [
+    (np.array([[0], [2]]), [True, 2]),
+    (np.array([[0], [2]]), np.array([True, False])),
+    ([[True], [2]], None),
+], ids=["gt-bool-in-list", "gt-bool-array", "table-bool-in-list"])
+def test_total_loss_refuses_a_bool_for_a_frame(table, gt):
+    # np.asarray and np.concatenate would make integers of these bools, so the
+    # caller's own objects are checked before either runs.
+    params = init_params(2, (3,), 2, rng=0)
+    feats = np.random.default_rng(1).normal(size=(6, 2))
+    with pytest.raises(ValueError, match="not bools"):
+        total_loss(params, feats, ClusterSample(table), gt)
+
+
 def test_total_loss_needs_two_clusters():
     params = init_params(2, (2,), 1, rng=0)
     with pytest.raises(ValueError, match="2 clusters"):
