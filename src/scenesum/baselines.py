@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .clustering import ClusterPartition, _checked_points, kmeans
+from .clustering import _BLOCK_VALUES, ClusterPartition, _checked_points, kmeans
 from .dataset import check_count
 
 
@@ -17,6 +17,38 @@ def _check_k(n: int, k: int) -> None:
     check_count("k", k)
     if k > n:
         raise ValueError(f"k ({k}) exceeds number of frames ({n})")
+
+
+def _row_blocks(n: int, d: int):
+    """(start, stop, buffer) for consecutive blocks of about _BLOCK_VALUES
+    values of an n x d matrix, rows start to stop; every block reuses one
+    (stop - start, d) buffer, so each must be used before the next.  Each row
+    is summed on its own, so a row sum has the bytes of the one-shot sum."""
+    rows = max(1, min(n, _BLOCK_VALUES // d))
+    buf = np.empty((rows, d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        yield start, stop, buf[:stop - start]
+
+
+def _member_sq_dists(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """((x - centroids[labels]) ** 2).sum(axis=1), one row block at a time."""
+    dist = np.empty(x.shape[0])
+    for start, stop, diff in _row_blocks(*x.shape):
+        np.take(centroids, labels[start:stop], axis=0, out=diff)
+        np.subtract(x[start:stop], diff, out=diff)
+        np.square(diff, out=diff).sum(axis=1, out=dist[start:stop])
+    return dist
+
+
+def _change_scores(x: np.ndarray) -> np.ndarray:
+    """Per frame, the L1 change |x[i] - x[i-1]| summed over the row; frame 0
+    scores 0.  One row block of differences at a time."""
+    scores = np.zeros(x.shape[0])
+    for start, stop, diff in _row_blocks(x.shape[0] - 1, x.shape[1]):
+        np.subtract(x[start + 1:stop + 1], x[start:stop], out=diff)
+        np.abs(diff, out=diff).sum(axis=1, out=scores[start + 1:stop + 1])
+    return scores
 
 
 def uniform_summary(n: int, k: int) -> list[int]:
@@ -43,11 +75,7 @@ def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> list[int]
     init_rows, from clustering.kmeans_pp_rows for this seed, goes to kmeans."""
     x = np.asarray(features, dtype=np.float64)
     centroids, labels = kmeans(x, k, seed=seed, init_rows=init_rows)
-    # squared distance of each frame to its centroid, computed in one n x d
-    # buffer: at 5000 x 128 two more fresh buffers made this 3x slower
-    diff = centroids[labels]
-    np.subtract(x, diff, out=diff)
-    picks = ClusterPartition(k, labels).nearest_members(np.square(diff, out=diff).sum(axis=1))
+    picks = ClusterPartition(k, labels).nearest_members(_member_sq_dists(x, centroids, labels))
     used = set(picks.tolist())
     spare = (i for i in range(x.shape[0]) if i not in used)
     return [int(f) if f >= 0 else next(spare) for f in picks]
@@ -60,7 +88,5 @@ def change_detect_summary(features, k: int) -> list[int]:
     """
     x = _checked_points(features, k)
     n = x.shape[0]
-    scores = np.zeros(n)
-    scores[1:] = np.abs(np.diff(x, axis=0)).sum(axis=1)
-    ranked = np.lexsort((np.arange(n), -scores))
+    ranked = np.lexsort((np.arange(n), -_change_scores(x)))
     return sorted(ranked[:k].tolist())

@@ -125,19 +125,21 @@ def _check_k(method: str, k: int, n: int) -> None:
 
 
 def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
-                init_rows=None) -> list[int]:
+                init_rows=None, x=None) -> list[int]:
     """The frames a method from METHODS picks; opts carries training knobs.
     init_rows, kmeans_pp_rows for this seed at some k2 >= k, seeds vsumm's k-means;
-    every other method ignores it."""
+    x, ds.features as float64, is what vsumm and change read instead, so that
+    they do not each convert a copy.  Every other method ignores both."""
     _check_k(method, k, ds.n_frames)
     if method == "uniform":
         return baselines.uniform_summary(ds.n_frames, k)
     if method == "random":
         return baselines.random_summary(ds.n_frames, k, seed)
+    features = ds.features if x is None else x
     if method == "vsumm":
-        return baselines.vsumm_centroid(ds.features, k, seed, init_rows)
+        return baselines.vsumm_centroid(features, k, seed, init_rows)
     if method == "change":
-        return baselines.change_detect_summary(ds.features, k)
+        return baselines.change_detect_summary(features, k)
 
     supervised = method == "scenesum-supervised"
     if supervised and ds.poses is None:
@@ -238,31 +240,52 @@ def cmd_sweep(args) -> int:
         for k in ks:
             _check_k(method, k, ds.n_frames)
 
+    # the feature baselines and the seeding share one read-only float64 copy
+    x = None
+    if "vsumm" in methods or "change" in methods:
+        x = ds.features.astype("float64")
+        x.flags.writeable = False
     # k-means++ picks the same first centres at every k, so vsumm seeds once
-    # per seed, at the largest k, and each cell starts from a prefix
-    pp_k = max(ks)
-    pp_rows = {}  # seed -> kmeans_pp_rows at pp_k
+    # per seed, at the largest k, and each cell starts from a prefix.  The
+    # seedings run ahead, in seed order, on one background thread, and a vsumm
+    # cell waits for its own seed's rows; the cells stay on this thread.  A
+    # seeding makes no BLAS call and has its own Generator, so its rows do not
+    # depend on how the threads are scheduled.
+    seeder = None
+    pp_rows = {}  # seed -> future of kmeans_pp_rows at max(ks)
+    if "vsumm" in methods:
+        # imported here, not at the top: the other commands never need it
+        from concurrent.futures import ThreadPoolExecutor
+        seeder = ThreadPoolExecutor(max_workers=1)
+        pp_rows = {seed: seeder.submit(kmeans_pp_rows, x, max(ks), seed)
+                   for seed in dict.fromkeys(seeds)}
 
     def score(method: str, k: int, seed: int) -> float:
-        if method == "vsumm" and seed not in pp_rows:
-            pp_rows[seed] = kmeans_pp_rows(ds.features, pp_k, seed)
-        frames = _run_method(ds, method, k, seed, resolved, pp_rows.get(seed))
+        init_rows = pp_rows[seed].result() if method == "vsumm" else None
+        frames = _run_method(ds, method, k, seed, resolved, init_rows, x)
         curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
                                          resolved["steps"])
         return metrics.auc(curve)
 
     rows = []
-    for method in methods:
-        for k in ks:
-            aucs = []
-            for seed in seeds:
-                # a seed-free method is scored once per k and repeated per seed
-                area = aucs[0] if aucs and method in SEED_FREE_METHODS else score(method, k, seed)
-                aucs.append(area)
-                rows.append([method, str(k), str(seed), repr(area), ""])
-            mean = sum(aucs) / len(aucs)
-            sd = (sum((a - mean) ** 2 for a in aucs) / len(aucs)) ** 0.5
-            rows.append([method, str(k), "agg", repr(mean), repr(sd)])
+    try:
+        for method in methods:
+            for k in ks:
+                aucs = []
+                for seed in seeds:
+                    # a seed-free method is scored once per k and repeated per seed
+                    area = (aucs[0] if aucs and method in SEED_FREE_METHODS
+                            else score(method, k, seed))
+                    aucs.append(area)
+                    rows.append([method, str(k), str(seed), repr(area), ""])
+                mean = sum(aucs) / len(aucs)
+                sd = (sum((a - mean) ** 2 for a in aucs) / len(aucs)) ** 0.5
+                rows.append([method, str(k), "agg", repr(mean), repr(sd)])
+    finally:
+        if seeder is not None:
+            # after an error, drop the seedings not yet started; either way
+            # the thread has exited before the sweep returns or raises
+            seeder.shutdown(cancel_futures=True)
 
     text = "method,k,seed,auc,sd\n" + "".join(",".join(row) + "\n" for row in rows)
     return _write({Path(args.out): text})

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 WIDTH = 800
 HEIGHT = 500
 MARGIN_LEFT = 70
@@ -11,6 +9,12 @@ MARGIN_RIGHT = 30
 MARGIN_TOP = 50
 MARGIN_BOTTOM = 60
 N_TICKS = 6
+
+
+def _escape(text: str) -> str:
+    """Text as SVG character data: &, then >, then <, the order of
+    xml.sax.saxutils.escape, which pulls in urllib and ssl on import."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -49,7 +53,7 @@ def render_line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
         f'width="{WIDTH}" height="{HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="18">{escape(title)}</text>',
+        f'font-size="18">{_escape(title)}</text>',
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black" stroke-width="1"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>',
     ]
@@ -70,10 +74,10 @@ def render_line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
                      f'font-family="sans-serif" font-size="12">{_tick_label(yv)}</text>')
 
     parts.append(f'<text x="{(x0 + x1) / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="14">{escape(x_label)}</text>')
+                 f'font-family="sans-serif" font-size="14">{_escape(x_label)}</text>')
     parts.append(f'<text x="20" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="14" '
-                 f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{escape(y_label)}</text>')
+                 f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{_escape(y_label)}</text>')
     parts.append(f'<polyline fill="none" stroke="#1f6feb" stroke-width="2" points="{points}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scenesum.baselines import (
+    _change_scores,
+    _member_sq_dists,
     change_detect_summary,
     random_summary,
     uniform_summary,
     vsumm_centroid,
 )
-from scenesum.clustering import ClusterPartition
+from scenesum.clustering import _BLOCK_VALUES, ClusterPartition
 from scenesum.dataset import SceneDataset
 from scenesum.selector import AutoencoderParams, select_keyframes
 
@@ -92,6 +96,57 @@ def test_change_detect_finds_the_jump():
 
 def test_change_detect_single_frame():
     assert change_detect_summary(np.ones((1, 2)), 1) == [0]
+
+
+def _one_shot_member_sq_dists(x, centroids, labels):
+    diff = centroids[labels]
+    np.subtract(x, diff, out=diff)
+    return np.square(diff, out=diff).sum(axis=1)
+
+
+def _one_shot_change_scores(x):
+    scores = np.zeros(x.shape[0])
+    scores[1:] = np.abs(np.diff(x, axis=0)).sum(axis=1)
+    return scores
+
+
+@pytest.mark.parametrize("d", [1, 3, 128])
+@pytest.mark.parametrize("extra", [0, -1, 1, "2 blocks + 1"])
+@pytest.mark.parametrize("grid", [False, True], ids=["random", "grid"])
+def test_row_blocks_equal_the_one_shot_formulas(d, extra, grid):
+    # a block holds _BLOCK_VALUES // d rows; n sits on and around its edges
+    rows = _BLOCK_VALUES // d
+    n = 2 * rows + 1 if extra == "2 blocks + 1" else rows + extra
+    rng = np.random.default_rng(n + d)
+    x = np.round(rng.uniform(0, 4, (n, d))) if grid else rng.standard_normal((n, d))
+    centroids = rng.standard_normal((7, d))
+    labels = rng.integers(0, 7, n)
+    assert (_member_sq_dists(x, centroids, labels).tobytes()
+            == _one_shot_member_sq_dists(x, centroids, labels).tobytes())
+    assert _change_scores(x).tobytes() == _one_shot_change_scores(x).tobytes()
+    ranked = np.lexsort((np.arange(n), -_one_shot_change_scores(x)))
+    assert change_detect_summary(x, 5) == sorted(ranked[:5].tolist())
+
+
+def test_feature_baseline_memory_is_bounded():
+    # At 5000 x 128 one (n, d) float64 temporary is 5 MB; the row-blocked passes
+    # hold one 256 KB block, and change detection also the isfinite mask (640 KB).
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5000, 128))
+    centroids = rng.standard_normal((100, 128))
+    labels = rng.integers(0, 100, 5000)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: _member_sq_dists(x, centroids, labels),
+                    lambda: change_detect_summary(x, 100)):
+            tracemalloc.reset_peak()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 2**20
+    assert peaks[1] < 2**20
 
 
 def test_baselines_validate_k():

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import scenesum
 from scenesum import metrics
 from scenesum.cli import _COMMANDS, _DEFAULTS, _run_method, build_parser, main
+from scenesum.clustering import kmeans_pp_rows
 from scenesum.dataset import SceneDataset, load_dataset, save_dataset
 from scenesum.svgchart import render_line_chart
 
@@ -483,6 +485,22 @@ def test_sweep_runs_are_byte_identical(scene_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_does_not_depend_on_thread_switching(scene_dir, tmp_path):
+    # the seeder thread and the cells trade the interpreter lock every
+    # microsecond instead of every 5 ms; the CSV must keep its bytes
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["sweep", str(scene_dir / "manifest.json"), "--methods", "vsumm,change",
+            "--ks", "2,5", "--seeds", "0,1,2,3,4,5"]
+    assert main(args + ["--out", str(a)]) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(args + ["--out", str(b)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_sweep_equals_one_run_per_cell(tmp_path):
     # the sweep seeds vsumm once per seed at its largest k and scores uniform
     # and change once per k; each cell must still be what a run of its own gives
@@ -536,6 +554,45 @@ def test_sweep_checks_every_cell_before_it_runs_any(scene_dir, tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err == f"error: {err}\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_stops_its_seeder_when_a_seeding_fails(scene_dir, tmp_path, capsys, monkeypatch):
+    def fail_at_seed_2(x, k, seed):
+        if seed == 2:
+            raise ValueError("no seeding for seed 2")
+        return kmeans_pp_rows(x, k, seed)
+    monkeypatch.setattr("scenesum.cli.kmeans_pp_rows", fail_at_seed_2)
+    threads = threading.active_count()
+    rc = main(["sweep", str(scene_dir / "manifest.json"), "--methods", "uniform,vsumm",
+               "--ks", "3,5", "--seeds", "0,1,2,3", "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no seeding for seed 2\n"
+    assert not (tmp_path / "s.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_sweep_stops_its_seeder_when_a_cell_fails(scene_dir, tmp_path, capsys, monkeypatch):
+    def no_pick(*args, **kwargs):
+        raise ValueError("no pick")
+    monkeypatch.setattr("scenesum.baselines.vsumm_centroid", no_pick)
+    threads = threading.active_count()
+    rc = main(["sweep", str(scene_dir / "manifest.json"), "--methods", "vsumm",
+               "--ks", "3", "--seeds", ",".join(map(str, range(20))),
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no pick\n"
+    assert not (tmp_path / "s.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_sweep_without_vsumm_seeds_nothing(scene_dir, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("scenesum.cli.kmeans_pp_rows", lambda *args: calls.append(args))
+    threads = threading.active_count()
+    assert main(["sweep", str(scene_dir / "manifest.json"), "--methods", "uniform,random,change",
+                 "--ks", "3", "--seeds", "0,1", "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == []
+    assert threading.active_count() == threads
 
 
 def _summaries_per_blas_thread_count(tmp_path, frames, method_args):
@@ -672,6 +729,18 @@ def test_cli_import_reaches_every_module():
     assert sorted(modules - loaded) == []
 
 
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils would pull in urllib.request, http.client and ssl on
+    # every CLI call; the thread pool is imported by the sweep alone.
+    src = str(Path(scenesum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import json, sys, scenesum.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out))
+    assert sorted(loaded & {"ssl", "urllib.request", "http.client", "concurrent.futures"}) == []
+
+
 def _scenesum_imports(tree):
     """{bound name: (module, name)} for a file's top-level imports from scenesum,
     relative or absolute; name is None when the bound name is itself a module."""
@@ -746,6 +815,9 @@ def test_svg_chart_has_one_polyline_and_escapes_text():
                             y_label="y")
     assert svg.count("<polyline") == 1
     assert "a &lt; b" in svg
+    svg = render_line_chart([0, 1], [0.0, 1.0], title="t", x_label="a < b & c > d",
+                            y_label="y")
+    assert ">a &lt; b &amp; c &gt; d</text>" in svg  # escaped once, not twice
     assert svg.startswith("<svg ")
     assert svg.endswith("</svg>\n")
 
