@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .clustering import _BLOCK_VALUES, ClusterPartition, _checked_points, kmeans
+from .clustering import ClusterPartition, _checked_points, _member_sq_dists, _row_blocks, kmeans
 from .dataset import check_count
 
 
@@ -17,28 +17,6 @@ def _check_k(n: int, k: int) -> None:
     check_count("k", k)
     if k > n:
         raise ValueError(f"k ({k}) exceeds number of frames ({n})")
-
-
-def _row_blocks(n: int, d: int):
-    """(start, stop, buffer) for consecutive blocks of about _BLOCK_VALUES
-    values of an n x d matrix, rows start to stop; every block reuses one
-    (stop - start, d) buffer, so each must be used before the next.  Each row
-    is summed on its own, so a row sum has the bytes of the one-shot sum."""
-    rows = max(1, min(n, _BLOCK_VALUES // d))
-    buf = np.empty((rows, d))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        yield start, stop, buf[:stop - start]
-
-
-def _member_sq_dists(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """((x - centroids[labels]) ** 2).sum(axis=1), one row block at a time."""
-    dist = np.empty(x.shape[0])
-    for start, stop, diff in _row_blocks(*x.shape):
-        np.take(centroids, labels[start:stop], axis=0, out=diff)
-        np.subtract(x[start:stop], diff, out=diff)
-        np.square(diff, out=diff).sum(axis=1, out=dist[start:stop])
-    return dist
 
 
 def _change_scores(x: np.ndarray) -> np.ndarray:

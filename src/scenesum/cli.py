@@ -163,9 +163,9 @@ def cmd_generate(args) -> int:
                               seed=resolved["seed"], box_side=resolved["box_side"],
                               step_sigma=resolved["step_sigma"],
                               noise_sigma=resolved["noise_sigma"])
+        ds = generate_synthetic(cfg)  # refuses options that overflow the scene
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    ds = generate_synthetic(cfg)
     manifest = save_dataset(ds, Path(args.out) / "manifest.json")
     print(f"wrote {manifest}")
     return 0
@@ -204,10 +204,10 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     report = {"method": summary["method"], "k": summary["k"], "r_max": resolved["r_max"],
               "steps": resolved["steps"], "auc": area, "config": resolved}
-    files = {out.with_suffix(".csv"): metrics.curve_csv(curve),
-             out.with_suffix(".json"): json.dumps(report, indent=2) + "\n"}
+    files = {out.with_name(out.name + ".csv"): metrics.curve_csv(curve),
+             out.with_name(out.name + ".json"): json.dumps(report, indent=2) + "\n"}
     if args.svg:
-        files[out.with_suffix(".svg")] = render_line_chart(
+        files[out.with_name(out.name + ".svg")] = render_line_chart(
             curve.thresholds, curve.values,
             title=f"{summary['method']} divergence curve (k={summary['k']})",
             x_label="distance threshold r (m)", y_label="divergence D")
@@ -312,7 +312,7 @@ _COMMANDS = {
     "evaluate": _Command(
         cmd_evaluate, "divergence curve and AUC for a summary",
         (("summary", "summary JSON written by summarize"), _MANIFEST), ("r_max", "steps"),
-        {"default": "eval", "help": "output path prefix"}),
+        {"default": "eval", "help": "output path prefix; .csv, .json and .svg are appended"}),
     "sweep": _Command(
         cmd_sweep, "methods x k x seeds AUC grid", (_MANIFEST,),
         ("methods", "ks", "seeds", "r_max", "steps", *_TRAIN_KEYS), {"default": "sweep.csv"}),

@@ -107,21 +107,36 @@ def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
     return np.maximum(out, 0.0, out=out)
 
 
-def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """((x - x[idx]) ** 2).sum(axis=1) into out, len(buf) rows at a time.
-
-    x and buf must be C-contiguous with x's row length.  Per row the squares
-    and the row sum are the ones the broadcast expression computes, so the
-    bytes match, but each block subtracts in one contiguous loop instead of
-    one short loop per row.
-    """
-    n, d = x.shape
-    rows = buf.shape[0]
-    x_flat = x.ravel()
-    tile = np.tile(x[idx], rows)
+def _row_blocks(n: int, width: int, buffers: int = 1):
+    """(start, stop, *views) per block of rows start to stop of an n-row pass,
+    one (stop - start, width) view of each of `buffers` reused buffers of about
+    256 KB, so each block must be used before the next; a caller making many
+    passes builds the list once.  Row sums keep the one-shot sum's bytes."""
+    rows = max(1, min(n, _BLOCK_VALUES // width))
+    bufs = [np.empty((rows, width)) for _ in range(buffers)]
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        block = buf[:stop - start]
+        yield (start, stop, *(buf[:stop - start] for buf in bufs))
+
+
+def _member_sq_dists(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """((x - centroids[labels]) ** 2).sum(axis=1), one row block at a time."""
+    dist = np.empty(x.shape[0])
+    for start, stop, diff in _row_blocks(*x.shape):
+        np.take(centroids, labels[start:stop], axis=0, out=diff)
+        np.subtract(x[start:stop], diff, out=diff)
+        np.square(diff, out=diff).sum(axis=1, out=dist[start:stop])
+    return dist
+
+
+def _sq_dists_to_row(x: np.ndarray, idx: int, blocks: list, out: np.ndarray) -> np.ndarray:
+    """((x - x[idx]) ** 2).sum(axis=1) of a C-contiguous x into out, over blocks =
+    list(_row_blocks(*x.shape)): the broadcast expression's bytes, but each block
+    subtracts in one contiguous loop instead of one short loop per row."""
+    d = x.shape[1]
+    x_flat = x.ravel()
+    tile = np.tile(x[idx], blocks[0][1])  # the first block's stop is the block row count
+    for start, stop, block in blocks:
         np.subtract(x_flat[start * d:stop * d], tile[:block.size], out=block.reshape(-1))
         np.square(block, out=block)
         block.sum(axis=1, out=out[start:stop])
@@ -130,10 +145,10 @@ def _sq_dists_to_row(x: np.ndarray, idx: int, buf: np.ndarray, out: np.ndarray) 
 
 def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of x that k-means++ picks as the k initial centres, in pick order."""
-    n, d = x.shape
-    buf = np.empty((min(n, max(1, _BLOCK_VALUES // d)), d))
+    n = x.shape[0]
+    blocks = list(_row_blocks(*x.shape))
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists_to_row(x, chosen[0], buf, np.empty(n))
+    d2 = _sq_dists_to_row(x, chosen[0], blocks, np.empty(n))
     new = np.empty(n)
     for _ in range(1, k):
         total = d2.sum()
@@ -143,7 +158,7 @@ def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        np.minimum(d2, _sq_dists_to_row(x, idx, buf, new), out=d2)
+        np.minimum(d2, _sq_dists_to_row(x, idx, blocks, new), out=d2)
     return np.array(chosen, dtype=np.int64)
 
 
@@ -216,19 +231,16 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     bin_offsets = k * np.arange(width)
     # The assignment keeps one full x @ c.T product, since BLAS gives other
     # bytes on row blocks; the elementwise passes after it, the argmin and the
-    # gather run over row blocks of about _BLOCK_VALUES values in one buffer.
-    block = min(n, max(1, _BLOCK_VALUES // k))
-    buf = np.empty((block, k))
-    block_rows = np.arange(block)
+    # gather run over the row blocks of one (n, k) pass.
+    blocks = list(_row_blocks(n, k))
+    block_rows = np.arange(blocks[0][1])
 
     def assign(cents):
         cross = x @ cents.T
         c_sq = (cents * cents).sum(axis=1)
         lab, dmin = np.empty(n, dtype=np.intp), np.empty(n)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            d2 = _sq_dists_from_cross(cross[start:stop], x_sq[start:stop], c_sq,
-                                      buf[:stop - start])
+        for start, stop, buf in blocks:
+            d2 = _sq_dists_from_cross(cross[start:stop], x_sq[start:stop], c_sq, buf)
             np.argmin(d2, axis=1, out=lab[start:stop])  # argmin keeps the lowest id on ties
             dmin[start:stop] = d2[block_rows[:stop - start], lab[start:stop]]
         return lab, dmin
@@ -325,9 +337,10 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
     """Cluster an (n, 3) pose array; record the frame nearest each centroid."""
     if poses is None or len(poses) == 0:
         raise ValueError("ground-truth pose clustering requires poses")
-    centroids, labels = kmeans(poses, k, seed=seed)
+    x = np.asarray(poses, dtype=np.float64)
+    centroids, labels = kmeans(x, k, seed=seed)
     gt = ClusterPartition(k, labels).nearest_members(
-        np.sqrt(((poses - centroids[labels]) ** 2).sum(axis=1)))
+        np.sqrt(_member_sq_dists(x, centroids, labels)))
     empty = np.flatnonzero(gt < 0)
     if empty.size:
         raise ValueError(f"pose cluster {empty[0]} is empty; cannot pick a ground-truth keyframe")

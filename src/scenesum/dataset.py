@@ -131,13 +131,15 @@ class SyntheticConfig:
         check_real("noise_sigma", self.noise_sigma, zero_ok=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
     """Simulate a reflected 2-d random walk and per-frame feature vectors.
 
     pose_correlated mode emits random Fourier features of the walk position
     (cosines of random frequencies), so feature distance shrinks with pose
     distance.  appearance_only mode draws features independent of the walk.
-    Output is a pure function of cfg.
+    Output is a pure function of cfg.  ValueError when an extreme box_side,
+    step_sigma or noise_sigma makes the walk or the float32 features overflow.
     """
     rng = np.random.default_rng(cfg.seed)
     steps = rng.normal(0.0, cfg.step_sigma, size=(cfg.n_frames - 1, 2))
@@ -158,10 +160,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
         feats = feats + cfg.noise_sigma * rng.standard_normal(feats.shape)
     else:
         feats = rng.standard_normal((cfg.n_frames, cfg.dim))
+    feats = feats.astype(np.float32)
+    if not (np.isfinite(xy).all() and np.isfinite(feats).all()):
+        raise ValueError(f"box_side {cfg.box_side!r}, step_sigma {cfg.step_sigma!r} and noise_sigma "
+                         f"{cfg.noise_sigma!r} overflow the synthetic walk or its features")
 
     return SceneDataset(
         scene_id=f"synthetic-{cfg.feature_mode}-{cfg.seed}",
-        features=feats.astype(np.float32),
+        features=feats,
         poses=np.column_stack([xy, np.zeros(cfg.n_frames)]),
     )
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _BLOCK_VALUES
+from .clustering import _row_blocks
 from .dataset import check_count, check_real
 
 
@@ -28,22 +28,17 @@ def _positions(positions) -> np.ndarray:
 def _close_pair_counts(p: np.ndarray, thresholds) -> np.ndarray:
     """Per threshold r, the ordered pairs (i, j), i != j, closer than r.
 
-    Distances are taken a block of rows at a time, at most _BLOCK_VALUES of
-    them and never more than k rows, so memory stays bounded at any k.  Each
-    block adds its squared differences to zeros axis by axis, the left-to-right
-    order of a sum over the last axis, so every distance has the bytes of the
-    one (k, k) matrix.  One sort per block serves every threshold: the block's
-    pairs closer than r are those left of r's leftmost insertion point among
-    its sorted distances.
+    Distances are taken one row block of the (k, k) matrix at a time, so
+    memory stays bounded at any k.  Each block adds its squared differences to
+    zeros axis by axis, the left-to-right order of a sum over the last axis, so
+    every distance has the bytes of the one (k, k) matrix.  One sort per block
+    serves every threshold: the block's pairs closer than r are those left of
+    r's leftmost insertion point among its sorted distances.
     """
     k, dims = p.shape
     thresholds = np.asarray(thresholds)
-    rows = min(k, max(1, _BLOCK_VALUES // k))
-    buf, sq = np.empty((rows, k)), np.empty((rows, k))
     counts = np.zeros(thresholds.shape, dtype=np.intp)
-    for start in range(0, k, rows):
-        stop = min(start + rows, k)
-        block, term = buf[:stop - start], sq[:stop - start]
+    for start, stop, block, term in _row_blocks(k, k, 2):
         block.fill(0.0)
         for axis in range(dims):
             np.subtract(p[start:stop, axis, None], p[None, :, axis], out=term)

@@ -165,8 +165,12 @@ def _cosine(pools: np.ndarray):
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """x with each row divided by its guarded norm |row| + _COS_EPS; a zero row stays 0."""
-    return x / (np.sqrt((x * x).sum(axis=1)) + _COS_EPS)[:, None]
+    """x with each row divided by its guarded norm |row| + _COS_EPS; a zero row
+    stays 0.  ValueError when a row or its squared norm is not finite."""
+    sq_norms = (x * x).sum(axis=1)
+    if not np.isfinite(sq_norms).all():
+        raise ValueError("training diverged: a latent or its squared norm is not finite")
+    return x / (np.sqrt(sq_norms) + _COS_EPS)[:, None]
 
 
 def _pair_loss(sim: np.ndarray):
@@ -377,6 +381,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     return params, history
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _unit_rows refuses a latent that overflows
 def select_keyframes(params: AutoencoderParams, ds: SceneDataset,
                      partition: ClusterPartition) -> list[int]:
     """Per cluster, the frame whose encoding is nearest by cosine to the
@@ -387,7 +392,8 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset,
     the mean direction.  The contrastive term sees only cosines and leaves
     latent norms free, so the pick ignores them too.  A zero encoding or a
     zero mean direction gives cosine 0.  Ties go to the lowest frame index.
-    Frames are listed in cluster-id order.
+    Frames are listed in cluster-id order.  ValueError, not a RuntimeWarning,
+    when training diverged so far that an encoding or its squared norm overflows.
     """
     _check_partition(ds, partition)
     u = _unit_rows(encode(params, ds.features))

@@ -9,13 +9,12 @@ import pytest
 
 from scenesum.baselines import (
     _change_scores,
-    _member_sq_dists,
     change_detect_summary,
     random_summary,
     uniform_summary,
     vsumm_centroid,
 )
-from scenesum.clustering import _BLOCK_VALUES, ClusterPartition
+from scenesum.clustering import _BLOCK_VALUES, ClusterPartition, _member_sq_dists
 from scenesum.dataset import SceneDataset
 from scenesum.selector import AutoencoderParams, select_keyframes
 

@@ -71,6 +71,15 @@ def test_generate_rejects_unknown_mode(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--step-sigma", "1e308"), ("--noise-sigma", "1e308"),
+                                        ("--box-side", "1e-320")])
+def test_generate_reports_an_overflowing_option_as_a_usage_error(tmp_path, capsys, flag, value):
+    rc = main(["generate", "--out", str(tmp_path / "scene"), "--frames", "50", flag, value])
+    assert rc == 2
+    assert "overflow the synthetic walk" in capsys.readouterr().err
+    assert not (tmp_path / "scene").exists()
+
+
 def test_no_command_is_a_usage_error():
     assert main([]) == 2
 
@@ -372,6 +381,31 @@ def test_evaluate_names_a_pose_file_that_is_not_utf8(scene_dir, tmp_path, capsys
                "--out", str(tmp_path / "eval")])
     assert rc == 1
     assert f"pose file {pose_path} is not UTF-8 text: byte 0x80 in row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix", ["e_0.001", "run.v2/eval.final"])
+def test_evaluate_appends_each_suffix_to_the_whole_prefix(scene_dir, tmp_path, prefix):
+    summary = tmp_path / "sum.json"
+    assert main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
+                 "--k", "3", "--out", str(summary)]) == 0
+    out = tmp_path / prefix
+    assert main(["evaluate", str(summary), str(scene_dir / "manifest.json"), "--svg",
+                 "--out", str(out)]) == 0
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(["sum.json", *(prefix + s for s in (".csv", ".json", ".svg"))])
+
+
+def test_summarize_refuses_a_diverged_training(tmp_path, capsys):
+    # one epoch at learning rate 1e300 ends on a finite loss with latents
+    # whose squared norms overflow: no summary is written
+    scene = tmp_path / "scene"
+    assert main(["generate", "--out", str(scene), "--frames", "60", "--seed", "0"]) == 0
+    out = tmp_path / "summary.json"
+    rc = main(["summarize", str(scene / "manifest.json"), "--k", "5", "--epochs", "1",
+               "--lr", "1e300", "--out", str(out)])
+    assert rc == 1
+    assert "training diverged" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_rejects_bad_grid(scene_dir, tmp_path):

@@ -387,6 +387,24 @@ def test_gt_clustering_k_equals_n():
         assert part.labels[f] == j
 
 
+@pytest.mark.parametrize("grid", [False, True], ids=["random", "grid"])
+def test_gt_keyframes_equal_the_one_shot_pick(grid):
+    # the member distances run in row blocks of _BLOCK_VALUES // 3 poses; n
+    # crosses two block edges, and rounded poses make distance ties
+    n = 2 * (_BLOCK_VALUES // 3) + 1
+    rng = np.random.default_rng(15)
+    poses = np.column_stack([np.cumsum(rng.normal(size=(n, 2)), axis=0), np.zeros(n)])
+    if grid:
+        poses = np.round(poses)
+    k = 7
+    centroids, labels = kmeans(poses, k, seed=2)
+    want = ClusterPartition(k, labels).nearest_members(
+        np.sqrt(((poses - centroids[labels]) ** 2).sum(1)))
+    part = gt_pose_clustering(poses, k, seed=2)
+    assert part.labels.tobytes() == labels.tobytes()
+    assert part.gt_keyframes.tolist() == want.tolist()
+
+
 def test_gt_clustering_requires_poses():
     with pytest.raises(ValueError):
         gt_pose_clustering(None, 2)

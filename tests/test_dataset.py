@@ -135,6 +135,16 @@ def test_synthetic_config_validation():
     SyntheticConfig(box_side=np.float32(5.0), step_sigma=np.int64(2), noise_sigma=0)
 
 
+@pytest.mark.parametrize("knob", [{"step_sigma": 1e308}, {"noise_sigma": 1e308},
+                                  {"box_side": 1e-320}],
+                         ids=["step_sigma", "noise_sigma", "box_side"])
+def test_generate_refuses_knobs_that_overflow(knob):
+    # each is a valid finite number, but the walk or the features overflow:
+    # one ValueError names all three knobs, and no RuntimeWarning comes first
+    with pytest.raises(ValueError, match="box_side .* step_sigma .* noise_sigma .* overflow"):
+        generate_synthetic(SyntheticConfig(n_frames=50, **knob))
+
+
 def test_generate_is_deterministic():
     a = generate_synthetic(_small_cfg())
     b = generate_synthetic(_small_cfg())

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from scenesum import selector
-from scenesum.clustering import ClusterPartition, ClusterSample, sample_cluster
-from scenesum.dataset import SceneDataset
+from scenesum.clustering import ClusterPartition, ClusterSample, cluster_features, sample_cluster
+from scenesum.dataset import SceneDataset, SyntheticConfig, generate_synthetic
 from scenesum.selector import (
     AdamState,
     AutoencoderParams,
@@ -787,6 +787,26 @@ def test_train_rejects_non_finite_loss():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"training loss is .* at epoch \d+, step \d+"):
             train(ds, part, cfg)
+
+
+def test_select_keyframes_refuses_overflowed_latents():
+    # One epoch at learning rate 1e300 ends on a finite loss, but its last
+    # Adam update leaves latents near 6e301, whose squared norms overflow: the
+    # unit latents would all be 0 and every pick the cluster's lowest frame.
+    ds = generate_synthetic(SyntheticConfig(n_frames=60, seed=0))
+    part = cluster_features(ds.features, 5)
+    params, history = train(ds, part, TrainConfig(epochs=1, learning_rate=1e300))
+    assert np.isfinite(history).all()
+    with pytest.raises(ValueError, match="training diverged"):
+        select_keyframes(params, ds, part)
+    # with weights of 1e308 a first row [1, 0] gives a latent whose squared
+    # norm overflows, [2, 0] an infinite latent and [2, -2] a NaN one
+    w, b = np.full((2, 2), 1e308), np.zeros(2)
+    params = _net(2, (), 2, [(w, b)], [(w, b)])
+    for row in ([1.0, 0.0], [2.0, 0.0], [2.0, -2.0]):
+        ds = SceneDataset("overflow", [row, [0.0, 0.0]])
+        with pytest.raises(ValueError, match="training diverged"):
+            select_keyframes(params, ds, ClusterPartition(2, [0, 1]))
 
 
 @pytest.mark.parametrize("k", [8, 10, 20, 65, 100])
