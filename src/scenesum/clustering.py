@@ -84,15 +84,15 @@ class ClusterPartition:
 
 @dataclass(frozen=True, eq=False)
 class ClusterSample:
-    """Frames drawn for one training step: row q of the (k, N) table holds
-    the N frames drawn from cluster q.  total_loss checks the table."""
+    """Frames drawn for one training epoch: table[s, q] holds the N frames
+    step s draws from cluster q, a read-only (steps, k, N) int64 array."""
 
     table: np.ndarray
 
     @property
     def frame_indices(self) -> np.ndarray:
-        """The k * N frames as one flat array, row after row; perfbench's
-        tracer counts the sampled rows by its length."""
+        """The steps * k * N frames as one flat array, step after step;
+        perfbench's tracer counts the sampled rows by its length."""
         return self.table.ravel()
 
 
@@ -348,40 +348,53 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
 
 
 def _first_by_key(table: np.ndarray, keys: np.ndarray, n_sample: int) -> np.ndarray:
-    """(k, n_sample): per row of a member table, its first n_sample frames in
-    ascending order of keys[frame], equal keys lower frame first, which is the
-    order of np.lexsort((keys, labels)) within each cluster.  keys holds one
-    key per frame, then +inf for the padding index, so a row shorter than
-    n_sample ends in padding; past the table's width its last column repeats."""
-    ranks = np.argsort(keys[table], axis=1, kind="stable")
-    cols = ranks[:, np.minimum(np.arange(n_sample), table.shape[1] - 1)]
+    """(..., k, n_sample): per row of a member table, its first n_sample frames in
+    ascending order of keys[..., frame], equal keys lower frame first, which is
+    the order of np.lexsort((keys, labels)) within each cluster.  keys holds one
+    key per frame, then +inf for the padding index, in its last axis, so a row
+    shorter than n_sample ends in padding; past the table's width its last
+    column repeats.  A (steps, n_frames + 1) key table gives one (k, n_sample)
+    pick per step, each from its own row of keys."""
+    ranks = np.argsort(np.take(keys, table, axis=-1), axis=-1, kind="stable")
+    cols = ranks[..., np.minimum(np.arange(n_sample), table.shape[1] - 1)]
     return table[np.arange(table.shape[0])[:, None], cols]
 
 
 def sample_cluster(partition: ClusterPartition, n_sample: int,
                    rng: np.random.Generator | int) -> ClusterSample:
-    """One training step's sample: n_sample member frames of every cluster, in
-    cluster-id order, from one draw.
+    """One training epoch's sample: ceil(n_frames / (k * n_sample)) steps, each
+    n_sample member frames of every cluster, in cluster-id order.
 
-    One rng.random key per frame puts each cluster's members in random order
-    (a stable sort of the keys in each row of the partition's member table)
-    and each cluster takes its first n_sample, so no frame repeats.  A cluster
-    smaller than n_sample draws with replacement instead: rng.choice over its
-    members, after the keys and in cluster-id order.  Only such a cluster is
-    checked for being empty; train checks every cluster once.  An rng that is
-    no Generator is a seed, which must be an integer >= 0.
+    Each step draws one rng.random key per frame, which puts each cluster's
+    members in random order (a stable sort of the keys in each row of the
+    partition's member table), and each cluster takes its first n_sample, so
+    no frame repeats within a step.  A cluster smaller than n_sample draws with
+    replacement instead: rng.choice over its members, after the step's keys and
+    in cluster-id order.  The steps go in blocks of _row_blocks(steps,
+    n_frames + 1), about 256 KB of keys or one step's, and each block's keys
+    are sorted at once.  Step s holds the frames of the (s + 1)-th of
+    successive one-step draws, and the Generator ends where they leave it.
+    ValueError if a cluster is empty.  An rng that is no Generator is a seed,
+    which must be an integer >= 0.
     """
     check_count("n_sample", n_sample)
     if not isinstance(rng, np.random.Generator):
         check_count("seed", rng, 0)
         rng = np.random.default_rng(rng)
-    table, sizes = partition.table, partition.sizes
-    keys = np.empty(partition.n_frames + 1)
-    rng.random(out=keys[:-1])
-    keys[-1] = np.inf  # the padding sorts after every key in [0, 1)
-    picks = _first_by_key(table, keys, n_sample)
-    for j in np.flatnonzero(sizes < n_sample):
-        if sizes[j] == 0:
-            raise ValueError(f"cluster {j} is empty")
-        picks[j] = rng.choice(partition.members[j], size=n_sample, replace=True)
+    table, sizes, n_frames = partition.table, partition.sizes, partition.n_frames
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValueError(f"cluster {empty[0]} is empty")
+    steps = max(1, -(-n_frames // (partition.k * n_sample)))
+    small = np.flatnonzero(sizes < n_sample)
+    picks = np.empty((steps, partition.k, n_sample), dtype=np.int64)
+    drawn = np.empty((steps, small.size, n_sample), dtype=np.int64)
+    for start, stop, keys in _row_blocks(steps, n_frames + 1):
+        for step, row in enumerate(keys, start):
+            rng.random(out=row[:-1])
+            for i, j in enumerate(small):
+                drawn[step, i] = rng.choice(partition.members[j], size=n_sample, replace=True)
+        keys[:, -1] = np.inf  # the padding sorts after every key in [0, 1)
+        picks[start:stop] = _first_by_key(table, keys, n_sample)
+    picks[:, small] = drawn
     return ClusterSample(_read_only(picks))

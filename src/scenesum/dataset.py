@@ -22,6 +22,9 @@ FEATURE_DTYPE = np.dtype("<f4")
 POSE_HEADER = ("frame", "x", "y", "z")
 
 _FEATURE_MODES = ("pose_correlated", "appearance_only")
+# Pose bound in meters: a sum of n squared 3-d distances, at most n * 12 * MAX_COORD**2,
+# stays finite for any real frame count, so pose clustering and the metrics cannot overflow.
+MAX_COORD = 1e100
 
 
 def check_count(name: str, value, low: int = 1) -> None:
@@ -48,6 +51,17 @@ def index_array(name: str, values, high: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def check_coordinates(p: np.ndarray, name: str, row: str) -> None:
+    """ValueError unless every coordinate of p, one row per point, is finite and
+    at most MAX_COORD m in absolute value; the bound's message names the first
+    row beyond it as `row` and its index."""
+    inside = (np.abs(p) <= MAX_COORD).all(axis=1)  # False at NaN and Inf too
+    if not inside.all():
+        if not np.isfinite(p).all():
+            raise ValueError(f"NaN or Inf detected in {name}")
+        raise ValueError(f"{row} {np.argmin(inside)} has a coordinate beyond {MAX_COORD:g} m")
+
+
 def is_finite(value) -> bool:
     """Whether a number is finite as a float; an int too large for one is not."""
     return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
@@ -66,7 +80,8 @@ class SceneDataset:
     """Frame sequence with features and, when available, ground-truth poses.
 
     poses holds camera positions in meters, one (x, y, z) row per frame; z
-    stays 0.0 for planar scenes.
+    stays 0.0 for planar scenes.  Every coordinate must be finite and at most
+    MAX_COORD in absolute value; ValueError naming the first frame otherwise.
     """
 
     scene_id: str
@@ -88,8 +103,7 @@ class SceneDataset:
                 raise ValueError(
                     f"pose count {poses.shape[0]} does not match frame count {feats.shape[0]}"
                 )
-            if not np.isfinite(poses).all():
-                raise ValueError("NaN or Inf detected in poses")
+            check_coordinates(poses, "poses", "the pose of frame")
             self.poses = poses
 
     @property
@@ -139,7 +153,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
     (cosines of random frequencies), so feature distance shrinks with pose
     distance.  appearance_only mode draws features independent of the walk.
     Output is a pure function of cfg.  ValueError when an extreme box_side,
-    step_sigma or noise_sigma makes the walk or the float32 features overflow.
+    step_sigma or noise_sigma makes the walk or the float32 features overflow,
+    or puts the walk beyond MAX_COORD.
     """
     rng = np.random.default_rng(cfg.seed)
     steps = rng.normal(0.0, cfg.step_sigma, size=(cfg.n_frames - 1, 2))
@@ -161,9 +176,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> SceneDataset:
     else:
         feats = rng.standard_normal((cfg.n_frames, cfg.dim))
     feats = feats.astype(np.float32)
-    if not (np.isfinite(xy).all() and np.isfinite(feats).all()):
+    if not ((np.abs(xy) <= MAX_COORD).all() and np.isfinite(feats).all()):
         raise ValueError(f"box_side {cfg.box_side!r}, step_sigma {cfg.step_sigma!r} and noise_sigma "
-                         f"{cfg.noise_sigma!r} overflow the synthetic walk or its features")
+                         f"{cfg.noise_sigma!r} overflow the synthetic walk or its features, "
+                         f"or put the walk beyond {MAX_COORD:g} m")
 
     return SceneDataset(
         scene_id=f"synthetic-{cfg.feature_mode}-{cfg.seed}",
@@ -207,7 +223,7 @@ def save_dataset(ds: SceneDataset, manifest_path) -> Path:
 
 
 def _load_poses(path: Path, n_frames: int) -> list[tuple[float, float, float]]:
-    """Rows (x, y, z) of a pose CSV; SceneDataset checks their finiteness."""
+    """Rows (x, y, z) of a pose CSV; SceneDataset checks their values."""
     raw = path.read_bytes()
     try:
         text = raw.decode("utf-8")
@@ -255,7 +271,8 @@ def read_json_object(path, what: str) -> dict:
 
 
 def load_dataset(manifest_path) -> SceneDataset:
-    """Load a scene from its manifest; validates sizes, dtype tag, and finiteness."""
+    """Load a scene from its manifest; validates sizes, dtype tag, finiteness and
+    the pose bound."""
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest")
     for key in ("scene_id", "n_frames", "dim", "features", "dtype"):

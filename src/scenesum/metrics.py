@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _row_blocks
-from .dataset import check_count, check_real
+from .dataset import check_coordinates, check_count, check_real
 
 
 def _positions(positions) -> np.ndarray:
@@ -20,8 +20,7 @@ def _positions(positions) -> np.ndarray:
         raise ValueError(f"positions must be (k, 2) or (k, 3), got shape {p.shape}")
     if p.shape[0] < 1:
         raise ValueError("empty keyframe set")
-    if not np.isfinite(p).all():
-        raise ValueError("NaN or Inf detected in positions")
+    check_coordinates(p, "positions", "position")
     return p
 
 

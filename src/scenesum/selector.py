@@ -13,12 +13,13 @@ and backward over the pools, and one pair loss that returns its value and dL/dS.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterPartition, ClusterSample, sample_cluster
+from .clustering import ClusterPartition, _read_only, sample_cluster
 from .dataset import SceneDataset, check_count, check_real, index_array
 
 _COS_EPS = 1e-12  # norm guard of the cosines in training and in the keyframe pick
@@ -145,7 +146,13 @@ def recon_loss(x, x_hat) -> float:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
     if x.shape[0] == 0:
         raise ValueError("reconstruction loss needs at least one row")
-    return float(((x - x_hat) ** 2).sum()) / x.shape[0]
+    return _recon_term(x_hat - x)
+
+
+def _recon_term(resid: np.ndarray) -> float:
+    """The reconstruction term of a residual x_hat - x: its squares summed, over
+    the row count.  (x - x_hat)^2 has the same bytes."""
+    return float((resid * resid).sum()) / resid.shape[0]
 
 
 def _cosine(pools: np.ndarray):
@@ -173,12 +180,24 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / (np.sqrt(sq_norms) + _COS_EPS)[:, None]
 
 
+@functools.lru_cache(maxsize=16)
+def _off_diagonal(k: int) -> np.ndarray:
+    """The read-only (k, k) mask of the ordered pairs a != b."""
+    return _read_only(~np.eye(k, dtype=bool))
+
+
+@functools.lru_cache(maxsize=16)
+def _pooling(k: int, n_sample: int) -> np.ndarray:
+    """The read-only k x kN averaging matrix: row q holds 1/N over cluster q's rows."""
+    return _read_only(np.repeat(np.eye(k) / n_sample, n_sample, axis=1))
+
+
 def _pair_loss(sim: np.ndarray):
     """Contrastive loss over the ordered pairs a != b of a cosine matrix, and dL/dsim.
     Per pair it is -log(e^sim(a,a) / (e^sim(a,a) + e^sim(a,b))); the positive
     logit is 1, so it reduces to log(1 + e^(sim(a,b) - 1))."""
     e = np.exp(sim - 1.0)
-    off_diag = ~np.eye(sim.shape[0], dtype=bool)
+    off_diag = _off_diagonal(sim.shape[0])
     return float(np.log1p(e[off_diag]).sum()), np.where(off_diag, e / (1.0 + e), 0.0)
 
 
@@ -193,14 +212,14 @@ def infonce_pair(p_a, p_b) -> float:
     return _pair_loss(_cosine(pools)[0])[0] / 2.0
 
 
-def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_keyframes=None, *,
+def total_loss(params: AutoencoderParams, features, table, gt_keyframes=None, *,
                lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
                lambda_gt: float = _LAMBDA_GT, grads: AutoencoderParams | None = None):
     """Weighted training loss over one step's sample of k clusters, and
     optionally its gradient.
 
-    Row q of sample.table holds the N frames drawn from cluster q, as
-    sample_cluster draws them.
+    Row q of the (k, N) table holds the N frames drawn from cluster q, as
+    one step of sample_cluster draws them.
     Returns (total, breakdown) where breakdown holds the unweighted terms under
     keys 'recon', 'infonce', and (supervised only) 'gt'.  All sampled rows
     (then, in supervised mode, the k gt rows) go through the encoder as one
@@ -212,30 +231,42 @@ def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_ke
     """
     features = np.asarray(features, dtype=np.float64)
     n_frames = features.shape[0]
-    table = np.asarray(sample.table)
-    if table.ndim != 2 or table.shape[1] < 1:
-        raise ValueError(f"the sample table must be (k, N) with N >= 1, got shape {table.shape}")
-    k, n_sample = table.shape
+    arr = np.asarray(table)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValueError(f"the sample table must be (k, N) with N >= 1, got shape {arr.shape}")
+    k = arr.shape[0]
     if k < 2:
         raise ValueError(f"need at least 2 clusters for the contrastive term, got {k}")
-    if not isinstance(sample.table, np.ndarray):  # np.asarray made integers of any bools
-        for row in sample.table:
+    if not isinstance(table, np.ndarray):  # np.asarray made integers of any bools
+        for row in table:
             index_array("frame indices", row, n_frames)
-    rows = index_array("frame indices", table.ravel(), n_frames)
-    n_total = rows.size
-    supervised = gt_keyframes is not None
-    if supervised:
+    rows = index_array("frame indices", arr.ravel(), n_frames)
+    if gt_keyframes is not None:
         gt_keyframes = index_array("gt_keyframes", gt_keyframes, n_frames)
         if gt_keyframes.shape != (k,):
             raise ValueError(f"gt_keyframes must have shape ({k},), got {gt_keyframes.shape}")
+    return _loss(params, features, rows.reshape(arr.shape), gt_keyframes,
+                 lambda_recon, lambda_nce, lambda_gt, grads)
+
+
+def _loss(params, features, table, gt_keyframes, lambda_recon, lambda_nce, lambda_gt, grads):
+    """total_loss without its checks: features a float64 matrix, table a (k, N)
+    int64 array of its frames, gt_keyframes None or a (k,) int64 array of them."""
+    k, n_sample = table.shape
+    rows = table.ravel()
+    n_total = rows.size
+    supervised = gt_keyframes is not None
+    if supervised:
         rows = np.concatenate([rows, gt_keyframes])
     enc_acts = _forward(params.encoder, features[rows])
     h, x = enc_acts[-1][:n_total], enc_acts[0][:n_total]
     dec_acts = _forward(params.decoder, h)
-    recon = recon_loss(x, dec_acts[-1])
+    # the residual serves the recon term and its gradient; _backward never
+    # reads the decoder output, so the residual takes its place
+    resid = np.subtract(dec_acts[-1], x, out=dec_acts[-1])
+    recon = _recon_term(resid)
 
-    # avg is the k x kN averaging matrix: row q holds 1/N over cluster q's rows.
-    avg = np.repeat(np.eye(k) / n_sample, n_sample, axis=1)
+    avg = _pooling(k, n_sample)
     pools = avg @ h
 
     sim, sim_backward = _cosine(pools)
@@ -253,8 +284,8 @@ def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_ke
         return total, breakdown
 
     d_pools = sim_backward(lambda_nce * d_sim)
-    dxp = lambda_recon * (2.0 / n_total) * (dec_acts[-1] - x)
-    dz = _backward(params.decoder, dec_acts, dxp, grads.decoder)
+    resid *= lambda_recon * (2.0 / n_total)
+    dz = _backward(params.decoder, dec_acts, resid, grads.decoder)
     dh = dz @ params.decoder[0][0].T
     if supervised:
         d_gt = lambda_gt * (2.0 / k) * gt_diff
@@ -266,12 +297,12 @@ def total_loss(params: AutoencoderParams, features, sample: ClusterSample, gt_ke
     return total, breakdown
 
 
-def grad(params: AutoencoderParams, features, sample: ClusterSample, gt_keyframes=None, *,
+def grad(params: AutoencoderParams, features, table, gt_keyframes=None, *,
          lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
          lambda_gt: float = _LAMBDA_GT) -> AutoencoderParams:
     """Analytic gradient of total_loss, as a new AutoencoderParams shaped like params."""
     g = AutoencoderParams(params.input_dim, params.hidden_dims, params.latent_dim)
-    total_loss(params, features, sample, gt_keyframes, lambda_recon=lambda_recon,
+    total_loss(params, features, table, gt_keyframes, lambda_recon=lambda_recon,
                lambda_nce=lambda_nce, lambda_gt=lambda_gt, grads=g)
     return g
 
@@ -349,10 +380,11 @@ def _check_partition(ds: SceneDataset, partition: ClusterPartition) -> None:
 def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     """Fit the autoencoder on cluster samples; returns (params, per-epoch mean loss).
 
-    Each epoch runs ceil(n_frames / (k * N)) steps; each step makes one
-    sample_cluster call, which draws N = max(1, cfg.batch_size // k) frames of
-    every cluster as one ClusterSample.  A partition with gt_keyframes trains
-    supervised, adding total_loss's gt term.  Fully deterministic given cfg.seed.
+    Each epoch makes one sample_cluster call, which draws the epoch's
+    ceil(n_frames / (k * N)) steps of N = max(1, cfg.batch_size // k) frames of
+    every cluster; each step is one Adam update on its loss.  A partition with
+    gt_keyframes trains supervised, adding total_loss's gt term.  Fully
+    deterministic given cfg.seed.
     """
     _check_partition(ds, partition)
     k = partition.k
@@ -365,14 +397,15 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     features = np.asarray(ds.features, dtype=np.float64)
     state = AdamState(params)
     grads = AutoencoderParams(ds.dim, cfg.hidden_dims, cfg.latent_dim)  # overwritten by every step
-    steps = max(1, math.ceil(ds.n_frames / (k * n_sample)))
+    lambdas = _LAMBDA_RECON, _LAMBDA_NCE, _LAMBDA_GT
 
     history = []
     for epoch in range(cfg.epochs):
         step_losses = []
-        for step in range(steps):
-            sample = sample_cluster(partition, n_sample, rng)
-            total, _ = total_loss(params, features, sample, partition.gt_keyframes, grads=grads)
+        # the partition and the draw are checked once, so each step runs the
+        # loss without total_loss's checks
+        for step, table in enumerate(sample_cluster(partition, n_sample, rng).table):
+            total, _ = _loss(params, features, table, partition.gt_keyframes, *lambdas, grads)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
             adam_step(params, grads, state, learning_rate=cfg.learning_rate)

@@ -17,7 +17,7 @@ import pytest
 from scenesum import metrics
 from scenesum.baselines import random_summary, vsumm_centroid
 from scenesum.cli import main
-from scenesum.clustering import ClusterSample, cluster_features, gt_pose_clustering
+from scenesum.clustering import cluster_features, gt_pose_clustering
 from scenesum.dataset import SyntheticConfig, generate_synthetic
 from scenesum.selector import (
     TrainConfig,
@@ -79,7 +79,7 @@ def test_gradients_match_finite_differences():
         feats = rng.normal(size=(n_frames, input_dim))
         params = init_params(input_dim, hidden, latent_dim, rng=rng)
         order = rng.permutation(n_frames)
-        sample = ClusterSample(np.stack([np.sort(order[2 * c:2 * c + 2]) for c in range(k)]))
+        sample = np.stack([np.sort(order[2 * c:2 * c + 2]) for c in range(k)])
         gt = [int(rng.integers(0, n_frames)) for _ in range(k)] if supervised else None
         lams = {"lambda_recon": float(rng.uniform(0.2, 2.0)),
                 "lambda_nce": float(rng.uniform(0.2, 2.0)),

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,29 @@ def test_summarize_refuses_a_diverged_training(tmp_path, capsys):
     assert rc == 1
     assert "training diverged" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_poses_beyond_the_bound_exit_1_without_a_warning(tmp_path, capsys):
+    # a 40-frame scene whose pose file is scaled by 1e200 after it was written:
+    # its squared pose distances would overflow in pose clustering and scoring
+    scene = tmp_path / "scene"
+    assert main(["generate", "--out", str(scene), "--frames", "40", "--seed", "0"]) == 0
+    summary = tmp_path / "summary.json"
+    assert main(["summarize", str(scene / "manifest.json"), "--method", "uniform", "--k", "5",
+                 "--out", str(summary)]) == 0
+    poses = load_dataset(scene / "manifest.json").poses * 1e200
+    lines = ["frame,x,y,z"] + [f"{i},{x!r},{y!r},{z!r}" for i, (x, y, z) in enumerate(poses.tolist())]
+    (scene / "poses.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["summarize", str(scene / "manifest.json"), "--method", "scenesum-supervised",
+                     "--k", "5", "--out", str(tmp_path / "sup.json")]) == 1
+        assert main(["evaluate", str(summary), str(scene / "manifest.json"),
+                     "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("the pose of frame 0 has a coordinate beyond 1e+100 m") == 2
+    assert not (tmp_path / "sup.json").exists() and not (tmp_path / "eval.csv").exists()
 
 
 def test_evaluate_rejects_bad_grid(scene_dir, tmp_path):

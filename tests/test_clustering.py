@@ -426,20 +426,27 @@ def _reference_sample(partition, n_sample, rng):
     return np.concatenate(rows)
 
 
+def _epoch_steps(partition, n_sample):
+    return max(1, -(-partition.n_frames // (partition.k * n_sample)))
+
+
 @pytest.mark.parametrize("labels,n_sample", [
     (np.arange(60) % 4, 5),
     (np.random.default_rng(3).integers(0, 5, size=80), 6),
     ([0, 1, 1, 2, 2, 2, 2, 0, 1, 2, 2, 1], 3),  # sizes 2, 4 and 6
     ([2, 2, 0, 1, 1, 1, 2, 2, 2, 2], 4),  # sizes 1, 3 and 6
-], ids=["balanced", "unequal", "one-small-cluster", "two-small-clusters"])
+    (np.arange(5000) % 50, 1),  # 100 steps, 6 a key block: 17 blocks
+], ids=["balanced", "unequal", "one-small-cluster", "two-small-clusters", "multi-block"])
 def test_sample_cluster_matches_the_reference_rule(labels, n_sample):
+    # each epoch's draw holds successive one-step draws of the reference rule
     part = ClusterPartition(int(np.max(labels)) + 1, labels)
+    steps = _epoch_steps(part, n_sample)
     got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
     for _ in range(5):
         got = sample_cluster(part, n_sample, got_rng)
-        want = _reference_sample(part, n_sample, want_rng)
-        assert got.table.shape == (part.k, n_sample)
-        assert got.frame_indices.tobytes() == want.tobytes()
+        want = [_reference_sample(part, n_sample, want_rng) for _ in range(steps)]
+        assert got.table.shape == (steps, part.k, n_sample)
+        assert got.frame_indices.tobytes() == np.concatenate(want).tobytes()
     assert got_rng.random() == want_rng.random()  # both streams at the same place
 
 
@@ -478,10 +485,12 @@ _ORACLE_PARTITIONS = {
 ])
 def test_sample_cluster_matches_the_lexsort_draw(name, n_sample):
     part = _ORACLE_PARTITIONS[name]()
+    steps = _epoch_steps(part, n_sample)
     got_rng, want_rng = np.random.default_rng(29), np.random.default_rng(29)
     for _ in range(4):
         got = sample_cluster(part, n_sample, got_rng).frame_indices
-        assert got.tobytes() == _reference_sample_cluster(part, n_sample, want_rng).tobytes()
+        want = [_reference_sample_cluster(part, n_sample, want_rng) for _ in range(steps)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
     assert got_rng.random() == want_rng.random()
     sizes = [int((part.labels == j).sum()) for j in range(part.k)]
     assert part.sizes.tolist() == sizes
@@ -510,17 +519,17 @@ def test_first_by_key_sends_equal_keys_to_the_lower_frame():
 def test_sample_cluster_without_replacement_when_possible():
     part = ClusterPartition(2, [0, 0, 0, 0, 1, 1, 1])
     for seed in range(20):
-        rows = sample_cluster(part, 3, rng=seed).frame_indices
-        assert len(set(rows[:3].tolist())) == 3 and set(rows[:3].tolist()) <= {0, 1, 2, 3}
-        assert sorted(rows[3:].tolist()) == [4, 5, 6]
+        for step in sample_cluster(part, 3, rng=seed).table:  # 2 steps of ceil(7 / 6)
+            assert len(set(step[0].tolist())) == 3 and set(step[0].tolist()) <= {0, 1, 2, 3}
+            assert sorted(step[1].tolist()) == [4, 5, 6]
 
 
 def test_sample_cluster_small_cluster_uses_replacement():
     part = ClusterPartition(2, [0, 0, 1, 1, 1, 1])
     s = sample_cluster(part, 5, rng=1)
-    assert s.table.shape == (2, 5)
-    assert set(s.table[0].tolist()) <= {0, 1}
-    assert set(s.table[1].tolist()) <= {2, 3, 4, 5}
+    assert s.table.shape == (1, 2, 5)  # one step of ceil(6 / 10)
+    assert set(s.table[0, 0].tolist()) <= {0, 1}
+    assert set(s.table[0, 1].tolist()) <= {2, 3, 4, 5}
 
 
 def test_sample_cluster_is_deterministic_per_seed():
@@ -535,8 +544,8 @@ def test_sample_cluster_draws_are_roughly_uniform():
     part = ClusterPartition(2, [0, 1, 0, 1, 0, 1, 0, 1])
     rng = np.random.default_rng(0)
     counts = np.zeros(8)
-    for _ in range(10_000):
-        counts[sample_cluster(part, 1, rng).frame_indices] += 1
+    for _ in range(2_500):  # 4 steps of ceil(8 / 2) per draw: 10,000 steps
+        counts += np.bincount(sample_cluster(part, 1, rng).frame_indices, minlength=8)
     sigma = np.sqrt(10_000 * 0.25 * 0.75)
     assert (np.abs(counts - 2500) <= 3 * sigma).all()
 

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from scenesum.cli import main
-from scenesum.dataset import (SceneDataset, SyntheticConfig, generate_synthetic, index_array,
-                              load_dataset, save_dataset)
+from scenesum.clustering import gt_pose_clustering
+from scenesum.dataset import (MAX_COORD, SceneDataset, SyntheticConfig, generate_synthetic,
+                              index_array, load_dataset, save_dataset)
+from scenesum.metrics import divergence_curve
 
 
 def _small_cfg(**kwargs):
@@ -48,6 +50,32 @@ def test_pose_rejects_non_finite():
         poses[1, 2] = value
         with pytest.raises(ValueError, match="NaN or Inf"):
             SceneDataset("s", np.ones((2, 2)), poses=poses)
+
+
+def test_pose_beyond_the_bound_is_refused_naming_its_frame():
+    # a coordinate at 1e100 m is a pose, one a float step beyond it is not
+    poses = np.zeros((3, 3))
+    poses[0] = MAX_COORD
+    poses[1] = -MAX_COORD
+    SceneDataset("s", np.ones((3, 2)), poses=poses)
+    beyond = np.nextafter(MAX_COORD, np.inf)
+    for value in (beyond, -beyond):
+        poses[2, 1] = value
+        with pytest.raises(ValueError, match=r"the pose of frame 2 has a coordinate beyond 1e\+100 m"):
+            SceneDataset("s", np.ones((3, 2)), poses=poses)
+
+
+def test_poses_at_the_bound_cluster_and_score_without_overflow():
+    # squared distances reach 12 * MAX_COORD**2 and their sums over the frames
+    # stay finite, so neither pose clustering nor the metrics warn
+    poses = MAX_COORD * np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, 3))
+    poses[0], poses[1] = MAX_COORD, -MAX_COORD
+    ds = SceneDataset("bound", np.ones((40, 2)), poses=poses)
+    part = gt_pose_clustering(ds.poses, 5)
+    assert part.sizes.sum() == 40 and len(part.gt_keyframes) == 5
+    curve = divergence_curve(ds.poses, 4.0 * MAX_COORD, 10)
+    unit = divergence_curve(ds.poses / MAX_COORD, 4.0, 10)
+    assert curve.values.tolist() == unit.values.tolist()
 
 
 def test_pose_matrix_stacks_coordinates():
@@ -136,8 +164,8 @@ def test_synthetic_config_validation():
 
 
 @pytest.mark.parametrize("knob", [{"step_sigma": 1e308}, {"noise_sigma": 1e308},
-                                  {"box_side": 1e-320}],
-                         ids=["step_sigma", "noise_sigma", "box_side"])
+                                  {"box_side": 1e-320}, {"box_side": 1e200}],
+                         ids=["step_sigma", "noise_sigma", "box_side", "box_side-beyond-bound"])
 def test_generate_refuses_knobs_that_overflow(knob):
     # each is a valid finite number, but the walk or the features overflow:
     # one ValueError names all three knobs, and no RuntimeWarning comes first

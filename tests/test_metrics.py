@@ -214,6 +214,17 @@ def test_non_finite_threshold_is_rejected(fn, bad):
             fn(positions, bad)
 
 
+def test_positions_beyond_the_pose_bound_are_refused():
+    # squared distances of coordinates beyond 1e100 m could overflow
+    positions = [(0.0, 0.0, 0.0), (1e200, 0.0, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (lambda p: divergence_curve(p, 3.0), lambda p: divergence(p, 1.0),
+                   lambda p: similar_pair_count(p, 1.0)):
+            with pytest.raises(ValueError, match=r"position 1 has a coordinate beyond 1e\+100 m"):
+                fn(positions)
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         DivergenceCurve(np.array([0.0, 1.0, 1.0]), np.zeros(3))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from scenesum import selector
-from scenesum.clustering import ClusterPartition, ClusterSample, cluster_features, sample_cluster
+from scenesum.clustering import (ClusterPartition, cluster_features, gt_pose_clustering,
+                                 sample_cluster)
 from scenesum.dataset import SceneDataset, SyntheticConfig, generate_synthetic
 from scenesum.selector import (
     AdamState,
@@ -26,6 +27,7 @@ from scenesum.selector import (
     total_loss,
     train,
 )
+from test_clustering import _reference_sample_cluster
 
 
 def _net(input_dim, hidden_dims, latent_dim, encoder, decoder):
@@ -67,7 +69,7 @@ def _oracle_setup():
     ]
     params = _net(3, (4,), 2, encoder, decoder)
     feats = rng.normal(0.0, 1.0, size=(8, 3))
-    return params, feats, ClusterSample(np.array([[0, 1], [2, 3], [4, 5]]))
+    return params, feats, np.array([[0, 1], [2, 3], [4, 5]])
 
 
 def _repeat_setup():
@@ -76,7 +78,7 @@ def _repeat_setup():
     with replacement."""
     params, _, _ = _oracle_setup()
     feats = np.random.default_rng(8).normal(0.0, 1.0, size=(10, 3))
-    return params, feats, ClusterSample(np.array([[0, 1, 2], [3, 9, 3], [6, 7, 8]]))
+    return params, feats, np.array([[0, 1, 2], [3, 9, 3], [6, 7, 8]])
 
 
 def _mlp(layers, x):
@@ -205,7 +207,7 @@ def test_decode_matches_hand_computation():
     hand = np.array([-0.3962128573157874, 0.16517927474370905])
     assert np.allclose(_mlp(params.decoder, [0.8799947459358899])[0], hand, atol=1e-12)
     feats = np.array([[0.6, -0.8], [0.6, -0.8]])
-    _, breakdown = total_loss(params, feats, ClusterSample(np.array([[0], [1]])))
+    _, breakdown = total_loss(params, feats, np.array([[0], [1]]))
     assert abs(breakdown["recon"] - float(((feats[0] - hand) ** 2).sum())) < 1e-12
 
 
@@ -228,7 +230,7 @@ def test_identity_net_round_trips_input():
     params = _identity_net(3)
     xs = np.random.default_rng(3).normal(size=(4, 3))
     assert np.allclose(encode(params, xs), xs, atol=1e-15)
-    assert total_loss(params, xs, ClusterSample(np.array([[0, 1], [2, 3]])))[1]["recon"] == 0.0
+    assert total_loss(params, xs, np.array([[0, 1], [2, 3]]))[1]["recon"] == 0.0
 
 
 def test_pool_is_row_mean():
@@ -236,7 +238,7 @@ def test_pool_is_row_mean():
     # of each row: [2, 3] for cluster 0 and [2.5, 0.5] for cluster 1, cosine
     # 6.5 / sqrt(13 * 6.5) = sqrt(1/2).
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0], [0.0, 1.0]])
-    _, breakdown = total_loss(_identity_net(2), feats, ClusterSample(np.array([[0, 1], [2, 3]])))
+    _, breakdown = total_loss(_identity_net(2), feats, np.array([[0, 1], [2, 3]]))
     want = 2.0 * math.log1p(math.exp(math.sqrt(0.5) - 1.0))
     assert abs(breakdown["infonce"] - want) < 1e-11
 
@@ -289,7 +291,7 @@ def test_total_loss_identity_net_orthogonal_clusters():
     # autoencoder: zero reconstruction error, both ordered pairs at cosine 0.
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sample = ClusterSample(np.array([[0], [1]]))
+    sample = np.array([[0], [1]])
     total, breakdown = total_loss(params, feats, sample)
     assert breakdown["recon"] == 0.0
     assert abs(total - 2.0 * math.log(1 + math.exp(-1))) < 1e-12
@@ -320,7 +322,7 @@ def test_total_loss_supervised_gt_term_vanishes_for_singleton_pools():
     # gt keyframe equal to the member contributes exactly zero.
     params = init_params(3, (4,), 2, rng=4)
     feats = np.random.default_rng(5).normal(size=(2, 3))
-    sample = ClusterSample(np.array([[0], [1]]))
+    sample = np.array([[0], [1]])
     base, _ = total_loss(params, feats, sample)
     sup, breakdown = total_loss(params, feats, sample, [0, 1])
     assert breakdown["gt"] < 1e-24
@@ -344,7 +346,7 @@ def test_total_loss_matches_per_cluster_loop(gt):
     lams = {"lambda_recon": 0.7, "lambda_nce": 1.3, "lambda_gt": 2.1}
     batched, _ = total_loss(params, feats, sample, gt, **lams)
 
-    xs = list(feats[sample.table])
+    xs = list(feats[sample])
     pools = [encode(params, x).mean(axis=0) for x in xs]
     n_total = sum(len(x) for x in xs)
     recon = sum(float(((x - _mlp(params.decoder, encode(params, x))) ** 2).sum())
@@ -379,7 +381,7 @@ def test_total_loss_rejects_malformed_samples(table, gt, match):
     params = init_params(2, (3,), 2, rng=0)
     feats = np.random.default_rng(1).normal(size=(6, 2))
     with pytest.raises(ValueError, match=match):
-        total_loss(params, feats, ClusterSample(np.array(table)), gt)
+        total_loss(params, feats, np.array(table), gt)
 
 
 @pytest.mark.parametrize("table,gt", [
@@ -393,13 +395,13 @@ def test_total_loss_refuses_a_bool_for_a_frame(table, gt):
     params = init_params(2, (3,), 2, rng=0)
     feats = np.random.default_rng(1).normal(size=(6, 2))
     with pytest.raises(ValueError, match="not bools"):
-        total_loss(params, feats, ClusterSample(table), gt)
+        total_loss(params, feats, table, gt)
 
 
 def test_total_loss_needs_two_clusters():
     params = init_params(2, (2,), 1, rng=0)
     with pytest.raises(ValueError, match="2 clusters"):
-        total_loss(params, np.ones((2, 2)), ClusterSample(np.array([[0, 1]])))
+        total_loss(params, np.ones((2, 2)), np.array([[0, 1]]))
 
 
 @pytest.mark.parametrize("gt", [None, [1, 3, 9]])
@@ -407,7 +409,7 @@ def test_total_loss_with_grads_leaves_its_inputs_unchanged(gt):
     # The forward pass adds the bias and applies tanh in place; only arrays it
     # made itself may change.
     params, feats, sample = _repeat_setup()
-    inputs = [params.flat, feats, sample.table]
+    inputs = [params.flat, feats, sample]
     before = [a.tobytes() for a in inputs]
     total_loss(params, feats, sample, gt, grads=AutoencoderParams(3, (4,), 2))
     assert [a.tobytes() for a in inputs] == before
@@ -464,7 +466,7 @@ def test_grad_is_finite_when_a_pool_is_zero():
     # pool is exactly 0; the guarded norms keep the gradient finite there
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    sample = ClusterSample(np.array([[0, 1], [2, 2]]))
+    sample = np.array([[0, 1], [2, 2]])
     total, _ = total_loss(params, feats, sample)
     assert abs(total - 2.0 * math.log1p(math.exp(-1.0))) < 1e-12
     assert np.isfinite(grad(params, feats, sample).flat).all()
@@ -495,7 +497,7 @@ def test_grad_returns_a_new_buffer_per_call():
 def test_grad_zero_at_perfect_reconstruction_without_nce():
     params = _identity_net(2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sample = ClusterSample(np.array([[0], [1]]))
+    sample = np.array([[0], [1]])
     g = _flatten(grad(params, feats, sample, lambda_nce=0.0))
     assert np.abs(g).max() < 1e-15
 
@@ -598,13 +600,13 @@ def _reference_backward(layers, acts, d_out):
     return grads, dz
 
 
-def _reference_loss_and_grad(params, features, sample, gt):
+def _reference_loss_and_grad(params, features, table, gt):
     """One step's loss and gradient as first written, at training's unit loss
     weights: new arrays for every layer gradient, gathered into a new
     AutoencoderParams."""
     lam_recon = lam_nce = lam_gt = 1.0
-    k, n_sample = sample.table.shape
-    rows = sample.table.ravel()
+    k, n_sample = table.shape
+    rows = table.ravel()
     n_total = rows.size
     if gt is not None:
         rows = np.concatenate([rows, np.asarray([gt[j] for j in range(k)], dtype=np.int64)])
@@ -647,8 +649,8 @@ def _reference_loss_and_grad(params, features, sample, gt):
 
 def _reference_train(ds, partition, cfg):
     """The training loop as first written: a fresh gradient AutoencoderParams per
-    step and an Adam update that allocates its temporaries, on the same
-    sample_cluster draw per step.  train must reproduce it bit for bit."""
+    step and an Adam update that allocates its temporaries, on one reference
+    draw per step.  train must reproduce it bit for bit."""
     k = partition.k
     gt = partition.gt_keyframes
     n_sample = max(1, cfg.batch_size // k)
@@ -661,8 +663,8 @@ def _reference_train(ds, partition, cfg):
     for _ in range(cfg.epochs):
         step_losses = []
         for _ in range(max(1, math.ceil(ds.n_frames / (k * n_sample)))):
-            sample = sample_cluster(partition, n_sample, rng)
-            total, g = _reference_loss_and_grad(params, features, sample, gt)
+            table = _reference_sample_cluster(partition, n_sample, rng).reshape(k, n_sample)
+            total, g = _reference_loss_and_grad(params, features, table, gt)
             t += 1
             m *= beta1
             m += (1.0 - beta1) * g.flat
@@ -726,9 +728,51 @@ def test_training_step_allocates_nothing_of_parameter_size(monkeypatch):
     assert max(peaks[1:]) < params.flat.nbytes / 10
 
 
-def test_train_draws_one_sample_per_step_through_the_module_name(monkeypatch):
+def _per_step_train(ds, partition, cfg):
+    """train's loop on one reference draw per step, each step through
+    total_loss(grads=) and adam_step."""
+    k = partition.k
+    n_sample = max(1, cfg.batch_size // k)
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(ds.dim, cfg.hidden_dims, cfg.latent_dim, rng)
+    features = np.asarray(ds.features, dtype=np.float64)
+    state, grads = AdamState(params), AutoencoderParams(ds.dim, cfg.hidden_dims, cfg.latent_dim)
+    history = []
+    for _ in range(cfg.epochs):
+        step_losses = []
+        for _ in range(math.ceil(ds.n_frames / (k * n_sample))):
+            table = _reference_sample_cluster(partition, n_sample, rng).reshape(k, n_sample)
+            total, _ = total_loss(params, features, table, partition.gt_keyframes, grads=grads)
+            adam_step(params, grads, state, learning_rate=cfg.learning_rate)
+            step_losses.append(total)
+        history.append(float(np.mean(step_losses)))
+    return params, history
+
+
+def _train_case(case):
+    if case == "small-cluster":  # cluster sizes 2, 29 and 29 against N = 4
+        return _toy_scene(n=60, dim=6, seed=4), ClusterPartition(3, [0, 0] + [1, 2] * 29)
+    ds = generate_synthetic(SyntheticConfig(n_frames=500, dim=64, seed=23))
+    if case == "self-k20":  # 25 frames a cluster, N = 3
+        return ds, cluster_features(ds.features, 20)
+    return ds, gt_pose_clustering(ds.poses, 10)  # 35 to 67 frames a cluster, N = 6
+
+
+@pytest.mark.parametrize("case", ["self-k20", "supervised-k10", "small-cluster"])
+def test_train_matches_per_step_draws_through_total_loss(case):
+    # One draw per epoch and the unchecked loss core must give the parameters
+    # and history of one draw per step through the checked total_loss.
+    ds, part = _train_case(case)
+    cfg = TrainConfig(epochs=3, batch_size=12 if case == "small-cluster" else 64)
+    got_params, got_history = train(ds, part, cfg)
+    want_params, want_history = _per_step_train(ds, part, cfg)
+    assert np.array(got_history).tobytes() == np.array(want_history).tobytes()
+    assert got_params.flat.tobytes() == want_params.flat.tobytes()
+
+
+def test_train_draws_one_sample_per_epoch_through_the_module_name(monkeypatch):
     # The benchmark's tracer wraps selector.sample_cluster, so train must look
-    # it up there and call it once per step for all k clusters.
+    # it up there and call it once per epoch for all its steps.
     ds = _toy_scene(n=30)
     part = ClusterPartition(3, np.arange(30) % 3)
     cfg = TrainConfig(epochs=4, latent_dim=2, hidden_dims=(3,), batch_size=6, seed=1)
@@ -741,7 +785,7 @@ def test_train_draws_one_sample_per_step_through_the_module_name(monkeypatch):
 
     monkeypatch.setattr(selector, "sample_cluster", counting_sample_cluster)
     train(ds, part, cfg)
-    assert rows == [3 * 2] * (4 * 5)  # 5 steps of ceil(30 / 6) per epoch
+    assert rows == [5 * 3 * 2] * 4  # 5 steps of ceil(30 / 6) per epoch
 
 
 def test_train_refuses_an_empty_cluster_before_training():
@@ -828,7 +872,7 @@ def test_default_training_draws_the_batch_split_over_the_clusters(monkeypatch, k
         warnings.simplefilter("error")
         train(ds, part, cfg)
     n_sample = max(1, 64 // k)
-    assert shapes == [(k, n_sample)] * math.ceil(200 / (k * n_sample))
+    assert shapes == [(math.ceil(200 / (k * n_sample)), k, n_sample)]
 
 
 def test_train_validation():
