@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from .clustering import ClusterPartition, _checked_points, _member_sq_dists, _row_blocks, kmeans
+from .clustering import (ClusterPartition, _checked_points, _member_sq_dists, _row_blocks, kmeans,
+                         lloyd_layout)
 from .dataset import check_count
 
 
@@ -45,17 +46,19 @@ def random_summary(n: int, k: int, seed: int = 0) -> list[int]:
     return sorted(rng.choice(n, size=k, replace=False).tolist())
 
 
-def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> list[int]:
+def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None, buffer=None) -> list[int]:
     """k-means on features; each cluster is represented by the frame nearest its
     centroid (ties to the lowest index).  Empty clusters, which only occur for
     degenerate inputs such as all-identical frames, fall back to the lowest
     frames not yet selected so the summary stays k distinct indices.
-    init_rows, from clustering.kmeans_pp_rows for this seed, goes to kmeans."""
-    x = np.asarray(features, dtype=np.float64)
-    centroids, labels = kmeans(x, k, seed=seed, init_rows=init_rows)
-    picks = ClusterPartition(k, labels).nearest_members(_member_sq_dists(x, centroids, labels))
+    features may be a clustering.LloydLayout; init_rows, from
+    clustering.kmeans_pp_rows for this seed, and buffer go to kmeans."""
+    layout = lloyd_layout(features, k)
+    centroids, labels = kmeans(layout, k, seed=seed, init_rows=init_rows, buffer=buffer)
+    picks = ClusterPartition(k, labels).nearest_members(
+        _member_sq_dists(layout.x, centroids, labels))
     used = set(picks.tolist())
-    spare = (i for i in range(x.shape[0]) if i not in used)
+    spare = (i for i in range(labels.size) if i not in used)
     return [int(f) if f >= 0 else next(spare) for f in picks]
 
 

@@ -19,8 +19,10 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import baselines, metrics
-from .clustering import cluster_features, gt_pose_clustering, kmeans_pp_rows
+from .clustering import cluster_features, gt_pose_clustering, kmeans_pp_rows, lloyd_layout
 from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, index_array,
                       is_finite, load_dataset, read_json_object, save_dataset)
 from .selector import TrainConfig, select_keyframes, train
@@ -125,19 +127,20 @@ def _check_k(method: str, k: int, n: int) -> None:
 
 
 def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
-                init_rows=None, x=None) -> list[int]:
+                init_rows=None, layout=None, buffer=None) -> list[int]:
     """The frames a method from METHODS picks; opts carries training knobs.
     init_rows, kmeans_pp_rows for this seed at some k2 >= k, seeds vsumm's k-means;
-    x, ds.features as float64, is what vsumm and change read instead, so that
-    they do not each convert a copy.  Every other method ignores both."""
+    layout, clustering.lloyd_layout(ds.features), is what vsumm and change read
+    instead of ds.features, so that they do not each check and convert a copy;
+    buffer goes to vsumm's k-means.  Every other method ignores all three."""
     _check_k(method, k, ds.n_frames)
     if method == "uniform":
         return baselines.uniform_summary(ds.n_frames, k)
     if method == "random":
         return baselines.random_summary(ds.n_frames, k, seed)
-    features = ds.features if x is None else x
+    features = ds.features if layout is None else layout
     if method == "vsumm":
-        return baselines.vsumm_centroid(features, k, seed, init_rows)
+        return baselines.vsumm_centroid(features, k, seed, init_rows, buffer)
     if method == "change":
         return baselines.change_detect_summary(features, k)
 
@@ -240,52 +243,89 @@ def cmd_sweep(args) -> int:
         for k in ks:
             _check_k(method, k, ds.n_frames)
 
-    # the feature baselines and the seeding share one read-only float64 copy
-    x = None
-    if "vsumm" in methods or "change" in methods:
-        x = ds.features.astype("float64")
-        x.flags.writeable = False
-    # k-means++ picks the same first centres at every k, so vsumm seeds once
-    # per seed, at the largest k, and each cell starts from a prefix.  The
-    # seedings run ahead, in seed order, on one background thread, and a vsumm
-    # cell waits for its own seed's rows; the cells stay on this thread.  A
-    # seeding makes no BLAS call and has its own Generator, so its rows do not
-    # depend on how the threads are scheduled.
-    seeder = None
+    def cell(method: str, k: int, seed: int) -> tuple:
+        # a seed-free method is scored once per k, at the first seed
+        return method, k, seeds[0] if method in SEED_FREE_METHODS else seed
+
+    # grid order, each distinct cell once: a repeated k or seed reuses its cell
+    cells = list(dict.fromkeys(cell(method, k, seed)
+                               for method in methods for k in ks for seed in seeds))
+    # The feature baselines and the seeding share one Lloyd layout, and each
+    # thread below has its own x @ c.T buffer for vsumm's k-means.  All of them
+    # are allocated here, on the main thread: the helper's malloc arena would
+    # keep what it frees, out of reach of the work after the sweep.
+    layout = lloyd_layout(ds.features) if "vsumm" in methods or "change" in methods else None
+    buffers = [np.empty(ds.n_frames * max(ks)) if "vsumm" in methods else None
+               for _ in range(2)]
+
+    # Two threads score the cells, this one from the front of the grid and a
+    # helper from the back.  k-means++ picks the same first centres at every k,
+    # so vsumm seeds once per seed, at the largest k, and each cell starts from
+    # a prefix; the helper runs those seedings first, in seed order, and a vsumm
+    # cell on this thread waits for its own seed's rows.  Each cell has its own
+    # random stream and writes only its own AUC, so the CSV does not depend on
+    # how the threads are scheduled.  After a failure no cell past it starts,
+    # every cell before it still runs, and the earliest failing cell's error
+    # is raised: the one a serial sweep would raise.
+    # imported here, not at the top: the other commands never need them
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    aucs = {}  # cell -> AUC
+    failures = {}  # index in cells -> exception
+    todo = [0, len(cells)]  # cells[todo[0]:todo[1]] are not taken yet
+    lock = threading.Lock()
+
+    def run_cells(from_back: bool, buffer) -> None:
+        while True:
+            with lock:
+                stop = min([todo[1], *failures])
+                if todo[0] >= stop:
+                    return
+                if from_back:
+                    todo[1] = i = stop - 1
+                else:
+                    i = todo[0]
+                    todo[0] += 1
+            method, k, seed = cells[i]
+            try:
+                init_rows = pp_rows[seed].result() if method == "vsumm" else None
+                frames = _run_method(ds, method, k, seed, resolved, init_rows, layout, buffer)
+                curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
+                                                 resolved["steps"])
+                aucs[method, k, seed] = metrics.auc(curve)
+            except Exception as exc:  # raised on this thread once both have stopped
+                with lock:
+                    failures[i] = exc
+
+    helper = ThreadPoolExecutor(max_workers=1)
     pp_rows = {}  # seed -> future of kmeans_pp_rows at max(ks)
     if "vsumm" in methods:
-        # imported here, not at the top: the other commands never need it
-        from concurrent.futures import ThreadPoolExecutor
-        seeder = ThreadPoolExecutor(max_workers=1)
-        pp_rows = {seed: seeder.submit(kmeans_pp_rows, x, max(ks), seed)
+        pp_rows = {seed: helper.submit(kmeans_pp_rows, layout, max(ks), seed)
                    for seed in dict.fromkeys(seeds)}
-
-    def score(method: str, k: int, seed: int) -> float:
-        init_rows = pp_rows[seed].result() if method == "vsumm" else None
-        frames = _run_method(ds, method, k, seed, resolved, init_rows, x)
-        curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
-                                         resolved["steps"])
-        return metrics.auc(curve)
+    helper_cells = helper.submit(run_cells, True, buffers[1])
+    try:
+        run_cells(False, buffers[0])
+        if not failures:
+            helper_cells.result()
+    finally:
+        with lock:
+            todo[1] = todo[0]  # after an interrupt here, the helper takes no further cell
+        # drop the seedings and cells not yet started; either way the helper
+        # has exited before the sweep returns or raises
+        helper.shutdown(cancel_futures=True)
+    if failures:
+        raise failures[min(failures)]
 
     rows = []
-    try:
-        for method in methods:
-            for k in ks:
-                aucs = []
-                for seed in seeds:
-                    # a seed-free method is scored once per k and repeated per seed
-                    area = (aucs[0] if aucs and method in SEED_FREE_METHODS
-                            else score(method, k, seed))
-                    aucs.append(area)
-                    rows.append([method, str(k), str(seed), repr(area), ""])
-                mean = sum(aucs) / len(aucs)
-                sd = (sum((a - mean) ** 2 for a in aucs) / len(aucs)) ** 0.5
-                rows.append([method, str(k), "agg", repr(mean), repr(sd)])
-    finally:
-        if seeder is not None:
-            # after an error, drop the seedings not yet started; either way
-            # the thread has exited before the sweep returns or raises
-            seeder.shutdown(cancel_futures=True)
+    for method in methods:
+        for k in ks:
+            areas = [aucs[cell(method, k, seed)] for seed in seeds]
+            rows += [[method, str(k), str(seed), repr(area), ""]
+                     for seed, area in zip(seeds, areas)]
+            mean = sum(areas) / len(areas)
+            sd = (sum((a - mean) ** 2 for a in areas) / len(areas)) ** 0.5
+            rows.append([method, str(k), "agg", repr(mean), repr(sd)])
 
     text = "method,k,seed,auc,sd\n" + "".join(",".join(row) + "\n" for row in rows)
     return _write({Path(args.out): text})

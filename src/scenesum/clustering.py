@@ -164,18 +164,61 @@ def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 def _checked_points(features, k: int) -> np.ndarray:
     """The one feature-matrix check: features as a C-order float64 2-d matrix of
-    finite values, at least one column and at least k rows, k an integer >= 1."""
-    # C order for the blocked seeding pass; the results do not depend on the
-    # caller's memory layout
-    x = np.asarray(features, dtype=np.float64, order="C")
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"features must be 2-d with at least one column, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("NaN or Inf detected in features")
+    finite values, at least one column and at least k rows, k an integer >= 1.
+    A LloydLayout passed its check when it was built, so only k is checked."""
+    if isinstance(features, LloydLayout):
+        x = features.x
+    else:
+        # C order for the blocked seeding pass; the results do not depend on the
+        # caller's memory layout
+        x = np.asarray(features, dtype=np.float64, order="C")
+        if x.ndim != 2 or x.shape[1] < 1:
+            raise ValueError(f"features must be 2-d with at least one column, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("NaN or Inf detected in features")
     check_count("k", k)
     if k > x.shape[0]:
         raise ValueError(f"k ({k}) exceeds number of frames ({x.shape[0]})")
     return x
+
+
+@dataclass(frozen=True, eq=False)
+class LloydLayout:
+    """A checked feature matrix in the layout Lloyd's algorithm reads, all of it
+    read-only: x, the (n, d) C-order float64 matrix; x_sq, its squared row norms;
+    x_g, the grouped column copy of the cluster sums (see kmeans).  Built by
+    lloyd_layout and shared by any number of calls, on any thread, to kmeans,
+    kmeans_pp_rows and the feature baselines, which then neither check nor copy
+    the features again."""
+
+    x: np.ndarray
+    x_sq: np.ndarray
+    x_g: np.ndarray
+
+
+def lloyd_layout(features, k: int = 1) -> LloydLayout:
+    """features, after the feature-matrix check at k, as a LloydLayout; a
+    LloydLayout is returned as it is."""
+    x = _checked_points(features, k)
+    if isinstance(features, LloydLayout):
+        return features
+    n, d = x.shape
+    x_sq = (x * x).sum(axis=1)  # before x_g, so that its (n, d) temporary is gone
+    # Cluster sums take one bincount per group of up to 8 columns: x_g[g], a
+    # C-contiguous copy of columns g*width to (g+1)*width zero-padded past d,
+    # sends frame i's column c of the group to bin labels[i] + k*c.  A cluster's
+    # frames come in temporal runs, so one bincount per column would make each
+    # add wait on the previous add to the same bin; here consecutive adds go to
+    # `width` different bins.  bincount walks the weights in order, row i's
+    # `width` values before row i+1's, so each bin still adds its rows in index
+    # order and every sum equals a sequential np.add.at bit for bit.
+    width = min(_SUM_GROUP, d)
+    x_g = np.zeros((-(-d // width), n, width))
+    for g, group in enumerate(x_g):
+        cols = x[:, g * width:(g + 1) * width]
+        group[:, :cols.shape[1]] = cols
+    # a read-only view leaves the caller's array as it was
+    return LloydLayout(_read_only(x.view()), _read_only(x_sq), _read_only(x_g))
 
 
 def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
@@ -191,20 +234,31 @@ def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
     return _kmeans_pp_rows(x, k, np.random.default_rng(seed))
 
 
-def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None):
+def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None,
+           buffer=None):
     """Lloyd's algorithm with k-means++ seeding.
 
     Ties in the assignment step go to the lowest centroid id.  A cluster that
     empties is reseeded at the point farthest from its assigned centroid.
+    features may be a LloydLayout, which many calls can share.
     init_rows, at least k rows from kmeans_pp_rows(features, k2, seed) for
     some k2 >= k, starts Lloyd from x[init_rows[:k]], the centres the seeding
-    would pick, instead of seeding again.
+    would pick, instead of seeding again.  buffer, a C-contiguous float64 array
+    of at least n * k values, receives each assignment's x @ c.T instead of a
+    new array per call; ValueError for any other buffer.
     Returns (centroids, labels), plus the per-assignment inertia history when
     return_history is set.
     """
-    x = _checked_points(features, k)
+    layout = lloyd_layout(features, k)
     check_count("seed", seed, 0)
+    x, x_sq, x_g = layout.x, layout.x_sq, layout.x_g
     n, d = x.shape
+    if buffer is None:
+        buffer = np.empty(n * k)
+    elif (not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64
+          or not buffer.flags.c_contiguous or buffer.size < n * k):
+        raise ValueError(f"buffer must be a C-contiguous float64 array of at least "
+                         f"n * k = {n * k} values")
     if init_rows is None:
         init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed))
     else:
@@ -213,30 +267,17 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
             raise ValueError(f"init_rows holds {init_rows.size} rows, fewer than k ({k})")
     centroids = x[init_rows[:k]]
     history = []
-    x_sq = (x * x).sum(axis=1)
-    # Cluster sums take one bincount per group of up to 8 columns: x_g[g], a
-    # C-contiguous copy of columns g*width to (g+1)*width zero-padded past d,
-    # sends frame i's column c of the group to bin labels[i] + k*c.  A cluster's
-    # frames come in temporal runs, so one bincount per column would make each
-    # add wait on the previous add to the same bin; here consecutive adds go to
-    # `width` different bins.  bincount walks the weights in order, row i's
-    # `width` values before row i+1's, so each bin still adds its rows in index
-    # order and every sum equals a sequential np.add.at bit for bit.
-    width = min(_SUM_GROUP, d)
-    groups = -(-d // width)
-    x_g = np.zeros((groups, n, width))
-    for g in range(groups):
-        cols = x[:, g * width:(g + 1) * width]
-        x_g[g, :, :cols.shape[1]] = cols
+    groups, _, width = x_g.shape
     bin_offsets = k * np.arange(width)
     # The assignment keeps one full x @ c.T product, since BLAS gives other
     # bytes on row blocks; the elementwise passes after it, the argmin and the
     # gather run over the row blocks of one (n, k) pass.
+    cross = buffer.reshape(-1)[:n * k].reshape(n, k)
     blocks = list(_row_blocks(n, k))
     block_rows = np.arange(blocks[0][1])
 
     def assign(cents):
-        cross = x @ cents.T
+        np.matmul(x, cents.T, out=cross)
         c_sq = (cents * cents).sum(axis=1)
         lab, dmin = np.empty(n, dtype=np.intp), np.empty(n)
         for start, stop, buf in blocks:
@@ -303,8 +344,9 @@ def balance_assignment(features, centroids) -> np.ndarray:
     if k == 1:
         return labels
 
-    dist = np.sqrt(_sq_dists_from_cross(x @ c.T, (x * x).sum(axis=1), (c * c).sum(axis=1),
-                                        np.empty((n, k))))
+    dist = _sq_dists_from_cross(x @ c.T, (x * x).sum(axis=1), (c * c).sum(axis=1),
+                                np.empty((n, k)))
+    np.sqrt(dist, out=dist)
     preference = np.argsort(dist, axis=1, kind="stable")  # ties to lowest id
     nearest_two = np.take_along_axis(dist, preference[:, :2], axis=1)
     margin = nearest_two[:, 1] - nearest_two[:, 0]

@@ -14,7 +14,8 @@ from scenesum.baselines import (
     uniform_summary,
     vsumm_centroid,
 )
-from scenesum.clustering import _BLOCK_VALUES, ClusterPartition, _member_sq_dists
+from scenesum.clustering import (_BLOCK_VALUES, ClusterPartition, _member_sq_dists, kmeans_pp_rows,
+                                 lloyd_layout)
 from scenesum.dataset import SceneDataset
 from scenesum.selector import AutoencoderParams, select_keyframes
 
@@ -146,6 +147,26 @@ def test_feature_baseline_memory_is_bounded():
         tracemalloc.stop()
     assert peaks[0] < 2**20
     assert peaks[1] < 2**20
+
+
+def test_vsumm_on_a_shared_layout_allocates_no_matrix():
+    # The sweep's helper thread runs vsumm cells on a layout and a buffer built
+    # on the main thread.  At 5000 x 128 and k = 100 one (n, d) or (n, k)
+    # float64 array is 4-5 MB; a cell must allocate none of them (its O(n) label,
+    # distance and bin arrays and 256 KB row blocks peak near 1.3 MB), and give
+    # the frames of a plain call.
+    x = np.random.default_rng(4).standard_normal((5000, 128))
+    layout = lloyd_layout(x)
+    buffer = np.empty(5000 * 100)
+    rows = kmeans_pp_rows(layout, 100, 2)
+    tracemalloc.start()
+    try:
+        frames = vsumm_centroid(layout, 100, 2, rows, buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
+    assert frames == vsumm_centroid(x, 100, 2)
 
 
 def test_baselines_validate_k():

@@ -20,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenesum
-from scenesum import metrics
+from scenesum import baselines, metrics
+from scenesum.baselines import vsumm_centroid
 from scenesum.cli import _COMMANDS, _DEFAULTS, _run_method, build_parser, main
 from scenesum.clustering import kmeans_pp_rows
 from scenesum.dataset import SceneDataset, load_dataset, save_dataset
@@ -544,11 +545,11 @@ def test_sweep_runs_are_byte_identical(scene_dir, tmp_path):
 
 
 def test_sweep_does_not_depend_on_thread_switching(scene_dir, tmp_path):
-    # the seeder thread and the cells trade the interpreter lock every
-    # microsecond instead of every 5 ms; the CSV must keep its bytes
+    # the sweep's two threads trade the interpreter lock every microsecond
+    # instead of every 5 ms; the CSV must keep its bytes
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["sweep", str(scene_dir / "manifest.json"), "--methods", "vsumm,change",
-            "--ks", "2,5", "--seeds", "0,1,2,3,4,5"]
+    args = ["sweep", str(scene_dir / "manifest.json"), "--methods", "vsumm,change,scenesum",
+            "--ks", "2,5", "--seeds", "0,1,2,3,4,5", "--epochs", "2"]
     assert main(args + ["--out", str(a)]) == 0
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -629,18 +630,62 @@ def test_sweep_stops_its_seeder_when_a_seeding_fails(scene_dir, tmp_path, capsys
     assert threading.active_count() == threads
 
 
-def test_sweep_stops_its_seeder_when_a_cell_fails(scene_dir, tmp_path, capsys, monkeypatch):
-    def no_pick(*args, **kwargs):
-        raise ValueError("no pick")
-    monkeypatch.setattr("scenesum.baselines.vsumm_centroid", no_pick)
+@pytest.mark.parametrize("failing,first", [
+    (range(20), 0),  # every cell fails, the helper's last cell first
+    ((19,), 19),  # only the helper's first cell fails
+    ((7, 19), 7),  # one cell on each thread
+], ids=["every-cell", "helper-only", "one-cell-each"])
+def test_sweep_stops_its_seeder_when_a_cell_fails(scene_dir, tmp_path, capsys, monkeypatch,
+                                                  failing, first):
+    # the main thread takes the cells from the front, the helper from the back;
+    # a failing cell before the last waits until the last has failed, so both
+    # threads hit a failing cell and the earliest one's error is reported
+    last_failed = threading.Event()
+
+    def pick(features, k, seed, *args):
+        if seed not in failing:
+            return vsumm_centroid(features, k, seed, *args)
+        if seed == 19:
+            last_failed.set()
+        elif 19 in failing:
+            assert last_failed.wait(timeout=60)
+        raise ValueError(f"no pick for seed {seed}")
+    monkeypatch.setattr("scenesum.baselines.vsumm_centroid", pick)
     threads = threading.active_count()
     rc = main(["sweep", str(scene_dir / "manifest.json"), "--methods", "vsumm",
                "--ks", "3", "--seeds", ",".join(map(str, range(20))),
                "--out", str(tmp_path / "s.csv")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: no pick\n"
+    assert capsys.readouterr().err == f"error: no pick for seed {first}\n"
+    assert last_failed.is_set()
     assert not (tmp_path / "s.csv").exists()
     assert threading.active_count() == threads
+
+
+def test_sweep_runs_a_repeated_cell_once(scene_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append((fn.__name__, *args[1:3]))
+            return fn(*args)
+        return wrapper
+    for name in ("vsumm_centroid", "random_summary", "change_detect_summary"):
+        monkeypatch.setattr(f"scenesum.baselines.{name}", counted(getattr(baselines, name)))
+    manifest = str(scene_dir / "manifest.json")
+    once, repeated = tmp_path / "once.csv", tmp_path / "repeated.csv"
+    assert main(["sweep", manifest, "--methods", "vsumm,random,change", "--ks", "3",
+                 "--seeds", "0,1", "--out", str(once)]) == 0
+    calls.clear()
+    assert main(["sweep", manifest, "--methods", "vsumm,random,change,random", "--ks", "3,3",
+                 "--seeds", "0,1,0", "--out", str(repeated)]) == 0
+    assert sorted(calls) == [("change_detect_summary", 3), ("random_summary", 3, 0),
+                             ("random_summary", 3, 1), ("vsumm_centroid", 3, 0),
+                             ("vsumm_centroid", 3, 1)]
+    rows = {tuple(line.split(",")[:3]): line for line in repeated.read_text().splitlines()}
+    for line in once.read_text().splitlines()[1:]:
+        if ",agg," not in line:
+            assert rows[tuple(line.split(",")[:3])] == line
 
 
 def test_sweep_without_vsumm_seeds_nothing(scene_dir, tmp_path, monkeypatch):
@@ -653,37 +698,47 @@ def test_sweep_without_vsumm_seeds_nothing(scene_dir, tmp_path, monkeypatch):
     assert threading.active_count() == threads
 
 
-def _summaries_per_blas_thread_count(tmp_path, frames, method_args):
+def _outputs_per_blas_thread_count(tmp_path, frames, command_args):
     # Each process fixes its BLAS thread count when numpy loads, so every run
-    # gets its own interpreter.
+    # gets its own interpreter.  command_args is a command and its options; the
+    # manifest and --out are added.
     assert main(["generate", "--out", str(tmp_path / "scene"), "--frames", str(frames),
                  "--seed", "7"]) == 0
     src = str(Path(scenesum.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    summaries = []
+    command, *options = command_args
+    outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"summary-{threads}.json"
+        out = tmp_path / f"{command}-{threads}.out"
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        subprocess.run([sys.executable, "-m", "scenesum.cli", "summarize",
-                        str(tmp_path / "scene" / "manifest.json"), *method_args,
-                        "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "scenesum.cli", command,
+                        str(tmp_path / "scene" / "manifest.json"), *options, "--out", str(out)],
                        env=env, check=True, capture_output=True)
-        summaries.append(out.read_bytes())
-    return summaries
+        outputs.append(out.read_bytes())
+    return outputs
 
 
 def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
-    summaries = _summaries_per_blas_thread_count(
-        tmp_path, 120, ["--method", "scenesum", "--k", "5", "--epochs", "5", "--seed", "1"])
+    summaries = _outputs_per_blas_thread_count(
+        tmp_path, 120, ["summarize", "--method", "scenesum", "--k", "5", "--epochs", "5",
+                        "--seed", "1"])
     assert summaries[0] == summaries[1]
 
 
 def test_vsumm_does_not_depend_on_the_blas_thread_count(tmp_path):
     # 600 frames of dim 64 span several blocks of the k-means++ distance pass
-    summaries = _summaries_per_blas_thread_count(
-        tmp_path, 600, ["--method", "vsumm", "--k", "20", "--seed", "2"])
+    summaries = _outputs_per_blas_thread_count(
+        tmp_path, 600, ["summarize", "--method", "vsumm", "--k", "20", "--seed", "2"])
     assert summaries[0] == summaries[1]
+
+
+def test_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the sweep's two threads both call BLAS, each with one or two BLAS threads
+    sweeps = _outputs_per_blas_thread_count(
+        tmp_path, 600, ["sweep", "--methods", "vsumm,change,scenesum", "--ks", "5,20",
+                        "--seeds", "0,1,2", "--epochs", "2", "--r-max", "10"])
+    assert sweeps[0] == sweeps[1]
 
 
 def test_sweep_rejects_unknown_method(scene_dir, tmp_path):

@@ -17,6 +17,7 @@ from scenesum.clustering import (
     gt_pose_clustering,
     kmeans,
     kmeans_pp_rows,
+    lloyd_layout,
     sample_cluster,
 )
 from scenesum.dataset import SyntheticConfig, generate_synthetic
@@ -169,6 +170,44 @@ def test_kmeans_results_do_not_depend_on_input_layout(layout):
         x = np.asfortranarray(x)
     want = _reference_kmeans(np.ascontiguousarray(x, dtype=np.float64), 9, 4)
     _assert_same_kmeans(kmeans(x, 9, seed=4, return_history=True), want)
+
+
+def _shared_layout_cases():
+    x = np.random.default_rng(14).normal(size=(_block_rows(24) + 7, 48))
+    yield pytest.param(x, 9, 4, id="float64")
+    yield pytest.param(x.astype(np.float32), 9, 4, id="float32")
+    yield pytest.param(np.asfortranarray(x), 9, 4, id="fortran")
+    # two of five centroids start as duplicates, empty and are reseeded
+    x = np.repeat(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]), [5, 5, 2], axis=0)
+    yield pytest.param(x, 5, 0, id="reseed")
+
+
+@pytest.mark.parametrize("x,k,seed", [*_shared_layout_cases()])
+def test_kmeans_on_a_shared_layout_and_buffer_matches_plain_kmeans(x, k, seed):
+    # as in the sweep: one layout and one buffer, longer than n * k, serve the
+    # seeding and the runs at k and at k - 1 from its rows
+    given = x.copy()
+    layout = lloyd_layout(x)
+    assert lloyd_layout(layout) is layout
+    assert not any(a.flags.writeable for a in (layout.x, layout.x_sq, layout.x_g))
+    buffer = np.full(x.shape[0] * k + 5, np.nan)
+    rows = kmeans_pp_rows(layout, k, seed)
+    for kk in (k, k - 1):
+        _assert_same_kmeans(
+            kmeans(layout, kk, seed, return_history=True, init_rows=rows, buffer=buffer),
+            kmeans(x, kk, seed, return_history=True))
+    assert x.tobytes() == given.tobytes() and x.flags.writeable
+    with pytest.raises(ValueError, match="exceeds"):
+        kmeans(layout, x.shape[0] + 1)
+
+
+@pytest.mark.parametrize("buffer", [np.empty(11), np.empty(12, dtype=np.float32),
+                                    np.empty(24)[::2], [0.0] * 12],
+                         ids=["short", "float32", "strided", "list"])
+def test_kmeans_rejects_a_bad_buffer(buffer):
+    # n * k = 12
+    with pytest.raises(ValueError, match="buffer"):
+        kmeans(np.arange(12.0).reshape(6, 2), 2, buffer=buffer)
 
 
 @pytest.mark.parametrize("x,k,seed", [*_block_crossing_cases(), pytest.param(
