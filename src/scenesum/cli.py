@@ -129,10 +129,10 @@ def _check_k(method: str, k: int, n: int) -> None:
 def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
                 init_rows=None, layout=None, buffer=None) -> list[int]:
     """The frames a method from METHODS picks; opts carries training knobs.
-    init_rows, kmeans_pp_rows for this seed at some k2 >= k, seeds vsumm's k-means;
-    layout, clustering.lloyd_layout(ds.features), is what vsumm and change read
-    instead of ds.features, so that they do not each check and convert a copy;
-    buffer goes to vsumm's k-means.  Every other method ignores all three."""
+    layout, clustering.lloyd_layout(ds.features), is what every feature method
+    (vsumm, change, scenesum) reads instead of ds.features, so that none checks
+    and converts its own copy.  init_rows, kmeans_pp_rows for this seed at some
+    k2 >= k, and buffer go to vsumm's k-means; every other method ignores them."""
     _check_k(method, k, ds.n_frames)
     if method == "uniform":
         return baselines.uniform_summary(ds.n_frames, k)
@@ -153,7 +153,7 @@ def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     partition = (gt_pose_clustering(ds.poses, k, seed=seed) if supervised
-                 else cluster_features(ds.features, k, seed=seed))
+                 else cluster_features(features, k, seed=seed))
     params, _ = train(ds, partition, cfg)
     return select_keyframes(params, ds, partition)
 

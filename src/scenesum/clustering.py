@@ -379,10 +379,10 @@ def gt_pose_clustering(poses: np.ndarray | None, k: int, seed: int = 0) -> Clust
     """Cluster an (n, 3) pose array; record the frame nearest each centroid."""
     if poses is None or len(poses) == 0:
         raise ValueError("ground-truth pose clustering requires poses")
-    x = np.asarray(poses, dtype=np.float64)
-    centroids, labels = kmeans(x, k, seed=seed)
+    layout = lloyd_layout(poses, k)
+    centroids, labels = kmeans(layout, k, seed=seed)
     gt = ClusterPartition(k, labels).nearest_members(
-        np.sqrt(_member_sq_dists(x, centroids, labels)))
+        _member_sq_dists(layout.x, centroids, labels))
     empty = np.flatnonzero(gt < 0)
     if empty.size:
         raise ValueError(f"pose cluster {empty[0]} is empty; cannot pick a ground-truth keyframe")

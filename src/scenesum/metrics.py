@@ -94,6 +94,8 @@ def divergence_curve(positions, r_max: float, steps: int = 100) -> DivergenceCur
     check_real("r_max", r_max)
     check_count("steps", steps, 2)
     k = p.shape[0]
+    if r_max / steps == 0.0:
+        raise ValueError(f"r_max / steps rounds to 0 (r_max {r_max!r}, steps {steps})")
     thresholds = np.arange(steps + 1) * (r_max / steps)
     values = _close_pair_counts(p, thresholds) / (k * k)
     return DivergenceCurve(thresholds=thresholds, values=values)

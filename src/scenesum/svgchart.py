@@ -11,12 +11,6 @@ MARGIN_BOTTOM = 60
 N_TICKS = 6
 
 
-def _escape(text: str) -> str:
-    """Text as SVG character data: &, then >, then <, the order of
-    xml.sax.saxutils.escape, which pulls in urllib and ssl on import."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -48,12 +42,14 @@ def render_line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
     x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     y0, y1 = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
 
+    from html import escape  # here, not at the top: only evaluate --svg loads html.entities
+    title, x_label, y_label = (escape(t, quote=False) for t in (title, x_label, y_label))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'width="{WIDTH}" height="{HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="18">{_escape(title)}</text>',
+        f'font-size="18">{title}</text>',
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black" stroke-width="1"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>',
     ]
@@ -74,10 +70,10 @@ def render_line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
                      f'font-family="sans-serif" font-size="12">{_tick_label(yv)}</text>')
 
     parts.append(f'<text x="{(x0 + x1) / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="14">{_escape(x_label)}</text>')
+                 f'font-family="sans-serif" font-size="14">{x_label}</text>')
     parts.append(f'<text x="20" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="14" '
-                 f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{_escape(y_label)}</text>')
+                 f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{y_label}</text>')
     parts.append(f'<polyline fill="none" stroke="#1f6feb" stroke-width="2" points="{points}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

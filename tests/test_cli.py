@@ -447,6 +447,39 @@ def test_evaluate_rejects_bad_grid(scene_dir, tmp_path):
                  "--steps", "1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_evaluate_refuses_a_threshold_step_that_rounds_to_zero(scene_dir, tmp_path, capsys):
+    # 1e-322 / 100 is 0.0 in floating point, so every threshold would be 0
+    summary = tmp_path / "sum.json"
+    assert main(["summarize", str(scene_dir / "manifest.json"), "--method", "uniform",
+                 "--k", "3", "--out", str(summary)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(summary), str(scene_dir / "manifest.json"),
+                 "--r-max", "1e-322", "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == "error: r_max / steps rounds to 0 (r_max 1e-322, steps 100)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sum.json"]
+
+
+def test_summarize_refuses_a_batch_size_of_0(scene_dir, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["summarize", str(scene_dir / "manifest.json"), "--batch-size", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: batch_size must be an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_summarize_supervised_refuses_an_empty_pose_cluster(tmp_path, capsys):
+    # every pose is the same point, so k-means leaves pose clusters 1 and 2 empty
+    feats = np.random.default_rng(3).normal(size=(30, 6))
+    save_dataset(SceneDataset("still", feats, poses=np.zeros((30, 3))),
+                 tmp_path / "scene" / "manifest.json")
+    out = tmp_path / "sup.json"
+    assert main(["summarize", str(tmp_path / "scene" / "manifest.json"),
+                 "--method", "scenesum-supervised", "--k", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: pose cluster 1 is empty; "
+                                       "cannot pick a ground-truth keyframe\n")
+    assert not out.exists()
+
+
 @st.composite
 def _summary(draw):
     """Summary text for the 60-frame scene: a valid summary with up to two keys
@@ -561,16 +594,18 @@ def test_sweep_does_not_depend_on_thread_switching(scene_dir, tmp_path):
 
 
 def test_sweep_equals_one_run_per_cell(tmp_path):
-    # the sweep seeds vsumm once per seed at its largest k and scores uniform
-    # and change once per k; each cell must still be what a run of its own gives
+    # the sweep seeds vsumm once per seed at its largest k, scores uniform and
+    # change once per k, and clusters scenesum on its shared Lloyd layout; each
+    # cell must still be what a run of its own gives
     assert main(["generate", "--out", str(tmp_path / "scene"), "--frames", "300",
                  "--seed", "23"]) == 0
     manifest = tmp_path / "scene" / "manifest.json"
-    methods, ks, seeds = ["vsumm", "uniform", "random", "change"], [3, 7, 12], [0, 1, 2]
+    methods, ks, seeds = ["vsumm", "uniform", "random", "change", "scenesum"], [3, 7, 12], [0, 1, 2]
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(manifest), "--methods", ",".join(methods),
                  "--ks", ",".join(map(str, ks)), "--seeds", ",".join(map(str, seeds)),
-                 "--out", str(out)]) == 0
+                 "--epochs", "2", "--out", str(out)]) == 0
+    opts = {**_DEFAULTS, "epochs": 2}
 
     ds = load_dataset(manifest)
     lines = ["method,k,seed,auc,sd"]
@@ -578,9 +613,9 @@ def test_sweep_equals_one_run_per_cell(tmp_path):
         for k in ks:
             aucs = []
             for seed in seeds:
-                frames = _run_method(ds, method, k, seed, _DEFAULTS)
-                curve = metrics.divergence_curve(ds.pose_positions(frames), _DEFAULTS["r_max"],
-                                                 _DEFAULTS["steps"])
+                frames = _run_method(ds, method, k, seed, opts)
+                curve = metrics.divergence_curve(ds.pose_positions(frames), opts["r_max"],
+                                                 opts["steps"])
                 aucs.append(metrics.auc(curve))
                 lines.append(f"{method},{k},{seed},{aucs[-1]!r},")
             mean = sum(aucs) / len(aucs)
@@ -602,6 +637,8 @@ def test_sweep_rejects_k_outside_the_scene(scene_dir, tmp_path, capsys, methods,
 @pytest.mark.parametrize("methods,ks,err", [
     ("scenesum,uniform", "20,61", "k must be in [1, 60], got 61"),
     ("uniform,scenesum-supervised", "3,1", "method scenesum-supervised needs k >= 2, got k=1"),
+    ("uniform,scenesum", "3,x", "bad k list '3,x'"),
+    ("uniform,scenesum", ",", "empty k list"),
 ])
 def test_sweep_checks_every_cell_before_it_runs_any(scene_dir, tmp_path, capsys, monkeypatch,
                                                      methods, ks, err):

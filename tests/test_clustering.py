@@ -609,6 +609,11 @@ def test_partition_validation_errors():
         ClusterPartition(2, [0.7, 1.2])
 
 
+def test_partition_refuses_gt_keyframes_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"gt_keyframes must have shape \(2,\)"):
+        ClusterPartition(2, [0, 1, 1], gt_keyframes=[0])
+
+
 def test_partition_refuses_a_bool_for_a_label_or_a_frame():
     # numpy turns [True, 0, 1] into the integers [1, 0, 1]; a bool is still no label
     for labels in ([True, 0, 1], [0, np.False_, 1]):

@@ -39,6 +39,11 @@ def test_dataset_rejects_nan_features():
         SceneDataset("s", feats)
 
 
+def test_dataset_rejects_features_that_are_no_matrix():
+    with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+        SceneDataset("x", np.zeros(5))
+
+
 def test_dataset_rejects_pose_count_mismatch():
     with pytest.raises(ValueError, match="pose count"):
         SceneDataset("s", np.ones((3, 2)), poses=np.zeros((1, 3)))

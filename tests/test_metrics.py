@@ -197,6 +197,14 @@ def test_curve_steps_must_be_an_integer(bad):
         divergence_curve([(0.0, 0.0), (1.0, 0.0)], 3.0, bad)
 
 
+@pytest.mark.parametrize("r_max,steps", [(1e-322, 100), (5e-324, 2)])
+def test_curve_refuses_a_threshold_step_that_rounds_to_zero(r_max, steps):
+    # every threshold would be 0, which is no ascending grid
+    with pytest.raises(ValueError, match=rf"r_max / steps rounds to 0 \(r_max {r_max!r}, "
+                                         rf"steps {steps}\)"):
+        divergence_curve([(0.0, 0.0), (1.0, 0.0)], r_max, steps)
+
+
 def test_curve_steps_may_be_a_numpy_integer():
     curve = divergence_curve([(0.0, 0.0), (1.0, 0.0)], 3.0, np.int64(4))
     assert curve.thresholds.tolist() == [0.0, 0.75, 1.5, 2.25, 3.0]
