@@ -129,36 +129,84 @@ def _member_sq_dists(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -
     return dist
 
 
-def _sq_dists_to_row(x: np.ndarray, idx: int, blocks: list, out: np.ndarray) -> np.ndarray:
-    """((x - x[idx]) ** 2).sum(axis=1) of a C-contiguous x into out, over blocks =
-    list(_row_blocks(*x.shape)): the broadcast expression's bytes, but each block
-    subtracts in one contiguous loop instead of one short loop per row."""
-    d = x.shape[1]
-    x_flat = x.ravel()
-    tile = np.tile(x[idx], blocks[0][1])  # the first block's stop is the block row count
-    for start, stop, block in blocks:
-        np.subtract(x_flat[start * d:stop * d], tile[:block.size], out=block.reshape(-1))
-        np.square(block, out=block)
-        block.sum(axis=1, out=out[start:stop])
-    return out
-
-
-def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of x that k-means++ picks as the k initial centres, in pick order."""
+def _row_sq_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
+    """(x * x).sum(axis=1) of a C-contiguous x, one row block at a time, so
+    without an (n, d) temporary.  ValueError, and no RuntimeWarning, when a
+    squared row norm is above finfo(float64).max / (8 n) or not finite: a
+    squared distance between rows is at most 4 times the larger squared norm,
+    so a sum of n of them, an inertia or the seeding's total, could overflow."""
     n = x.shape[0]
-    blocks = list(_row_blocks(*x.shape))
+    x_sq = np.empty(n)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for start, stop, block in _row_blocks(*x.shape):
+            np.square(x[start:stop], out=block).sum(axis=1, out=x_sq[start:stop])
+    if not (x_sq <= np.finfo(np.float64).max / (8 * n)).all():
+        raise ValueError(f"{name} are too large: a squared row norm exceeds "
+                         f"finfo(float64).max / (8 * {n}), so squared distances could overflow")
+    return x_sq
+
+
+def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator,
+                    x_sq: np.ndarray | None = None) -> np.ndarray:
+    """Rows of x that k-means++ picks as the k initial centres, in pick order.
+    x_sq, x's squared row norms, is computed when not given.
+
+    Each pick c lowers d2 to min(d2, ((x - c) ** 2).sum(axis=1)), the exact
+    pass.  One GEMV gives every row a lower bound on that exact distance, and
+    the exact pass runs only on the rows whose bound does not reach d2[i]: a
+    skipped row's exact distance is >= d2[i], so np.minimum would have kept
+    d2[i], and d2 holds the bytes of the full exact pass after every pick.
+
+    The bound is lower = (x_sq + |c|^2) * (1 - r) - 2 x.c - a with
+    r = 64 (d + 4) u and a = 64 (d + 4) * 2**-1074, u = 2**-53.  With
+    S = |x|^2 + |c|^2 and the true D = |x - c|^2 = S - 2 x.c <= 2 S, each
+    rounding below is u relative plus at most 2**-1075 absolute (underflow):
+    - each squared norm, d products summed in any order, is within d u of
+      its value, and their sum then within (d + 1) u S;
+    - BLAS's x.c, in any order, with or without FMA, is within d u |x| |c|,
+      and 2 |x| |c| <= S, so twice it is within d u S;
+    - the product by 1 - r (exact) and the two subtractions add at most
+      u S + 2 u S + 2 u S;
+    - the exact pass (d subtractions, d squares, a sum in any order) is at
+      least D - (d + 2) u D >= D - 2 (d + 2) u S.
+    So lower <= exact + ((4 d + 10) u - r) S + (11 d + 5) 2**-1075 - a, which
+    is at most exact: r and a exceed their terms at least 11-fold, which
+    covers the second-order terms, for any BLAS, summation order and thread
+    count.  _row_sq_norms bounds x_sq, so no term overflows.  A NaN bound,
+    were there one, fails lower >= d2 and takes the exact pass.
+    """
+    n, d = x.shape
+    if x_sq is None:
+        x_sq = _row_sq_norms(x)
+    buf = next(_row_blocks(n, d))[2]  # one block's buffer, reused by every pass
+    exact = np.empty(buf.shape[0])
+    keep = 1.0 - 64 * (d + 4) * 2.0 ** -53
+    floor = 64 * (d + 4) * np.finfo(np.float64).smallest_subnormal
+    # d2 starts at +inf, above every bound, so the first pick's pass takes every row
+    d2, dot, lower = np.full(n, np.inf), np.empty(n), np.empty(n)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists_to_row(x, chosen[0], blocks, np.empty(n))
-    new = np.empty(n)
-    for _ in range(1, k):
+    while len(chosen) < k:
+        c = x[chosen[-1]]
+        np.matmul(x, c, out=dot)
+        np.add(x_sq, x_sq[chosen[-1]], out=lower)
+        lower *= keep
+        dot *= 2.0
+        lower -= dot
+        lower -= floor
+        cand = np.flatnonzero(~(lower >= d2))
+        for start in range(0, cand.size, buf.shape[0]):
+            rows = cand[start:start + buf.shape[0]]
+            block, near = buf[:rows.size], exact[:rows.size]
+            np.take(x, rows, axis=0, out=block)
+            np.subtract(block, c, out=block)
+            np.square(block, out=block).sum(axis=1, out=near)
+            d2[rows] = np.minimum(d2[rows], near)
         total = d2.sum()
         if total <= 0.0:
             # every remaining point coincides with a chosen centroid
-            idx = int(np.setdiff1d(np.arange(n), chosen)[0])
+            chosen.append(int(np.setdiff1d(np.arange(n), chosen)[0]))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
-        chosen.append(idx)
-        np.minimum(d2, _sq_dists_to_row(x, idx, blocks, new), out=d2)
+            chosen.append(int(rng.choice(n, p=d2 / total)))
     return np.array(chosen, dtype=np.int64)
 
 
@@ -203,7 +251,7 @@ def lloyd_layout(features, k: int = 1) -> LloydLayout:
     if isinstance(features, LloydLayout):
         return features
     n, d = x.shape
-    x_sq = (x * x).sum(axis=1)  # before x_g, so that its (n, d) temporary is gone
+    x_sq = _row_sq_norms(x)
     # Cluster sums take one bincount per group of up to 8 columns: x_g[g], a
     # C-contiguous copy of columns g*width to (g+1)*width zero-padded past d,
     # sends frame i's column c of the group to bin labels[i] + k*c.  A cluster's
@@ -231,7 +279,8 @@ def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
     """
     x = _checked_points(features, k)
     check_count("seed", seed, 0)
-    return _kmeans_pp_rows(x, k, np.random.default_rng(seed))
+    x_sq = features.x_sq if isinstance(features, LloydLayout) else None
+    return _kmeans_pp_rows(x, k, np.random.default_rng(seed), x_sq)
 
 
 def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None,
@@ -260,7 +309,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
         raise ValueError(f"buffer must be a C-contiguous float64 array of at least "
                          f"n * k = {n * k} values")
     if init_rows is None:
-        init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed))
+        init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed), x_sq)
     else:
         init_rows = index_array("init_rows", init_rows, n)
         if init_rows.size < k:
@@ -344,8 +393,8 @@ def balance_assignment(features, centroids) -> np.ndarray:
     if k == 1:
         return labels
 
-    dist = _sq_dists_from_cross(x @ c.T, (x * x).sum(axis=1), (c * c).sum(axis=1),
-                                np.empty((n, k)))
+    x_sq = features.x_sq if isinstance(features, LloydLayout) else _row_sq_norms(x)
+    dist = _sq_dists_from_cross(x @ c.T, x_sq, _row_sq_norms(c, "centroids"), np.empty((n, k)))
     np.sqrt(dist, out=dist)
     preference = np.argsort(dist, axis=1, kind="stable")  # ties to lowest id
     nearest_two = np.take_along_axis(dist, preference[:, :2], axis=1)

@@ -96,7 +96,11 @@ def divergence_curve(positions, r_max: float, steps: int = 100) -> DivergenceCur
     k = p.shape[0]
     if r_max / steps == 0.0:
         raise ValueError(f"r_max / steps rounds to 0 (r_max {r_max!r}, steps {steps})")
-    thresholds = np.arange(steps + 1) * (r_max / steps)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        thresholds = np.arange(steps + 1) * (r_max / steps)
+    if not np.isfinite(thresholds[-1]):
+        raise ValueError(f"the last threshold steps * (r_max / steps) overflows "
+                         f"(r_max {r_max!r}, steps {steps})")
     values = _close_pair_counts(p, thresholds) / (k * k)
     return DivergenceCurve(thresholds=thresholds, values=values)
 

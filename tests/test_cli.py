@@ -457,6 +457,13 @@ def test_evaluate_refuses_a_threshold_step_that_rounds_to_zero(scene_dir, tmp_pa
                  "--r-max", "1e-322", "--out", str(tmp_path / "e")]) == 1
     assert capsys.readouterr().err == "error: r_max / steps rounds to 0 (r_max 1e-322, steps 100)\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sum.json"]
+    # the last threshold, 3 * (r_max / 3), rounds above the largest float
+    assert main(["evaluate", str(summary), str(scene_dir / "manifest.json"),
+                 "--r-max", "1.7976931348623157e308", "--steps", "3",
+                 "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == ("error: the last threshold steps * (r_max / steps) overflows "
+                                       "(r_max 1.7976931348623157e+308, steps 3)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sum.json"]
 
 
 def test_summarize_refuses_a_batch_size_of_0(scene_dir, tmp_path, capsys):

@@ -138,6 +138,24 @@ def _block_crossing_cases():
     yield pytest.param(1e-160 * rng.normal(size=(600, 9)), 6, 3, id="tiny-scale")
 
 
+def _pruning_cases():
+    """Inputs for the seeding's pruned exact pass, each against the oracle."""
+    rng = np.random.default_rng(15)
+    # 2000 x 64 scene features at k = 60: the early picks' candidates span
+    # several 512-row blocks, the later ones a few rows
+    scene = generate_synthetic(SyntheticConfig(n_frames=2000, dim=64, seed=6))
+    yield pytest.param(scene.features.astype(np.float64), 60, 2, id="scene-2000x64")
+    # squared norms near 1e301, far from the bound's subnormal floor
+    yield pytest.param(1e150 * rng.normal(size=(600, 9)), 12, 4, id="scale-1e150")
+    # every row twice: a pick's twin has exact distance 0 from then on
+    yield pytest.param(np.repeat(rng.normal(size=(700, 5)), 2, axis=0), 40, 5, id="duplicated")
+    yield pytest.param(np.full((40, 3), 2.5), 7, 6, id="constant-rows")
+    # a common offset of 1e8 on unit noise: the bound's rounding error is as
+    # large as the distances, so only the margin keeps the picks exact
+    yield pytest.param(1e8 + rng.normal(size=(1000, 8)), 30, 8, id="offset-1e8")
+    yield pytest.param(rng.normal(size=(3000, 1)), 100, 7, id="d1-k100")
+
+
 def _big_scene_case():
     scene = generate_synthetic(SyntheticConfig(n_frames=2000, dim=128, seed=5))
     return pytest.param(scene.features.astype(np.float64), 50, 0, id="scene-2000x128")
@@ -190,12 +208,18 @@ def test_kmeans_on_a_shared_layout_and_buffer_matches_plain_kmeans(x, k, seed):
     layout = lloyd_layout(x)
     assert lloyd_layout(layout) is layout
     assert not any(a.flags.writeable for a in (layout.x, layout.x_sq, layout.x_g))
+    x_c = np.ascontiguousarray(x, dtype=np.float64)
+    assert layout.x_sq.tobytes() == (x_c * x_c).sum(axis=1).tobytes()
     buffer = np.full(x.shape[0] * k + 5, np.nan)
     rows = kmeans_pp_rows(layout, k, seed)
     for kk in (k, k - 1):
         _assert_same_kmeans(
             kmeans(layout, kk, seed, return_history=True, init_rows=rows, buffer=buffer),
             kmeans(x, kk, seed, return_history=True))
+    # balancing reads the layout's row norms, which have the raw matrix's bytes
+    centroids = kmeans(x, k, seed)[0]
+    assert balance_assignment(layout, centroids).tobytes() == \
+        balance_assignment(x, centroids).tobytes()
     assert x.tobytes() == given.tobytes() and x.flags.writeable
     with pytest.raises(ValueError, match="exceeds"):
         kmeans(layout, x.shape[0] + 1)
@@ -214,14 +238,19 @@ def test_kmeans_rejects_a_bad_buffer(buffer):
     # three distinct rows: from the fourth step on every distance is 0, so
     # the seeding takes the lowest untaken rows
     np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [5.0, 5.0]]), [3, 2, 4], axis=0), 6, 1,
-    id="all-distances-zero")])
+    id="all-distances-zero"), *_pruning_cases()])
 def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # on the raw matrix, which computes its own row norms, and on a layout's
     x_c = np.ascontiguousarray(x)
-    got = x_c[_kmeans_pp_rows(x_c, k, rng)]
-    assert got.tobytes() == _reference_pp_init(x, k, ref_rng).tobytes()
-    # both consumed the same random draws
-    assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+    ref_rng = np.random.default_rng(seed)
+    want = _reference_pp_init(x, k, ref_rng)
+    after = ref_rng.integers(1 << 62)
+    for x_sq in (None, lloyd_layout(x).x_sq):
+        rng = np.random.default_rng(seed)
+        got = x_c[_kmeans_pp_rows(x_c, k, rng, x_sq)]
+        assert got.tobytes() == want.tobytes()
+        # both consumed the same random draws
+        assert rng.integers(1 << 62) == after
 
 
 def _assign_block_cases():
@@ -246,7 +275,8 @@ def _larger_k(x, k):
     return min(x.shape[0], 2 * k + 1)
 
 
-@pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases()])
+@pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases(),
+                                      *_pruning_cases()])
 def test_pp_rows_at_a_smaller_k_are_a_prefix(x, k, seed):
     k2 = _larger_k(x, k)
     rows = kmeans_pp_rows(x, k2, seed)
@@ -254,8 +284,13 @@ def test_pp_rows_at_a_smaller_k_are_a_prefix(x, k, seed):
     assert len(set(rows.tolist())) == k2
     for k1 in range(1, k2):
         assert kmeans_pp_rows(x, k1, seed).tobytes() == rows[:k1].tobytes()
-    want = _reference_pp_init(np.ascontiguousarray(x), k2, np.random.default_rng(seed))
+    ref_rng = np.random.default_rng(seed)
+    want = _reference_pp_init(np.ascontiguousarray(x), k2, ref_rng)
     assert x[rows].tobytes() == want.tobytes()
+    # on a layout's row norms, the picks at k2 consumed the oracle's random draws
+    layout, rng = lloyd_layout(x), np.random.default_rng(seed)
+    assert _kmeans_pp_rows(layout.x, k2, rng, layout.x_sq).tobytes() == rows.tobytes()
+    assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
 
 @pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases()])
@@ -334,6 +369,35 @@ def test_kmeans_input_validation():
     for fn in (kmeans, kmeans_pp_rows):
         with pytest.raises(ValueError, match="column"):
             fn(np.ones((3, 0)), 2)
+
+
+def _at_norm(x, sq_norm):
+    """x scaled so that its largest squared row norm is about sq_norm."""
+    return x * (np.sqrt(sq_norm) / np.sqrt((x * x).sum(axis=1).max()))
+
+
+def test_features_whose_squared_distances_can_overflow_are_refused():
+    # 50 x 4 rows scaled by 1e155 used to warn of an overflow in the seeding,
+    # then fail in rng.choice; every entry point refuses them up front
+    unit = np.random.default_rng(16).normal(size=(50, 4))
+    x = 1e155 * unit
+    c = np.zeros((2, 4))
+    match = r"features are too large: a squared row norm exceeds finfo\(float64\)\.max / \(8 \* 50\)"
+    for call in (lambda: kmeans_pp_rows(x, 3), lambda: kmeans(x, 3), lambda: lloyd_layout(x),
+                 lambda: balance_assignment(x, c), lambda: cluster_features(x, 3)):
+        with pytest.raises(ValueError, match=match):
+            call()
+    with pytest.raises(ValueError, match=r"centroids are too large"):
+        balance_assignment(np.zeros((50, 4)), 1e200 * np.ones((2, 4)))
+    # just under the bound the seeding's total and Lloyd's inertia stay finite
+    # (a RuntimeWarning fails the test) and the picks are the oracle's
+    bound = np.finfo(np.float64).max / (8 * 50)
+    x = _at_norm(unit, 0.99 * bound)
+    assert np.isfinite(kmeans(x, 5, return_history=True)[2]).all()
+    want = _reference_pp_init(x, 5, np.random.default_rng(0))
+    assert x[kmeans_pp_rows(x, 5)].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="too large"):
+        kmeans_pp_rows(_at_norm(unit, 1.01 * bound), 5)
 
 
 def test_balance_keeps_already_balanced_assignment():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -203,6 +204,19 @@ def test_curve_refuses_a_threshold_step_that_rounds_to_zero(r_max, steps):
     with pytest.raises(ValueError, match=rf"r_max / steps rounds to 0 \(r_max {r_max!r}, "
                                          rf"steps {steps}\)"):
         divergence_curve([(0.0, 0.0), (1.0, 0.0)], r_max, steps)
+
+
+def test_curve_refuses_a_last_threshold_that_overflows():
+    # steps * (r_max / steps) rounds above the largest float at these r_max
+    # and steps; a RuntimeWarning would fail the test
+    big = float(np.finfo(np.float64).max)
+    for steps in (3, 7, 48):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the last threshold steps * (r_max / steps) overflows "
+                f"(r_max {big!r}, steps {steps})")):
+            divergence_curve([(0.0, 0.0), (1.0, 0.0)], big, steps)
+    # the largest float at 2 steps halves and doubles back exactly
+    assert divergence_curve([(0.0, 0.0), (1.0, 0.0)], big, 2).thresholds[-1] == big
 
 
 def test_curve_steps_may_be_a_numpy_integer():
