@@ -147,9 +147,10 @@ def _row_sq_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
 
 
 def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator,
-                    x_sq: np.ndarray | None = None) -> np.ndarray:
+                    x_sq: np.ndarray | None = None, x32: np.ndarray | None = None) -> np.ndarray:
     """Rows of x that k-means++ picks as the k initial centres, in pick order.
-    x_sq, x's squared row norms, is computed when not given.
+    x_sq, x's squared row norms, is computed when not given; x32, a LloydLayout's
+    float32 copy of x, makes the bound below a float32 GEMV.
 
     Each pick c lowers d2 to min(d2, ((x - c) ** 2).sum(axis=1)), the exact
     pass.  One GEMV gives every row a lower bound on that exact distance, and
@@ -157,7 +158,7 @@ def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator,
     skipped row's exact distance is >= d2[i], so np.minimum would have kept
     d2[i], and d2 holds the bytes of the full exact pass after every pick.
 
-    The bound is lower = (x_sq + |c|^2) * (1 - r) - 2 x.c - a with
+    The bound is lower = (x_sq + |c|^2) * (1 - r) - 2 x.c - a.  In float64,
     r = 64 (d + 4) u and a = 64 (d + 4) * 2**-1074, u = 2**-53.  With
     S = |x|^2 + |c|^2 and the true D = |x - c|^2 = S - 2 x.c <= 2 S, each
     rounding below is u relative plus at most 2**-1075 absolute (underflow):
@@ -174,20 +175,34 @@ def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator,
     covers the second-order terms, for any BLAS, summation order and thread
     count.  _row_sq_norms bounds x_sq, so no term overflows.  A NaN bound,
     were there one, fails lower >= d2 and takes the exact pass.
+
+    On x32 the dot product is x32.c32 in float32, v = 2**-24, doubled exactly,
+    and r = 8 (d + 4) v, a = 16 (d + 4) * 2**-149.  Rounding x and c to float32
+    moves each product by at most (2 v + v^2) |x_k c_k|, and the float32 sum
+    in any order adds d v of the sum of |products|; so twice the dot is within
+    (d + 2) v S of 2 x.c (first order), plus 4 d 2**-150 from float32
+    underflow (of x, c and the products; sqrt(d) |x| <= (d + |x|^2) / 2).  The
+    float64 terms above add (3 d + 10) u S < v S, so r and a exceed what they
+    cover at least 8-fold.  lloyd_layout builds x32 only for rows whose squared
+    norms stay below finfo(float32).max / 16, so the GEMV cannot overflow.
     """
     n, d = x.shape
     if x_sq is None:
         x_sq = _row_sq_norms(x)
+    if x32 is None:
+        x_dot, keep = x, 1.0 - 64 * (d + 4) * 2.0 ** -53
+        floor = 64 * (d + 4) * np.finfo(np.float64).smallest_subnormal
+    else:
+        x_dot, keep = x32, 1.0 - 8 * (d + 4) * 2.0 ** -24
+        floor = 16 * (d + 4) * float(np.finfo(np.float32).smallest_subnormal)
     buf = next(_row_blocks(n, d))[2]  # one block's buffer, reused by every pass
     exact = np.empty(buf.shape[0])
-    keep = 1.0 - 64 * (d + 4) * 2.0 ** -53
-    floor = 64 * (d + 4) * np.finfo(np.float64).smallest_subnormal
     # d2 starts at +inf, above every bound, so the first pick's pass takes every row
-    d2, dot, lower = np.full(n, np.inf), np.empty(n), np.empty(n)
+    d2, dot, lower = np.full(n, np.inf), np.empty(n, dtype=x_dot.dtype), np.empty(n)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
         c = x[chosen[-1]]
-        np.matmul(x, c, out=dot)
+        np.matmul(x_dot, x_dot[chosen[-1]], out=dot)
         np.add(x_sq, x_sq[chosen[-1]], out=lower)
         lower *= keep
         dot *= 2.0
@@ -206,8 +221,17 @@ def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator,
             # every remaining point coincides with a chosen centroid
             chosen.append(int(np.setdiff1d(np.arange(n), chosen)[0]))
         else:
-            chosen.append(int(rng.choice(n, p=d2 / total)))
+            chosen.append(_weighted_pick(d2, total, rng))
     return np.array(chosen, dtype=np.int64)
+
+
+def _weighted_pick(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """rng.choice(weights.size, p=weights / total), step for step: the same
+    cumulative sum, one rng.random() draw and the same search, so the same
+    index and the same draws, without choice's checks of p."""
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _checked_points(features, k: int) -> np.ndarray:
@@ -234,14 +258,17 @@ def _checked_points(features, k: int) -> np.ndarray:
 class LloydLayout:
     """A checked feature matrix in the layout Lloyd's algorithm reads, all of it
     read-only: x, the (n, d) C-order float64 matrix; x_sq, its squared row norms;
-    x_g, the grouped column copy of the cluster sums (see kmeans).  Built by
-    lloyd_layout and shared by any number of calls, on any thread, to kmeans,
-    kmeans_pp_rows and the feature baselines, which then neither check nor copy
-    the features again."""
+    x_g, the grouped column copy of the cluster sums (see kmeans); x32, x as
+    float32 for the certified assignment and seeding bound, or None when a
+    squared row norm exceeds finfo(float32).max / 16 (see _kmeans_pp_rows and
+    kmeans).  Built by lloyd_layout and shared by any number of calls, on any
+    thread, to kmeans, kmeans_pp_rows and the feature baselines, which then
+    neither check nor copy the features again."""
 
     x: np.ndarray
     x_sq: np.ndarray
     x_g: np.ndarray
+    x32: np.ndarray | None
 
 
 def lloyd_layout(features, k: int = 1) -> LloydLayout:
@@ -265,8 +292,11 @@ def lloyd_layout(features, k: int = 1) -> LloydLayout:
     for g, group in enumerate(x_g):
         cols = x[:, g * width:(g + 1) * width]
         group[:, :cols.shape[1]] = cols
+    x32 = None
+    if x_sq.max() <= np.finfo(np.float32).max / 16:
+        x32 = _read_only(x.astype(np.float32))
     # a read-only view leaves the caller's array as it was
-    return LloydLayout(_read_only(x.view()), _read_only(x_sq), _read_only(x_g))
+    return LloydLayout(_read_only(x.view()), _read_only(x_sq), _read_only(x_g), x32)
 
 
 def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
@@ -279,8 +309,20 @@ def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
     """
     x = _checked_points(features, k)
     check_count("seed", seed, 0)
-    x_sq = features.x_sq if isinstance(features, LloydLayout) else None
-    return _kmeans_pp_rows(x, k, np.random.default_rng(seed), x_sq)
+    if isinstance(features, LloydLayout):
+        return _kmeans_pp_rows(x, k, np.random.default_rng(seed), features.x_sq, features.x32)
+    return _kmeans_pp_rows(x, k, np.random.default_rng(seed))
+
+
+def _unsure_argmin(f: np.ndarray, slack: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """lab = each row's argmin of f; returns the rows where another value is
+    within slack[row] of the minimum, the threshold rounded to f's dtype."""
+    np.argmin(f, axis=1, out=lab)
+    best = f.reshape(-1)[np.arange(0, f.size, f.shape[1]) + lab]
+    near = f <= (best + slack).astype(f.dtype)[:, None]
+    if np.count_nonzero(near) == f.shape[0]:  # each row's minimum alone
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(near.sum(axis=1) > 1)
 
 
 def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None,
@@ -293,14 +335,57 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     init_rows, at least k rows from kmeans_pp_rows(features, k2, seed) for
     some k2 >= k, starts Lloyd from x[init_rows[:k]], the centres the seeding
     would pick, instead of seeding again.  buffer, a C-contiguous float64 array
-    of at least n * k values, receives each assignment's x @ c.T instead of a
-    new array per call; ValueError for any other buffer.
+    of at least n * k values, holds each assignment's x @ c.T product instead
+    of a new array per call; ValueError for any other buffer.
     Returns (centroids, labels), plus the per-assignment inertia history when
     return_history is set.
+
+    The exact assignment is argmin_j max(|x|^2 + |c_j|^2 - 2 x.c_j, 0) in
+    float64, from one x @ c.T, its bytes those of the BLAS at hand.  Without
+    return_history, and on a layout with x32, the labels come from a pass
+    that certifies that argmin instead:
+    1. float32: f_j = |c_j|^2 - 2 x.c_j from one float32 GEMM of x32 and
+       -2 c (|x|^2 is the same for every j, so its add and the clamp are
+       left out).  A row whose argmin j* has every other f_j above
+       f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
+       a = 16 (d + 6) 2**-149, v = 2**-24, takes j*.
+    2. float64, on the rows left: the same with x @ c.T in float64,
+       r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074, u = 2**-53.
+    3. A row left after that, a tie up to rounding, sends the iteration to
+       the exact assignment.
+    Why a certified j* is the exact argmin: take S = |x|^2 + max_j |c_j|^2,
+    so 2 |x| |c_j| <= S for every j, the true g_j = |c_j|^2 - 2 x.c_j and
+    D_j = |x - c_j|^2 = |x|^2 + g_j, and let every rounding be v (or u)
+    relative plus at most 2**-150 (or 2**-1075) absolute.  Then
+    - the exact value is within E64 = (2 d + 3) u S of D_j: the norms and
+      their sum (d + 1) u S, twice a dot product in any order, with or
+      without FMA, d u S, the subtraction 2 u S, and the clamp moves no
+      value away from D_j >= 0; underflow adds at most 3 d 2**-1075;
+    - tier 1's f_j is within E32 = (d + 5) v S of g_j: x and -2 c rounded to
+      float32 move the products by 2 v S in all, the float32 sum in any
+      order, with or without FMA, by d v S, |c_j|^2 rounded to float32 by
+      v S and the add by 2 v S; underflow adds at most (2.5 d + 1) 2**-150
+      (sqrt(d) |x| <= (d + |x|^2) / 2);
+    - tier 2's f_j is within (2 d + 2) u S, plus 3 d 2**-1075.
+    If every f_j - f_j* (j != j*) exceeds twice the tier's error plus 2 E64,
+    then D_j - D_j* > 2 E64, so the exact value at j exceeds the one at j*,
+    whatever the tie rule.  r S + a is at least 4 times that: (2 d + 11) v S
+    and (5 d + 2) 2**-150 in tier 1 (2 E64 < v S), (8 d + 10) u S and
+    12 d 2**-1075 in tier 2.  The surplus covers the second-order terms and
+    the threshold's rounding to float32 (at most 2 v S).  lloyd_layout keeps
+    x32 only when every |x|^2 is below finfo(float32).max / 16, and a
+    centroid is a row or a mean of rows, so no float32 value overflows.  So
+    the labels, and the centroids computed from them, are the exact
+    assignment's, for any BLAS, summation order and thread count.  The exact
+    assignment also gives the inertia history and the distances that an
+    empty cluster's reseed needs.
+
+    A cluster whose members did not change keeps its sums from the previous
+    iteration: the same members, added in the same order, give the same bytes.
     """
     layout = lloyd_layout(features, k)
     check_count("seed", seed, 0)
-    x, x_sq, x_g = layout.x, layout.x_sq, layout.x_g
+    x, x_sq, x_g, x32 = layout.x, layout.x_sq, layout.x_g, layout.x32
     n, d = x.shape
     if buffer is None:
         buffer = np.empty(n * k)
@@ -309,7 +394,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
         raise ValueError(f"buffer must be a C-contiguous float64 array of at least "
                          f"n * k = {n * k} values")
     if init_rows is None:
-        init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed), x_sq)
+        init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed), x_sq, x32)
     else:
         init_rows = index_array("init_rows", init_rows, n)
         if init_rows.size < k:
@@ -318,14 +403,22 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     history = []
     groups, _, width = x_g.shape
     bin_offsets = k * np.arange(width)
-    # The assignment keeps one full x @ c.T product, since BLAS gives other
-    # bytes on row blocks; the elementwise passes after it, the argmin and the
-    # gather run over the row blocks of one (n, k) pass.
+    # The exact assignment keeps one full x @ c.T product, since BLAS gives
+    # other bytes on row blocks; the elementwise passes after it, the argmin
+    # and the gather run over the row blocks of one (n, k) pass.  The float32
+    # product takes the first half of the same storage.
     cross = buffer.reshape(-1)[:n * k].reshape(n, k)
+    cross32 = cross.reshape(-1).view(np.float32)[:n * k].reshape(n, k)
     blocks = list(_row_blocks(n, k))
     block_rows = np.arange(blocks[0][1])
+    certify = x32 is not None and not return_history
+    if certify:
+        r32, a32 = 8 * (d + 6) * 2.0 ** -24, 16 * (d + 6) * float(np.finfo(np.float32).smallest_subnormal)
+        r64, a64 = 32 * (d + 2) * 2.0 ** -53, 32 * (d + 2) * np.finfo(np.float64).smallest_subnormal
+        slack_x = r32 * x_sq
+        chunk = max(1, _BLOCK_VALUES // max(d, k))
 
-    def assign(cents):
+    def assign_exact(cents):
         np.matmul(x, cents.T, out=cross)
         c_sq = (cents * cents).sum(axis=1)
         lab, dmin = np.empty(n, dtype=np.intp), np.empty(n)
@@ -335,20 +428,70 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
             dmin[start:stop] = d2[block_rows[:stop - start], lab[start:stop]]
         return lab, dmin
 
+    def assign(cents):
+        """(labels, dmin) of the exact assignment; dmin is None when the
+        labels come from the certified pass."""
+        if not certify:
+            return assign_exact(cents)
+        c_sq = (cents * cents).sum(axis=1)
+        c_max = c_sq.max()
+        np.matmul(x32, (-2.0 * cents).astype(np.float32).T, out=cross32)
+        c_sq32 = c_sq.astype(np.float32)
+        slack = slack_x + (r32 * c_max + a32)
+        lab, unsure = np.empty(n, dtype=np.intp), []
+        for start, stop, _ in blocks:
+            f = cross32[start:stop]
+            f += c_sq32
+            unsure.append(_unsure_argmin(f, slack[start:stop], lab[start:stop]) + start)
+        unsure = np.concatenate(unsure)
+        for start in range(0, unsure.size, chunk):
+            rows = unsure[start:start + chunk]
+            f = x[rows] @ cents.T
+            f *= -2.0
+            f += c_sq
+            picks = np.empty(rows.size, dtype=np.intp)
+            if _unsure_argmin(f, r64 * (x_sq[rows] + c_max) + a64, picks).size:
+                return assign_exact(cents)
+            lab[rows] = picks
+        return lab, None
+
+    sums_t, gathered = np.empty((groups, width * k)), np.empty((n, width))
+    owner = None  # the labels whose cluster sums sums_t holds
     for _ in range(_MAX_ITER):
         labels, dmin = assign(centroids)
-        history.append(float(dmin.sum()))
+        if return_history:
+            history.append(float(dmin.sum()))
         counts = np.bincount(labels, minlength=k)
-        bins = (labels[:, None] + bin_offsets).ravel()
-        sums_t = np.empty((groups, width * k))
-        for g in range(groups):
-            sums_t[g] = np.bincount(bins, weights=x_g[g].ravel(), minlength=width * k)
+        if owner is None:
+            changed = np.ones(k, dtype=bool)
+        else:
+            moved = labels != owner
+            changed = np.zeros(k, dtype=bool)
+            changed[labels[moved]] = True
+            changed[owner[moved]] = True
+        owner = labels
+        if changed.all():
+            bins = (labels[:, None] + bin_offsets).ravel()
+            for g in range(groups):
+                sums_t[g] = np.bincount(bins, weights=x_g[g].ravel(), minlength=width * k)
+        elif changed.any():
+            # the members of changed clusters, in index order
+            rows = np.flatnonzero(changed[labels])
+            bins = (labels[rows, None] + bin_offsets).ravel()
+            cols = np.tile(changed, width)
+            group = gathered[:rows.size]
+            for g in range(groups):
+                np.take(x_g[g], rows, axis=0, out=group)
+                fresh = np.bincount(bins, weights=group.ravel(), minlength=width * k)
+                sums_t[g, cols] = fresh[cols]
         sums = sums_t.reshape(groups * width, k)[:d].T
         new_centroids = centroids.copy()
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         empty = np.flatnonzero(~nonempty)
         if empty.size:
+            if dmin is None:
+                dmin = assign_exact(centroids)[1]
             farthest = np.argsort(-dmin, kind="stable")
             for j, idx in zip(empty, farthest):
                 new_centroids[j] = x[idx]
@@ -357,13 +500,11 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
         if shift < _TOL:
             break
 
-    if shift == 0.0:
-        # no centroid moved, so the last assignment already is the final one
-        history.append(history[-1])
-    else:
+    # when no centroid moved, the last assignment already is the final one
+    if shift != 0.0:
         labels, dmin = assign(centroids)
-        history.append(float(dmin.sum()))
     if return_history:
+        history.append(float(dmin.sum()))
         return centroids, labels, history
     return centroids, labels
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import scenesum.clustering as clustering
 from scenesum.clustering import (
     _BLOCK_VALUES,
     _MAX_ITER,
     _TOL,
     _first_by_key,
     _kmeans_pp_rows,
+    _weighted_pick,
     ClusterPartition,
     balance_assignment,
     cluster_features,
@@ -207,15 +209,19 @@ def test_kmeans_on_a_shared_layout_and_buffer_matches_plain_kmeans(x, k, seed):
     given = x.copy()
     layout = lloyd_layout(x)
     assert lloyd_layout(layout) is layout
-    assert not any(a.flags.writeable for a in (layout.x, layout.x_sq, layout.x_g))
+    assert not any(a.flags.writeable for a in (layout.x, layout.x_sq, layout.x_g, layout.x32))
     x_c = np.ascontiguousarray(x, dtype=np.float64)
     assert layout.x_sq.tobytes() == (x_c * x_c).sum(axis=1).tobytes()
+    assert layout.x32.tobytes() == x_c.astype(np.float32).tobytes()
     buffer = np.full(x.shape[0] * k + 5, np.nan)
     rows = kmeans_pp_rows(layout, k, seed)
     for kk in (k, k - 1):
+        want = kmeans(x, kk, seed, return_history=True)
         _assert_same_kmeans(
-            kmeans(layout, kk, seed, return_history=True, init_rows=rows, buffer=buffer),
-            kmeans(x, kk, seed, return_history=True))
+            kmeans(layout, kk, seed, return_history=True, init_rows=rows, buffer=buffer), want)
+        # without the history the labels come from the certified float32 pass
+        got = kmeans(layout, kk, seed, init_rows=rows, buffer=buffer)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     # balancing reads the layout's row norms, which have the raw matrix's bytes
     centroids = kmeans(x, k, seed)[0]
     assert balance_assignment(layout, centroids).tobytes() == \
@@ -245,9 +251,11 @@ def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
     ref_rng = np.random.default_rng(seed)
     want = _reference_pp_init(x, k, ref_rng)
     after = ref_rng.integers(1 << 62)
-    for x_sq in (None, lloyd_layout(x).x_sq):
+    layout = lloyd_layout(x)
+    # the float64 bound, then the float32 one on the layout's x32
+    for x_sq, x32 in ((None, None), (layout.x_sq, None), (layout.x_sq, layout.x32)):
         rng = np.random.default_rng(seed)
-        got = x_c[_kmeans_pp_rows(x_c, k, rng, x_sq)]
+        got = x_c[_kmeans_pp_rows(x_c, k, rng, x_sq, x32)]
         assert got.tobytes() == want.tobytes()
         # both consumed the same random draws
         assert rng.integers(1 << 62) == after
@@ -290,7 +298,115 @@ def test_pp_rows_at_a_smaller_k_are_a_prefix(x, k, seed):
     # on a layout's row norms, the picks at k2 consumed the oracle's random draws
     layout, rng = lloyd_layout(x), np.random.default_rng(seed)
     assert _kmeans_pp_rows(layout.x, k2, rng, layout.x_sq).tobytes() == rows.tobytes()
-    assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+    after = ref_rng.integers(1 << 62)
+    assert rng.integers(1 << 62) == after
+    # and so did they with the float32 bound, whose picks at every k1 are a prefix
+    rng = np.random.default_rng(seed)
+    assert _kmeans_pp_rows(layout.x, k2, rng, layout.x_sq, layout.x32).tobytes() == rows.tobytes()
+    assert rng.integers(1 << 62) == after
+    for k1 in range(1, k2):
+        assert kmeans_pp_rows(layout, k1, seed).tobytes() == rows[:k1].tobytes()
+
+
+def test_weighted_pick_matches_generator_choice():
+    # the same index, and the same place in the stream after it, over weights
+    # from 1e-200 to 1e200 with no zeros, 30% or 90% zeros, a zero first
+    # half, or a single nonzero weight
+    rng = np.random.default_rng(31)
+    got_rng, want_rng = np.random.default_rng(32), np.random.default_rng(32)
+    for case in range(2000):
+        n = int(rng.integers(1, 40))
+        w = rng.random(n) * 10.0 ** rng.integers(-200, 200)
+        w[rng.random(n) < [0.0, 0.3, 0.9][case % 3]] = 0.0
+        if case % 7 == 0:
+            w[:n // 2] = 0.0
+        if not w.any():
+            w[rng.integers(n)] = 1.0
+        total = w.sum()
+        assert _weighted_pick(w, total, got_rng) == int(want_rng.choice(n, p=w / total))
+    assert got_rng.random() == want_rng.random()
+
+
+def _certificate_cases():
+    """Inputs at the edges of the certified assignment: ties, rows only
+    float64 can decide, no float32 copy, float32 underflow, and k = 1."""
+    rng = np.random.default_rng(16)
+    # triples on a line: the middle row of each is exactly equidistant from
+    # the other two, which the seeding picks as centres in some triples
+    x = (4.0 * np.arange(10.0)[:, None] + [-1.0, 0.0, 1.0]).reshape(-1, 1)
+    yield pytest.param(x, 20, 3, id="equidistant")
+    # noise of 1e-2 on an offset of 1: float32 leaves about one row in eight
+    # to float64, which decides them all
+    yield pytest.param(1.0 + 1e-2 * rng.normal(size=(300, 4)), 6, 1, id="offset-1e-2")
+    # noise below float32's precision: neither tier resolves it
+    yield pytest.param(1.0 + 1e-9 * rng.normal(size=(300, 4)), 6, 2, id="offset-1e-9")
+    # float32 squares would overflow, so x32 is None and the exact pass runs
+    yield pytest.param(1e30 * rng.normal(size=(300, 5)), 7, 3, id="scale-1e30")
+    # products of 1e-60 underflow in float32
+    yield pytest.param(1e-30 * rng.normal(size=(300, 5)), 7, 4, id="scale-1e-30")
+    yield pytest.param(rng.normal(size=(300, 5)), 1, 5, id="k1")
+
+
+@pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases(), *_pruning_cases(),
+                                      *_assign_block_cases(), _big_scene_case(),
+                                      *_certificate_cases()])
+def test_kmeans_without_history_matches_reference_bit_for_bit(x, k, seed):
+    # without return_history the labels come from the certified pass
+    centroids, labels, _ = _reference_kmeans(x, k, seed)
+    got = kmeans(x, k, seed=seed)
+    assert got[0].tobytes() == centroids.tobytes()
+    assert got[1].tobytes() == labels.tobytes()
+
+
+def test_layout_leaves_out_x32_when_float32_squares_could_overflow():
+    x = np.random.default_rng(17).normal(size=(50, 4))
+    assert lloyd_layout(x).x32 is not None
+    assert lloyd_layout(1e30 * x).x32 is None
+
+
+def _tiers_used(monkeypatch, x, k, seed):
+    """The dtypes the certified tiers ran in and the number of exact
+    assignments, over one kmeans call without history."""
+    tiers, exact = [], []
+    unsure_argmin, sq_dists = clustering._unsure_argmin, clustering._sq_dists_from_cross
+
+    def spy_unsure(f, *args):
+        tiers.append(f.dtype)
+        return unsure_argmin(f, *args)
+
+    def spy_exact(*args):
+        exact.append(1)
+        return sq_dists(*args)
+
+    monkeypatch.setattr(clustering, "_unsure_argmin", spy_unsure)
+    monkeypatch.setattr(clustering, "_sq_dists_from_cross", spy_exact)
+    kmeans(x, k, seed=seed)
+    return set(tiers), len(exact)
+
+
+def test_certified_assignment_uses_each_tier(monkeypatch):
+    # separated blobs: float32 decides every row and the exact pass never runs
+    cases = {p.id: p.values for p in _certificate_cases()}
+    tiers, exact = _tiers_used(monkeypatch, _blobs([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]), 3, 1)
+    assert tiers == {np.dtype(np.float32)} and exact == 0
+    # float64 decides the rows float32 leaves
+    tiers, exact = _tiers_used(monkeypatch, *cases["offset-1e-2"])
+    assert tiers == {np.dtype(np.float32), np.dtype(np.float64)} and exact == 0
+    # an exact tie goes to the exact assignment, which gives it the lower id
+    tiers, exact = _tiers_used(monkeypatch, *cases["equidistant"])
+    assert np.dtype(np.float64) in tiers and exact > 0
+
+
+def test_certified_assignment_overrules_a_wrong_float32_argmin(monkeypatch):
+    # row 2 is nearer row 1 than row 0 by 7e-9 in squared distance, but in
+    # float32 arithmetic it is nearer row 0: the margin sends it to float64
+    x = np.array([[1.3040000451301372, 0.9470809631292422],
+                  [-0.7037352358069926, -1.2654214710460525],
+                  [-1.0788638616913342, 1.0921998732706257]])
+    want = kmeans(x, 2, init_rows=[0, 1], return_history=True)
+    got = kmeans(x, 2, init_rows=[0, 1])
+    assert got[1].tolist() == [0, 1, 1] == want[1].tolist()
+    assert got[0].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases()])
