@@ -8,16 +8,9 @@ import math
 
 import numpy as np
 
-from .clustering import (ClusterPartition, _checked_points, _member_sq_dists, _row_blocks, kmeans,
-                         lloyd_layout)
+from .clustering import (ClusterPartition, _check_k, _checked_points, _member_sq_dists, _row_blocks,
+                         kmeans, lloyd_layout)
 from .dataset import check_count
-
-
-def _check_k(n: int, k: int) -> None:
-    check_count("n", n)
-    check_count("k", k)
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds number of frames ({n})")
 
 
 def _change_scores(x: np.ndarray) -> np.ndarray:
@@ -32,7 +25,8 @@ def _change_scores(x: np.ndarray) -> np.ndarray:
 
 def uniform_summary(n: int, k: int) -> list[int]:
     """Evenly spaced indices round(i * (n-1) / (k-1)); frame 0 alone when k=1."""
-    _check_k(n, k)
+    check_count("n", n)
+    _check_k(k, n)
     if k == 1:
         return [0]
     return [int(math.floor(i * (n - 1) / (k - 1) + 0.5)) for i in range(k)]
@@ -40,7 +34,8 @@ def uniform_summary(n: int, k: int) -> list[int]:
 
 def random_summary(n: int, k: int, seed: int = 0) -> list[int]:
     """k distinct frames drawn uniformly, sorted ascending; deterministic per seed."""
-    _check_k(n, k)
+    check_count("n", n)
+    _check_k(k, n)
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return sorted(rng.choice(n, size=k, replace=False).tolist())

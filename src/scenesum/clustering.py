@@ -58,9 +58,10 @@ class ClusterPartition:
             gt = index_array("gt_keyframes", self.gt_keyframes, labels.size)
             if gt.shape != (self.k,):
                 raise ValueError(f"gt_keyframes must have shape ({self.k},)")
-            for j, f in enumerate(gt):
-                if labels[f] != j:
-                    raise ValueError(f"gt keyframe {f} is not a member of cluster {j}")
+            wrong = np.flatnonzero(labels[gt] != np.arange(self.k))
+            if wrong.size:
+                j = wrong[0]
+                raise ValueError(f"gt keyframe {gt[j]} is not a member of cluster {j}")
             object.__setattr__(self, "gt_keyframes", _read_only(gt))
 
     @property
@@ -146,69 +147,52 @@ def _row_sq_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
     return x_sq
 
 
-def _kmeans_pp_rows(x: np.ndarray, k: int, rng: np.random.Generator,
-                    x_sq: np.ndarray | None = None, x32: np.ndarray | None = None) -> np.ndarray:
-    """Rows of x that k-means++ picks as the k initial centres, in pick order.
-    x_sq, x's squared row norms, is computed when not given; x32, a LloydLayout's
-    float32 copy of x, makes the bound below a float32 GEMV.
+def _tier1_margin(d: int) -> tuple[float, float]:
+    """(r, a) of the certified float32 tier at d columns, the one margin of
+    Lloyd's float32 assignment and the seeding's bound (see kmeans)."""
+    return 8 * (d + 6) * 2.0 ** -24, 16 * (d + 6) * float(np.finfo(np.float32).smallest_subnormal)
+
+
+def _pp_bound(layout: LloydLayout):
+    """lower(c, out): kmeans' float32 tier at the one centre x[c], as the
+    bound x_sq + f - slack on every row's exact seeding pass, written to out.
+    kmeans' docstring shows it is at most the exact pass's bytes."""
+    x, x_sq, x32 = layout.x, layout.x_sq, layout.x32
+    r, a = _tier1_margin(x.shape[1])
+    base = x_sq - r * x_sq  # x_sq less the slack's share of |x|^2
+    f = np.empty(x_sq.size, dtype=np.float32)
+
+    def lower(c: int, out: np.ndarray) -> np.ndarray:
+        np.matmul(x32, (-2.0 * x[c]).astype(np.float32), out=f)
+        np.add(f, np.float32(x_sq[c]), out=f)
+        np.add(base, f, out=out)
+        out -= r * x_sq[c] + a
+        return out
+    return lower
+
+
+def _kmeans_pp_rows(layout: LloydLayout, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of layout.x that k-means++ picks as the k initial centres, in pick order.
 
     Each pick c lowers d2 to min(d2, ((x - c) ** 2).sum(axis=1)), the exact
-    pass.  One GEMV gives every row a lower bound on that exact distance, and
-    the exact pass runs only on the rows whose bound does not reach d2[i]: a
+    pass.  It runs only on the rows whose _pp_bound does not reach d2[i]: a
     skipped row's exact distance is >= d2[i], so np.minimum would have kept
-    d2[i], and d2 holds the bytes of the full exact pass after every pick.
-
-    The bound is lower = (x_sq + |c|^2) * (1 - r) - 2 x.c - a.  In float64,
-    r = 64 (d + 4) u and a = 64 (d + 4) * 2**-1074, u = 2**-53.  With
-    S = |x|^2 + |c|^2 and the true D = |x - c|^2 = S - 2 x.c <= 2 S, each
-    rounding below is u relative plus at most 2**-1075 absolute (underflow):
-    - each squared norm, d products summed in any order, is within d u of
-      its value, and their sum then within (d + 1) u S;
-    - BLAS's x.c, in any order, with or without FMA, is within d u |x| |c|,
-      and 2 |x| |c| <= S, so twice it is within d u S;
-    - the product by 1 - r (exact) and the two subtractions add at most
-      u S + 2 u S + 2 u S;
-    - the exact pass (d subtractions, d squares, a sum in any order) is at
-      least D - (d + 2) u D >= D - 2 (d + 2) u S.
-    So lower <= exact + ((4 d + 10) u - r) S + (11 d + 5) 2**-1075 - a, which
-    is at most exact: r and a exceed their terms at least 11-fold, which
-    covers the second-order terms, for any BLAS, summation order and thread
-    count.  _row_sq_norms bounds x_sq, so no term overflows.  A NaN bound,
-    were there one, fails lower >= d2 and takes the exact pass.
-
-    On x32 the dot product is x32.c32 in float32, v = 2**-24, doubled exactly,
-    and r = 8 (d + 4) v, a = 16 (d + 4) * 2**-149.  Rounding x and c to float32
-    moves each product by at most (2 v + v^2) |x_k c_k|, and the float32 sum
-    in any order adds d v of the sum of |products|; so twice the dot is within
-    (d + 2) v S of 2 x.c (first order), plus 4 d 2**-150 from float32
-    underflow (of x, c and the products; sqrt(d) |x| <= (d + |x|^2) / 2).  The
-    float64 terms above add (3 d + 10) u S < v S, so r and a exceed what they
-    cover at least 8-fold.  lloyd_layout builds x32 only for rows whose squared
-    norms stay below finfo(float32).max / 16, so the GEMV cannot overflow.
+    d2[i], and d2 holds the bytes of the full exact pass after every pick.  A
+    NaN bound, were there one, takes the exact pass.  Without x32 every row
+    takes it: the same picks, unpruned.
     """
+    x = layout.x
     n, d = x.shape
-    if x_sq is None:
-        x_sq = _row_sq_norms(x)
-    if x32 is None:
-        x_dot, keep = x, 1.0 - 64 * (d + 4) * 2.0 ** -53
-        floor = 64 * (d + 4) * np.finfo(np.float64).smallest_subnormal
-    else:
-        x_dot, keep = x32, 1.0 - 8 * (d + 4) * 2.0 ** -24
-        floor = 16 * (d + 4) * float(np.finfo(np.float32).smallest_subnormal)
+    lower = None if layout.x32 is None else _pp_bound(layout)
     buf = next(_row_blocks(n, d))[2]  # one block's buffer, reused by every pass
     exact = np.empty(buf.shape[0])
     # d2 starts at +inf, above every bound, so the first pick's pass takes every row
-    d2, dot, lower = np.full(n, np.inf), np.empty(n, dtype=x_dot.dtype), np.empty(n)
+    d2, bound = np.full(n, np.inf), np.empty(n)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
         c = x[chosen[-1]]
-        np.matmul(x_dot, x_dot[chosen[-1]], out=dot)
-        np.add(x_sq, x_sq[chosen[-1]], out=lower)
-        lower *= keep
-        dot *= 2.0
-        lower -= dot
-        lower -= floor
-        cand = np.flatnonzero(~(lower >= d2))
+        cand = (np.arange(n) if lower is None
+                else np.flatnonzero(~(lower(chosen[-1], bound) >= d2)))
         for start in range(0, cand.size, buf.shape[0]):
             rows = cand[start:start + buf.shape[0]]
             block, near = buf[:rows.size], exact[:rows.size]
@@ -248,10 +232,15 @@ def _checked_points(features, k: int) -> np.ndarray:
             raise ValueError(f"features must be 2-d with at least one column, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("NaN or Inf detected in features")
-    check_count("k", k)
-    if k > x.shape[0]:
-        raise ValueError(f"k ({k}) exceeds number of frames ({x.shape[0]})")
+    _check_k(k, x.shape[0])
     return x
+
+
+def _check_k(k: int, n: int) -> None:
+    """ValueError unless k is an integer >= 1 and at most the n frames."""
+    check_count("k", k)
+    if k > n:
+        raise ValueError(f"k ({k}) exceeds number of frames ({n})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,10 +249,10 @@ class LloydLayout:
     read-only: x, the (n, d) C-order float64 matrix; x_sq, its squared row norms;
     x_g, the grouped column copy of the cluster sums (see kmeans); x32, x as
     float32 for the certified assignment and seeding bound, or None when a
-    squared row norm exceeds finfo(float32).max / 16 (see _kmeans_pp_rows and
-    kmeans).  Built by lloyd_layout and shared by any number of calls, on any
-    thread, to kmeans, kmeans_pp_rows and the feature baselines, which then
-    neither check nor copy the features again."""
+    squared row norm exceeds finfo(float32).max / 16 (see kmeans).  Built by
+    lloyd_layout and shared by any number of calls, on any thread, to kmeans,
+    kmeans_pp_rows and the feature baselines, which then neither check nor
+    copy the features again."""
 
     x: np.ndarray
     x_sq: np.ndarray
@@ -307,11 +296,9 @@ def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
     runs kmeans at several k for one seed can seed once, at the largest k, and
     pass the rows as kmeans(..., init_rows=).
     """
-    x = _checked_points(features, k)
+    layout = lloyd_layout(features, k)
     check_count("seed", seed, 0)
-    if isinstance(features, LloydLayout):
-        return _kmeans_pp_rows(x, k, np.random.default_rng(seed), features.x_sq, features.x32)
-    return _kmeans_pp_rows(x, k, np.random.default_rng(seed))
+    return _kmeans_pp_rows(layout, k, np.random.default_rng(seed))
 
 
 def _unsure_argmin(f: np.ndarray, slack: np.ndarray, lab: np.ndarray) -> np.ndarray:
@@ -348,7 +335,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
        -2 c (|x|^2 is the same for every j, so its add and the clamp are
        left out).  A row whose argmin j* has every other f_j above
        f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
-       a = 16 (d + 6) 2**-149, v = 2**-24, takes j*.
+       a = 16 (d + 6) 2**-149, v = 2**-24 (_tier1_margin), takes j*.
     2. float64, on the rows left: the same with x @ c.T in float64,
        r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074, u = 2**-53.
     3. A row left after that, a tie up to rounding, sends the iteration to
@@ -380,6 +367,18 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     assignment also gives the inertia history and the distances that an
     empty cluster's reseed needs.
 
+    The seeding's bound (_pp_bound) is tier 1 at one centre c, a row of x,
+    so S = |x|^2 + |c|^2 and D = |x - c|^2 <= 2 S: lower = x_sq + f - slack
+    in float64, f within E32 of g.  It is at most the exact pass's bytes
+    ((x - c) ** 2).sum(), which are at least D - 2 (d + 2) u S (d
+    subtractions, d squares, a sum in any order) less d 2**-1075 of
+    underflow: x_sq is within d u S of |x|^2, and subtracting r x_sq, adding
+    f and subtracting r |c|^2 + a, each in float64 near at most 2 S, add
+    5 u S.  So lower - exact <= (d + 5) v S + (3 d + 9) u S - slack, plus
+    (2.5 d + 2) 2**-150 of underflow, and slack = r S + a is at least 8
+    times that ((3 d + 9) u < v for d < 2**27), which covers the slack's
+    own rounding and the second-order terms.
+
     A cluster whose members did not change keeps its sums from the previous
     iteration: the same members, added in the same order, give the same bytes.
     """
@@ -394,7 +393,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
         raise ValueError(f"buffer must be a C-contiguous float64 array of at least "
                          f"n * k = {n * k} values")
     if init_rows is None:
-        init_rows = _kmeans_pp_rows(x, k, np.random.default_rng(seed), x_sq, x32)
+        init_rows = _kmeans_pp_rows(layout, k, np.random.default_rng(seed))
     else:
         init_rows = index_array("init_rows", init_rows, n)
         if init_rows.size < k:
@@ -413,7 +412,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     block_rows = np.arange(blocks[0][1])
     certify = x32 is not None and not return_history
     if certify:
-        r32, a32 = 8 * (d + 6) * 2.0 ** -24, 16 * (d + 6) * float(np.finfo(np.float32).smallest_subnormal)
+        r32, a32 = _tier1_margin(d)
         r64, a64 = 32 * (d + 2) * 2.0 ** -53, 32 * (d + 2) * np.finfo(np.float64).smallest_subnormal
         slack_x = r32 * x_sq
         chunk = max(1, _BLOCK_VALUES // max(d, k))

@@ -25,7 +25,6 @@ from .dataset import SceneDataset, check_count, check_real, index_array
 _COS_EPS = 1e-12  # norm guard of the cosines in training and in the keyframe pick
 _TINY = np.finfo(np.float64).tiny
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # plain Adam
-_LAMBDA_RECON, _LAMBDA_NCE, _LAMBDA_GT = 1.0, 1.0, 1.0  # loss term weights in training
 
 
 def _hidden_widths(hidden_dims) -> tuple[int, ...]:
@@ -213,14 +212,13 @@ def infonce_pair(p_a, p_b) -> float:
 
 
 def total_loss(params: AutoencoderParams, features, table, gt_keyframes=None, *,
-               lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
-               lambda_gt: float = _LAMBDA_GT, grads: AutoencoderParams | None = None):
-    """Weighted training loss over one step's sample of k clusters, and
-    optionally its gradient.
+               grads: AutoencoderParams | None = None):
+    """Training loss over one step's sample of k clusters, the sum of its
+    terms, and optionally its gradient.
 
     Row q of the (k, N) table holds the N frames drawn from cluster q, as
     one step of sample_cluster draws them.
-    Returns (total, breakdown) where breakdown holds the unweighted terms under
+    Returns (total, breakdown) where breakdown holds the terms under
     keys 'recon', 'infonce', and (supervised only) 'gt'.  All sampled rows
     (then, in supervised mode, the k gt rows) go through the encoder as one
     stack, the sampled latents through the decoder as another.  Given grads, an
@@ -245,11 +243,10 @@ def total_loss(params: AutoencoderParams, features, table, gt_keyframes=None, *,
         gt_keyframes = index_array("gt_keyframes", gt_keyframes, n_frames)
         if gt_keyframes.shape != (k,):
             raise ValueError(f"gt_keyframes must have shape ({k},), got {gt_keyframes.shape}")
-    return _loss(params, features, rows.reshape(arr.shape), gt_keyframes,
-                 lambda_recon, lambda_nce, lambda_gt, grads)
+    return _loss(params, features, rows.reshape(arr.shape), gt_keyframes, grads)
 
 
-def _loss(params, features, table, gt_keyframes, lambda_recon, lambda_nce, lambda_gt, grads):
+def _loss(params, features, table, gt_keyframes, grads):
     """total_loss without its checks: features a float64 matrix, table a (k, N)
     int64 array of its frames, gt_keyframes None or a (k,) int64 array of them."""
     k, n_sample = table.shape
@@ -273,22 +270,22 @@ def _loss(params, features, table, gt_keyframes, lambda_recon, lambda_nce, lambd
     nce, d_sim = _pair_loss(sim)
 
     breakdown = {"recon": recon, "infonce": nce}
-    total = lambda_recon * recon + lambda_nce * nce
+    total = recon + nce
     if supervised:
         gt_diff = enc_acts[-1][n_total:] - pools
         gt_term = float((gt_diff * gt_diff).sum()) / k
         breakdown["gt"] = gt_term
-        total += lambda_gt * gt_term
+        total += gt_term
 
     if grads is None:
         return total, breakdown
 
-    d_pools = sim_backward(lambda_nce * d_sim)
-    resid *= lambda_recon * (2.0 / n_total)
+    d_pools = sim_backward(d_sim)
+    resid *= 2.0 / n_total
     dz = _backward(params.decoder, dec_acts, resid, grads.decoder)
     dh = dz @ params.decoder[0][0].T
     if supervised:
-        d_gt = lambda_gt * (2.0 / k) * gt_diff
+        d_gt = (2.0 / k) * gt_diff
         d_pools -= d_gt
         dh = np.concatenate([dh + avg.T @ d_pools, d_gt])
     else:
@@ -297,13 +294,10 @@ def _loss(params, features, table, gt_keyframes, lambda_recon, lambda_nce, lambd
     return total, breakdown
 
 
-def grad(params: AutoencoderParams, features, table, gt_keyframes=None, *,
-         lambda_recon: float = _LAMBDA_RECON, lambda_nce: float = _LAMBDA_NCE,
-         lambda_gt: float = _LAMBDA_GT) -> AutoencoderParams:
+def grad(params: AutoencoderParams, features, table, gt_keyframes=None) -> AutoencoderParams:
     """Analytic gradient of total_loss, as a new AutoencoderParams shaped like params."""
     g = AutoencoderParams(params.input_dim, params.hidden_dims, params.latent_dim)
-    total_loss(params, features, table, gt_keyframes, lambda_recon=lambda_recon,
-               lambda_nce=lambda_nce, lambda_gt=lambda_gt, grads=g)
+    total_loss(params, features, table, gt_keyframes, grads=g)
     return g
 
 
@@ -397,7 +391,6 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
     features = np.asarray(ds.features, dtype=np.float64)
     state = AdamState(params)
     grads = AutoencoderParams(ds.dim, cfg.hidden_dims, cfg.latent_dim)  # overwritten by every step
-    lambdas = _LAMBDA_RECON, _LAMBDA_NCE, _LAMBDA_GT
 
     history = []
     for epoch in range(cfg.epochs):
@@ -405,7 +398,7 @@ def train(ds: SceneDataset, partition: ClusterPartition, cfg: TrainConfig):
         # the partition and the draw are checked once, so each step runs the
         # loss without total_loss's checks
         for step, table in enumerate(sample_cluster(partition, n_sample, rng).table):
-            total, _ = _loss(params, features, table, partition.gt_keyframes, *lambdas, grads)
+            total, _ = _loss(params, features, table, partition.gt_keyframes, grads)
             if not math.isfinite(total):
                 raise ValueError(f"training loss is {total} at epoch {epoch}, step {step}")
             adam_step(params, grads, state, learning_rate=cfg.learning_rate)
@@ -422,8 +415,7 @@ def select_keyframes(params: AutoencoderParams, ds: SceneDataset,
 
     Each encoding h is scaled to u = h / (|h| + _COS_EPS); the mean of u over
     the full cluster membership, scaled to unit length with the same guard, is
-    the mean direction.  The contrastive term sees only cosines and leaves
-    latent norms free, so the pick ignores them too.  A zero encoding or a
+    the mean direction.  The pick ignores latent norms.  A zero encoding or a
     zero mean direction gives cosine 0.  Ties go to the lowest frame index.
     Frames are listed in cluster-id order.  ValueError, not a RuntimeWarning,
     when training diverged so far that an encoding or its squared norm overflows.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from scenesum.clustering import (
     _TOL,
     _first_by_key,
     _kmeans_pp_rows,
+    _pp_bound,
     _weighted_pick,
     ClusterPartition,
     balance_assignment,
@@ -246,17 +249,14 @@ def test_kmeans_rejects_a_bad_buffer(buffer):
     np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [5.0, 5.0]]), [3, 2, 4], axis=0), 6, 1,
     id="all-distances-zero"), *_pruning_cases()])
 def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
-    # on the raw matrix, which computes its own row norms, and on a layout's
-    x_c = np.ascontiguousarray(x)
     ref_rng = np.random.default_rng(seed)
     want = _reference_pp_init(x, k, ref_rng)
     after = ref_rng.integers(1 << 62)
     layout = lloyd_layout(x)
-    # the float64 bound, then the float32 one on the layout's x32
-    for x_sq, x32 in ((None, None), (layout.x_sq, None), (layout.x_sq, layout.x32)):
+    # pruned by the float32 bound, and unpruned on a layout without x32
+    for lay in (layout, replace(layout, x32=None)):
         rng = np.random.default_rng(seed)
-        got = x_c[_kmeans_pp_rows(x_c, k, rng, x_sq, x32)]
-        assert got.tobytes() == want.tobytes()
+        assert lay.x[_kmeans_pp_rows(lay, k, rng)].tobytes() == want.tobytes()
         # both consumed the same random draws
         assert rng.integers(1 << 62) == after
 
@@ -295,15 +295,12 @@ def test_pp_rows_at_a_smaller_k_are_a_prefix(x, k, seed):
     ref_rng = np.random.default_rng(seed)
     want = _reference_pp_init(np.ascontiguousarray(x), k2, ref_rng)
     assert x[rows].tobytes() == want.tobytes()
-    # on a layout's row norms, the picks at k2 consumed the oracle's random draws
-    layout, rng = lloyd_layout(x), np.random.default_rng(seed)
-    assert _kmeans_pp_rows(layout.x, k2, rng, layout.x_sq).tobytes() == rows.tobytes()
-    after = ref_rng.integers(1 << 62)
-    assert rng.integers(1 << 62) == after
-    # and so did they with the float32 bound, whose picks at every k1 are a prefix
-    rng = np.random.default_rng(seed)
-    assert _kmeans_pp_rows(layout.x, k2, rng, layout.x_sq, layout.x32).tobytes() == rows.tobytes()
-    assert rng.integers(1 << 62) == after
+    # pruned or not, the picks at k2 consumed the oracle's random draws
+    layout, after = lloyd_layout(x), ref_rng.integers(1 << 62)
+    for lay in (layout, replace(layout, x32=None)):
+        rng = np.random.default_rng(seed)
+        assert _kmeans_pp_rows(lay, k2, rng).tobytes() == rows.tobytes()
+        assert rng.integers(1 << 62) == after
     for k1 in range(1, k2):
         assert kmeans_pp_rows(layout, k1, seed).tobytes() == rows[:k1].tobytes()
 
@@ -362,6 +359,25 @@ def test_layout_leaves_out_x32_when_float32_squares_could_overflow():
     x = np.random.default_rng(17).normal(size=(50, 4))
     assert lloyd_layout(x).x32 is not None
     assert lloyd_layout(1e30 * x).x32 is None
+
+
+def _seeding_bound_cases():
+    """Inputs where the seeding's bound without its slack would exceed the
+    exact pass on some rows."""
+    cases = {p.id: p.values[0] for p in [*_certificate_cases(), *_pruning_cases()]}
+    for name in ("offset-1e-2", "offset-1e-9", "scale-1e-30", "duplicated", "scene-2000x64"):
+        yield pytest.param(cases[name], id=name)
+    yield pytest.param(1e3 + np.random.default_rng(18).normal(size=(500, 128)), id="d128-offset-1e3")
+
+
+@pytest.mark.parametrize("x", [*_seeding_bound_cases()])
+def test_seeding_bound_is_at_most_the_exact_pass(x):
+    # every row's bound against the exact pass's bytes, at several centres
+    layout = lloyd_layout(x)
+    lower, out = _pp_bound(layout), np.empty(x.shape[0])
+    for c in np.random.default_rng(19).choice(x.shape[0], size=8, replace=False):
+        exact = ((layout.x - layout.x[c]) ** 2).sum(axis=1)
+        assert (lower(c, out) <= exact).all()
 
 
 def _tiers_used(monkeypatch, x, k, seed):
@@ -787,6 +803,12 @@ def test_partition_validation_errors():
             ClusterPartition(2, [0, 0, 1, 1], gt_keyframes=gt)
     with pytest.raises(ValueError, match="integers"):
         ClusterPartition(2, [0.7, 1.2])
+
+
+def test_partition_names_the_lowest_cluster_whose_gt_keyframe_is_no_member():
+    # clusters 1 and 2 both get a frame of the other
+    with pytest.raises(ValueError, match="^gt keyframe 4 is not a member of cluster 1$"):
+        ClusterPartition(3, [0, 0, 1, 1, 2, 2], gt_keyframes=[0, 4, 3])
 
 
 def test_partition_refuses_gt_keyframes_of_the_wrong_shape():

@@ -99,7 +99,7 @@ def _flatten(params):
     return np.concatenate(arrs)
 
 
-def _fd_grad(params, feats, sample, gt, h=1e-5, **loss_kwargs):
+def _fd_grad(params, feats, sample, gt, h=1e-5):
     """Central finite differences over every parameter entry."""
     out = []
     for layers in (params.encoder, params.decoder):
@@ -111,9 +111,9 @@ def _fd_grad(params, feats, sample, gt, h=1e-5, **loss_kwargs):
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up, _ = total_loss(params, feats, sample, gt, **loss_kwargs)
+                    up, _ = total_loss(params, feats, sample, gt)
                     arr[idx] = orig - h
-                    dn, _ = total_loss(params, feats, sample, gt, **loss_kwargs)
+                    dn, _ = total_loss(params, feats, sample, gt)
                     arr[idx] = orig
                     g[idx] = (up - dn) / (2 * h)
                     it.iternext()
@@ -312,9 +312,6 @@ def test_total_loss_supervised_matches_frozen_oracle():
     total, breakdown = total_loss(params, feats, sample, [0, 3, 5])
     assert abs(breakdown["gt"] - 0.07779558751251404) < 1e-10
     assert abs(total - 10.321928458032998) < 1e-10
-    weighted, _ = total_loss(params, feats, sample, [0, 3, 5],
-                             lambda_recon=0.5, lambda_nce=2.0, lambda_gt=3.0)
-    assert abs(weighted - 11.468693600029274) < 1e-10
 
 
 def test_total_loss_supervised_gt_term_vanishes_for_singleton_pools():
@@ -329,22 +326,12 @@ def test_total_loss_supervised_gt_term_vanishes_for_singleton_pools():
     assert abs(sup - base) < 1e-12
 
 
-def test_total_loss_is_linear_in_weights():
-    params, feats, sample = _oracle_setup()
-    _, bd = total_loss(params, feats, sample)
-    doubled, _ = total_loss(params, feats, sample, lambda_nce=2.0)
-    assert abs(doubled - (bd["recon"] + 2.0 * bd["infonce"])) < 1e-12
-    no_recon, _ = total_loss(params, feats, sample, lambda_recon=0.0)
-    assert abs(no_recon - bd["infonce"]) < 1e-12
-
-
 @pytest.mark.parametrize("gt", [None, [1, 3, 9]])
 def test_total_loss_matches_per_cluster_loop(gt):
     # A loop over clusters and ordered cluster pairs, written here without the
     # library's loss helpers, is the reference for the batched loss.
     params, feats, sample = _repeat_setup()
-    lams = {"lambda_recon": 0.7, "lambda_nce": 1.3, "lambda_gt": 2.1}
-    batched, _ = total_loss(params, feats, sample, gt, **lams)
+    batched, _ = total_loss(params, feats, sample, gt)
 
     xs = list(feats[sample])
     pools = [encode(params, x).mean(axis=0) for x in xs]
@@ -357,11 +344,11 @@ def test_total_loss_matches_per_cluster_loop(gt):
             if a != b:
                 s = float(pa @ pb) / math.sqrt(float(pa @ pa) * float(pb @ pb))
                 nce += math.log1p(math.exp(s - 1.0))
-    expected = lams["lambda_recon"] * recon + lams["lambda_nce"] * nce
+    expected = recon + nce
     if gt is not None:
         gt_term = sum(float(((encode(params, feats[f]) - p) ** 2).sum())
                       for f, p in zip(gt, pools)) / len(pools)
-        expected += lams["lambda_gt"] * gt_term
+        expected += gt_term
     assert abs(batched - expected) <= 1e-12 * abs(expected)
 
 
@@ -429,8 +416,8 @@ def test_grad_matches_finite_differences_self_supervised():
 def test_grad_matches_finite_differences_supervised():
     params, feats, sample = _oracle_setup()
     gt = [1, 2, 5]
-    g = _flatten(grad(params, feats, sample, gt, lambda_gt=1.7))
-    fd = _fd_grad(params, feats, sample, gt, lambda_gt=1.7)
+    g = _flatten(grad(params, feats, sample, gt))
+    fd = _fd_grad(params, feats, sample, gt)
     denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
     assert np.max(np.abs(g - fd) / denom) < 1e-6
 
@@ -472,19 +459,11 @@ def test_grad_is_finite_when_a_pool_is_zero():
     assert np.isfinite(grad(params, feats, sample).flat).all()
 
 
-def test_grad_is_linear_in_loss_weights():
-    params, feats, sample = _oracle_setup()
-    g0 = _flatten(grad(params, feats, sample, lambda_nce=0.0))
-    g1 = _flatten(grad(params, feats, sample, lambda_nce=1.0))
-    g2 = _flatten(grad(params, feats, sample, lambda_nce=2.0))
-    assert np.allclose(g0 + g2, 2.0 * g1, atol=1e-12)
-
-
 def test_grad_returns_a_new_buffer_per_call():
     params, feats, sample = _oracle_setup()
     g1 = grad(params, feats, sample)
     first = g1.flat.tobytes()
-    g2 = grad(params, feats, sample, lambda_nce=2.0)
+    g2 = grad(params, 2.0 * feats, sample)
     assert g1 is not g2
     assert not np.shares_memory(g1.flat, g2.flat)
     assert not np.shares_memory(g1.flat, params.flat)
@@ -492,14 +471,6 @@ def test_grad_returns_a_new_buffer_per_call():
     assert g2.flat.tobytes() != first
     # the layer pairs are views of the result's own buffer
     assert all(np.shares_memory(a, g1.flat) for layer in g1.encoder + g1.decoder for a in layer)
-
-
-def test_grad_zero_at_perfect_reconstruction_without_nce():
-    params = _identity_net(2)
-    feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sample = np.array([[0], [1]])
-    g = _flatten(grad(params, feats, sample, lambda_nce=0.0))
-    assert np.abs(g).max() < 1e-15
 
 
 # ----------------------------------------------------------------------- adam
