@@ -41,15 +41,15 @@ def random_summary(n: int, k: int, seed: int = 0) -> list[int]:
     return sorted(rng.choice(n, size=k, replace=False).tolist())
 
 
-def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None, buffer=None) -> list[int]:
+def vsumm_centroid(features, k: int, seed: int = 0, init_rows=None) -> list[int]:
     """k-means on features; each cluster is represented by the frame nearest its
     centroid (ties to the lowest index).  Empty clusters, which only occur for
     degenerate inputs such as all-identical frames, fall back to the lowest
     frames not yet selected so the summary stays k distinct indices.
     features may be a clustering.LloydLayout; init_rows, from
-    clustering.kmeans_pp_rows for this seed, and buffer go to kmeans."""
+    clustering.kmeans_pp_rows for this seed, goes to kmeans."""
     layout = lloyd_layout(features, k)
-    centroids, labels = kmeans(layout, k, seed=seed, init_rows=init_rows, buffer=buffer)
+    centroids, labels = kmeans(layout, k, seed=seed, init_rows=init_rows)
     picks = ClusterPartition(k, labels).nearest_members(
         _member_sq_dists(layout.x, centroids, labels))
     used = set(picks.tolist())

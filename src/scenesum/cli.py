@@ -19,8 +19,6 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import baselines, metrics
 from .clustering import cluster_features, gt_pose_clustering, kmeans_pp_rows, lloyd_layout
 from .dataset import (SceneDataset, SyntheticConfig, generate_synthetic, index_array,
@@ -127,12 +125,12 @@ def _check_k(method: str, k: int, n: int) -> None:
 
 
 def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
-                init_rows=None, layout=None, buffer=None) -> list[int]:
+                init_rows=None, layout=None) -> list[int]:
     """The frames a method from METHODS picks; opts carries training knobs.
     layout, clustering.lloyd_layout(ds.features), is what every feature method
     (vsumm, change, scenesum) reads instead of ds.features, so that none checks
     and converts its own copy.  init_rows, kmeans_pp_rows for this seed at some
-    k2 >= k, and buffer go to vsumm's k-means; every other method ignores them."""
+    k2 >= k, goes to vsumm's k-means; every other method ignores it."""
     _check_k(method, k, ds.n_frames)
     if method == "uniform":
         return baselines.uniform_summary(ds.n_frames, k)
@@ -140,7 +138,7 @@ def _run_method(ds: SceneDataset, method: str, k: int, seed: int, opts: dict,
         return baselines.random_summary(ds.n_frames, k, seed)
     features = ds.features if layout is None else layout
     if method == "vsumm":
-        return baselines.vsumm_centroid(features, k, seed, init_rows, buffer)
+        return baselines.vsumm_centroid(features, k, seed, init_rows)
     if method == "change":
         return baselines.change_detect_summary(features, k)
 
@@ -250,13 +248,11 @@ def cmd_sweep(args) -> int:
     # grid order, each distinct cell once: a repeated k or seed reuses its cell
     cells = list(dict.fromkeys(cell(method, k, seed)
                                for method in methods for k in ks for seed in seeds))
-    # The feature baselines and the seeding share one Lloyd layout, and each
-    # thread below has its own x @ c.T buffer for vsumm's k-means.  All of them
-    # are allocated here, on the main thread: the helper's malloc arena would
-    # keep what it frees, out of reach of the work after the sweep.
+    # The feature baselines and the seeding share one Lloyd layout, allocated
+    # here, on the main thread: the helper's malloc arena would keep what it
+    # frees, out of reach of the work after the sweep.  A vsumm cell's k-means
+    # allocates no (n, k) array, only 256 KB row blocks and O(n) vectors.
     layout = lloyd_layout(ds.features) if "vsumm" in methods or "change" in methods else None
-    buffers = [np.empty(ds.n_frames * max(ks)) if "vsumm" in methods else None
-               for _ in range(2)]
 
     # Two threads score the cells, this one from the front of the grid and a
     # helper from the back.  k-means++ picks the same first centres at every k,
@@ -276,7 +272,7 @@ def cmd_sweep(args) -> int:
     todo = [0, len(cells)]  # cells[todo[0]:todo[1]] are not taken yet
     lock = threading.Lock()
 
-    def run_cells(from_back: bool, buffer) -> None:
+    def run_cells(from_back: bool) -> None:
         while True:
             with lock:
                 stop = min([todo[1], *failures])
@@ -290,7 +286,7 @@ def cmd_sweep(args) -> int:
             method, k, seed = cells[i]
             try:
                 init_rows = pp_rows[seed].result() if method == "vsumm" else None
-                frames = _run_method(ds, method, k, seed, resolved, init_rows, layout, buffer)
+                frames = _run_method(ds, method, k, seed, resolved, init_rows, layout)
                 curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
                                                  resolved["steps"])
                 aucs[method, k, seed] = metrics.auc(curve)
@@ -303,9 +299,9 @@ def cmd_sweep(args) -> int:
     if "vsumm" in methods:
         pp_rows = {seed: helper.submit(kmeans_pp_rows, layout, max(ks), seed)
                    for seed in dict.fromkeys(seeds)}
-    helper_cells = helper.submit(run_cells, True, buffers[1])
+    helper_cells = helper.submit(run_cells, True)
     try:
-        run_cells(False, buffers[0])
+        run_cells(False)
         if not failures:
             helper_cells.result()
     finally:

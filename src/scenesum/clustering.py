@@ -16,7 +16,7 @@ from .dataset import check_count, index_array
 
 _MAX_ITER = 100  # Lloyd iterations per k-means run
 _TOL = 1e-6  # stop once no centroid moves farther than this
-_BLOCK_VALUES = 32768  # values per block of the blocked passes over rows (256 KB)
+_BLOCK_BYTES = 2 ** 18  # bytes per block of the blocked passes over rows (256 KB)
 _SUM_GROUP = 8  # columns per bincount of the Lloyd cluster sums
 
 
@@ -108,13 +108,14 @@ def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
     return np.maximum(out, 0.0, out=out)
 
 
-def _row_blocks(n: int, width: int, buffers: int = 1):
+def _row_blocks(n: int, width: int, buffers: int = 1, dtype=np.float64):
     """(start, stop, *views) per block of rows start to stop of an n-row pass,
-    one (stop - start, width) view of each of `buffers` reused buffers of about
-    256 KB, so each block must be used before the next; a caller making many
-    passes builds the list once.  Row sums keep the one-shot sum's bytes."""
-    rows = max(1, min(n, _BLOCK_VALUES // width))
-    bufs = [np.empty((rows, width)) for _ in range(buffers)]
+    one (stop - start, width) view of each of `buffers` reused buffers of dtype
+    and about 256 KB, so each block must be used before the next; a caller
+    making many passes builds the list once.  Row sums keep the one-shot sum's
+    bytes."""
+    rows = max(1, min(n, _BLOCK_BYTES // (width * np.dtype(dtype).itemsize)))
+    bufs = [np.empty((rows, width), dtype) for _ in range(buffers)]
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         yield (start, stop, *(buf[:stop - start] for buf in bufs))
@@ -179,27 +180,31 @@ def _kmeans_pp_rows(layout: LloydLayout, k: int, rng: np.random.Generator) -> np
     skipped row's exact distance is >= d2[i], so np.minimum would have kept
     d2[i], and d2 holds the bytes of the full exact pass after every pick.  A
     NaN bound, were there one, takes the exact pass.  Without x32 every row
-    takes it: the same picks, unpruned.
+    takes it, one contiguous row block at a time: the same picks, unpruned.
     """
     x = layout.x
     n, d = x.shape
     lower = None if layout.x32 is None else _pp_bound(layout)
-    buf = next(_row_blocks(n, d))[2]  # one block's buffer, reused by every pass
-    exact = np.empty(buf.shape[0])
+    blocks = list(_row_blocks(n, d))
+    buf = blocks[0][2]  # one block's buffer, reused by every pass
+    step = buf.shape[0]
+    exact = np.empty(step)
     # d2 starts at +inf, above every bound, so the first pick's pass takes every row
     d2, bound = np.full(n, np.inf), np.empty(n)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
         c = x[chosen[-1]]
-        cand = (np.arange(n) if lower is None
-                else np.flatnonzero(~(lower(chosen[-1], bound) >= d2)))
-        for start in range(0, cand.size, buf.shape[0]):
-            rows = cand[start:start + buf.shape[0]]
-            block, near = buf[:rows.size], exact[:rows.size]
-            np.take(x, rows, axis=0, out=block)
-            np.subtract(block, c, out=block)
-            np.square(block, out=block).sum(axis=1, out=near)
-            d2[rows] = np.minimum(d2[rows], near)
+        if lower is None:  # every row, read in place
+            parts = ((slice(start, stop), x[start:stop]) for start, stop, _ in blocks)
+        else:  # the candidate rows, each block gathered into buf as it is reached
+            cand = np.flatnonzero(~(lower(chosen[-1], bound) >= d2))
+            parts = ((rows, np.take(x, rows, axis=0, out=buf[:rows.size]))
+                     for rows in (cand[s:s + step] for s in range(0, cand.size, step)))
+        for rows, block in parts:
+            diff, near = buf[:block.shape[0]], exact[:block.shape[0]]
+            np.subtract(block, c, out=diff)
+            np.square(diff, out=diff).sum(axis=1, out=near)
+            d2[rows] = np.minimum(d2[rows], near, out=near)
         total = d2.sum()
         if total <= 0.0:
             # every remaining point coincides with a chosen centroid
@@ -312,8 +317,7 @@ def _unsure_argmin(f: np.ndarray, slack: np.ndarray, lab: np.ndarray) -> np.ndar
     return np.flatnonzero(near.sum(axis=1) > 1)
 
 
-def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None,
-           buffer=None):
+def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None):
     """Lloyd's algorithm with k-means++ seeding.
 
     Ties in the assignment step go to the lowest centroid id.  A cluster that
@@ -321,22 +325,21 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     features may be a LloydLayout, which many calls can share.
     init_rows, at least k rows from kmeans_pp_rows(features, k2, seed) for
     some k2 >= k, starts Lloyd from x[init_rows[:k]], the centres the seeding
-    would pick, instead of seeding again.  buffer, a C-contiguous float64 array
-    of at least n * k values, holds each assignment's x @ c.T product instead
-    of a new array per call; ValueError for any other buffer.
+    would pick, instead of seeding again.
     Returns (centroids, labels), plus the per-assignment inertia history when
     return_history is set.
 
     The exact assignment is argmin_j max(|x|^2 + |c_j|^2 - 2 x.c_j, 0) in
     float64, from one x @ c.T, its bytes those of the BLAS at hand.  Without
     return_history, and on a layout with x32, the labels come from a pass
-    that certifies that argmin instead:
-    1. float32: f_j = |c_j|^2 - 2 x.c_j from one float32 GEMM of x32 and
-       -2 c (|x|^2 is the same for every j, so its add and the clamp are
-       left out).  A row whose argmin j* has every other f_j above
-       f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
+    that certifies that argmin instead, one row block of 256 KB of float32
+    at a time:
+    1. float32: f_j = |c_j|^2 - 2 x.c_j from one float32 GEMM of the block's
+       rows of x32 and -2 c (|x|^2 is the same for every j, so its add and
+       the clamp are left out).  A row whose argmin j* has every other f_j
+       above f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
        a = 16 (d + 6) 2**-149, v = 2**-24 (_tier1_margin), takes j*.
-    2. float64, on the rows left: the same with x @ c.T in float64,
+    2. float64, on the block's rows left: the same with x @ c.T in float64,
        r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074, u = 2**-53.
     3. A row left after that, a tie up to rounding, sends the iteration to
        the exact assignment.
@@ -363,9 +366,10 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     x32 only when every |x|^2 is below finfo(float32).max / 16, and a
     centroid is a row or a mean of rows, so no float32 value overflows.  So
     the labels, and the centroids computed from them, are the exact
-    assignment's, for any BLAS, summation order and thread count.  The exact
-    assignment also gives the inertia history and the distances that an
-    empty cluster's reseed needs.
+    assignment's, for any BLAS, summation order, row block and thread count.
+    The exact assignment also gives the inertia history and the distances
+    that an empty cluster's reseed needs; its (n, k) product is allocated
+    once per call, the first time it runs.
 
     The seeding's bound (_pp_bound) is tier 1 at one centre c, a row of x,
     so S = |x|^2 + |c|^2 and D = |x - c|^2 <= 2 S: lower = x_sq + f - slack
@@ -386,12 +390,6 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     check_count("seed", seed, 0)
     x, x_sq, x_g, x32 = layout.x, layout.x_sq, layout.x_g, layout.x32
     n, d = x.shape
-    if buffer is None:
-        buffer = np.empty(n * k)
-    elif (not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64
-          or not buffer.flags.c_contiguous or buffer.size < n * k):
-        raise ValueError(f"buffer must be a C-contiguous float64 array of at least "
-                         f"n * k = {n * k} values")
     if init_rows is None:
         init_rows = _kmeans_pp_rows(layout, k, np.random.default_rng(seed))
     else:
@@ -402,25 +400,25 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     history = []
     groups, _, width = x_g.shape
     bin_offsets = k * np.arange(width)
-    # The exact assignment keeps one full x @ c.T product, since BLAS gives
-    # other bytes on row blocks; the elementwise passes after it, the argmin
-    # and the gather run over the row blocks of one (n, k) pass.  The float32
-    # product takes the first half of the same storage.
-    cross = buffer.reshape(-1)[:n * k].reshape(n, k)
-    cross32 = cross.reshape(-1).view(np.float32)[:n * k].reshape(n, k)
-    blocks = list(_row_blocks(n, k))
-    block_rows = np.arange(blocks[0][1])
     certify = x32 is not None and not return_history
     if certify:
         r32, a32 = _tier1_margin(d)
         r64, a64 = 32 * (d + 2) * 2.0 ** -53, 32 * (d + 2) * np.finfo(np.float64).smallest_subnormal
         slack_x = r32 * x_sq
-        chunk = max(1, _BLOCK_VALUES // max(d, k))
+        blocks32 = list(_row_blocks(n, k, dtype=np.float32))
+    exact = []  # the exact assignment's (n, k) product and row blocks, made on first use
 
     def assign_exact(cents):
+        # One full x @ c.T product, since BLAS gives other bytes on row blocks;
+        # the elementwise passes after it, the argmin and the gather run over
+        # the row blocks of one (n, k) pass.
+        if not exact:
+            exact.extend((np.empty((n, k)), list(_row_blocks(n, k))))
+        cross, blocks = exact
         np.matmul(x, cents.T, out=cross)
         c_sq = (cents * cents).sum(axis=1)
         lab, dmin = np.empty(n, dtype=np.intp), np.empty(n)
+        block_rows = np.arange(blocks[0][1])
         for start, stop, buf in blocks:
             d2 = _sq_dists_from_cross(cross[start:stop], x_sq[start:stop], c_sq, buf)
             np.argmin(d2, axis=1, out=lab[start:stop])  # argmin keeps the lowest id on ties
@@ -434,24 +432,21 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
             return assign_exact(cents)
         c_sq = (cents * cents).sum(axis=1)
         c_max = c_sq.max()
-        np.matmul(x32, (-2.0 * cents).astype(np.float32).T, out=cross32)
-        c_sq32 = c_sq.astype(np.float32)
-        slack = slack_x + (r32 * c_max + a32)
-        lab, unsure = np.empty(n, dtype=np.intp), []
-        for start, stop, _ in blocks:
-            f = cross32[start:stop]
+        neg2c32, c_sq32 = (-2.0 * cents).astype(np.float32).T, c_sq.astype(np.float32)
+        lab = np.empty(n, dtype=np.intp)
+        for start, stop, f in blocks32:
+            np.matmul(x32[start:stop], neg2c32, out=f)
             f += c_sq32
-            unsure.append(_unsure_argmin(f, slack[start:stop], lab[start:stop]) + start)
-        unsure = np.concatenate(unsure)
-        for start in range(0, unsure.size, chunk):
-            rows = unsure[start:start + chunk]
-            f = x[rows] @ cents.T
-            f *= -2.0
-            f += c_sq
-            picks = np.empty(rows.size, dtype=np.intp)
-            if _unsure_argmin(f, r64 * (x_sq[rows] + c_max) + a64, picks).size:
-                return assign_exact(cents)
-            lab[rows] = picks
+            slack = slack_x[start:stop] + (r32 * c_max + a32)
+            rows = _unsure_argmin(f, slack, lab[start:stop]) + start
+            if rows.size:
+                f64 = x[rows] @ cents.T
+                f64 *= -2.0
+                f64 += c_sq
+                picks = np.empty(rows.size, dtype=np.intp)
+                if _unsure_argmin(f64, r64 * (x_sq[rows] + c_max) + a64, picks).size:
+                    return assign_exact(cents)
+                lab[rows] = picks
         return lab, None
 
     sums_t, gathered = np.empty((groups, width * k)), np.empty((n, width))

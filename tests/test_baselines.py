@@ -14,7 +14,7 @@ from scenesum.baselines import (
     uniform_summary,
     vsumm_centroid,
 )
-from scenesum.clustering import (_BLOCK_VALUES, ClusterPartition, _member_sq_dists, kmeans_pp_rows,
+from scenesum.clustering import (_BLOCK_BYTES, ClusterPartition, _member_sq_dists, kmeans_pp_rows,
                                  lloyd_layout)
 from scenesum.dataset import SceneDataset
 from scenesum.selector import AutoencoderParams, select_keyframes
@@ -114,8 +114,9 @@ def _one_shot_change_scores(x):
 @pytest.mark.parametrize("extra", [0, -1, 1, "2 blocks + 1"])
 @pytest.mark.parametrize("grid", [False, True], ids=["random", "grid"])
 def test_row_blocks_equal_the_one_shot_formulas(d, extra, grid):
-    # a block holds _BLOCK_VALUES // d rows; n sits on and around its edges
-    rows = _BLOCK_VALUES // d
+    # a block holds 256 KB of float64, _BLOCK_BYTES // (8 * d) rows; n sits on
+    # and around its edges
+    rows = _BLOCK_BYTES // (8 * d)
     n = 2 * rows + 1 if extra == "2 blocks + 1" else rows + extra
     rng = np.random.default_rng(n + d)
     x = np.round(rng.uniform(0, 4, (n, d))) if grid else rng.standard_normal((n, d))
@@ -150,18 +151,17 @@ def test_feature_baseline_memory_is_bounded():
 
 
 def test_vsumm_on_a_shared_layout_allocates_no_matrix():
-    # The sweep's helper thread runs vsumm cells on a layout and a buffer built
-    # on the main thread.  At 5000 x 128 and k = 100 one (n, d) or (n, k)
-    # float64 array is 4-5 MB; a cell must allocate none of them (its O(n) label,
-    # distance and bin arrays and 256 KB row blocks peak near 1.3 MB), and give
-    # the frames of a plain call.
+    # The sweep's helper thread runs vsumm cells on a layout built on the main
+    # thread.  At 5000 x 128 and k = 100 one (n, d) or (n, k) float64 array is
+    # 4-5 MB; a cell must allocate none of them (its O(n) label, distance and
+    # bin arrays and 256 KB row blocks peak below 2 MB), and give the frames
+    # of a plain call.
     x = np.random.default_rng(4).standard_normal((5000, 128))
     layout = lloyd_layout(x)
-    buffer = np.empty(5000 * 100)
     rows = kmeans_pp_rows(layout, 100, 2)
     tracemalloc.start()
     try:
-        frames = vsumm_centroid(layout, 100, 2, rows, buffer)
+        frames = vsumm_centroid(layout, 100, 2, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 
 import scenesum.clustering as clustering
 from scenesum.clustering import (
-    _BLOCK_VALUES,
+    _BLOCK_BYTES,
     _MAX_ITER,
     _TOL,
     _first_by_key,
@@ -120,8 +120,9 @@ def _kmeans_cases():
     yield pytest.param(x, 5, 0, id="reseed-d20")
 
 
-def _block_rows(d):
-    return max(1, _BLOCK_VALUES // d)
+def _block_rows(d, itemsize=8):
+    """Rows of one 256 KB row block of d values of itemsize bytes each."""
+    return max(1, _BLOCK_BYTES // (itemsize * d))
 
 
 def _block_crossing_cases():
@@ -206,9 +207,9 @@ def _shared_layout_cases():
 
 
 @pytest.mark.parametrize("x,k,seed", [*_shared_layout_cases()])
-def test_kmeans_on_a_shared_layout_and_buffer_matches_plain_kmeans(x, k, seed):
-    # as in the sweep: one layout and one buffer, longer than n * k, serve the
-    # seeding and the runs at k and at k - 1 from its rows
+def test_kmeans_on_a_shared_layout_matches_plain_kmeans(x, k, seed):
+    # as in the sweep: one layout serves the seeding and the runs at k and at
+    # k - 1 from its rows
     given = x.copy()
     layout = lloyd_layout(x)
     assert lloyd_layout(layout) is layout
@@ -216,14 +217,12 @@ def test_kmeans_on_a_shared_layout_and_buffer_matches_plain_kmeans(x, k, seed):
     x_c = np.ascontiguousarray(x, dtype=np.float64)
     assert layout.x_sq.tobytes() == (x_c * x_c).sum(axis=1).tobytes()
     assert layout.x32.tobytes() == x_c.astype(np.float32).tobytes()
-    buffer = np.full(x.shape[0] * k + 5, np.nan)
     rows = kmeans_pp_rows(layout, k, seed)
     for kk in (k, k - 1):
         want = kmeans(x, kk, seed, return_history=True)
-        _assert_same_kmeans(
-            kmeans(layout, kk, seed, return_history=True, init_rows=rows, buffer=buffer), want)
+        _assert_same_kmeans(kmeans(layout, kk, seed, return_history=True, init_rows=rows), want)
         # without the history the labels come from the certified float32 pass
-        got = kmeans(layout, kk, seed, init_rows=rows, buffer=buffer)
+        got = kmeans(layout, kk, seed, init_rows=rows)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     # balancing reads the layout's row norms, which have the raw matrix's bytes
     centroids = kmeans(x, k, seed)[0]
@@ -232,15 +231,6 @@ def test_kmeans_on_a_shared_layout_and_buffer_matches_plain_kmeans(x, k, seed):
     assert x.tobytes() == given.tobytes() and x.flags.writeable
     with pytest.raises(ValueError, match="exceeds"):
         kmeans(layout, x.shape[0] + 1)
-
-
-@pytest.mark.parametrize("buffer", [np.empty(11), np.empty(12, dtype=np.float32),
-                                    np.empty(24)[::2], [0.0] * 12],
-                         ids=["short", "float32", "strided", "list"])
-def test_kmeans_rejects_a_bad_buffer(buffer):
-    # n * k = 12
-    with pytest.raises(ValueError, match="buffer"):
-        kmeans(np.arange(12.0).reshape(6, 2), 2, buffer=buffer)
 
 
 @pytest.mark.parametrize("x,k,seed", [*_block_crossing_cases(), pytest.param(
@@ -262,8 +252,9 @@ def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
 
 
 def _assign_block_cases():
-    """Shapes around the assignment's row blocks (_BLOCK_VALUES // k rows):
-    k = 512 makes blocks of 64 rows, so n crosses several of them."""
+    """Shapes around the assignment's row blocks: at k = 512 the exact
+    assignment's float64 blocks are 64 rows and the certified pass's float32
+    blocks 128, so n crosses several of each."""
     rng = np.random.default_rng(14)
     for n in (512, 513, 575, 577, 1025):
         for kind in ("normal", "rounded"):
@@ -411,6 +402,40 @@ def test_certified_assignment_uses_each_tier(monkeypatch):
     # an exact tie goes to the exact assignment, which gives it the lower id
     tiers, exact = _tiers_used(monkeypatch, *cases["equidistant"])
     assert np.dtype(np.float64) in tiers and exact > 0
+
+
+def test_a_tie_in_a_later_block_falls_back_to_the_exact_assignment(monkeypatch):
+    # k = 512 makes float32 blocks of 128 rows.  The first block is 128 copies
+    # of one far point, which the seeding picks and float32 always decides;
+    # the rows after it are the integers 0 to 599, 511 of them centres, so an
+    # integer between two centres is exactly equidistant from them and only
+    # the exact assignment, reached from a later block, can decide it.
+    assert _block_rows(512, itemsize=4) == 128
+    x = np.concatenate([np.full(128, -1e4), np.arange(600.0)])[:, None]
+    f32_unsure, f64_unsure, exact = [], [], []
+    unsure_argmin, sq_dists = clustering._unsure_argmin, clustering._sq_dists_from_cross
+
+    def spy_unsure(f, slack, lab):
+        rows = unsure_argmin(f, slack, lab)
+        if f.dtype == np.float32:  # lab is the block's slice of the labels
+            start = lab.__array_interface__["data"][0] - lab.base.__array_interface__["data"][0]
+            f32_unsure.append((start // lab.itemsize, rows.size))
+        else:
+            f64_unsure.append(rows.size)
+        return rows
+
+    def spy_exact(*args):
+        exact.append(1)
+        return sq_dists(*args)
+
+    monkeypatch.setattr(clustering, "_unsure_argmin", spy_unsure)
+    monkeypatch.setattr(clustering, "_sq_dists_from_cross", spy_exact)
+    centroids, labels = kmeans(x, 512, seed=0)
+    want = _reference_kmeans(x, 512, 0)
+    assert centroids.tobytes() == want[0].tobytes() and labels.tobytes() == want[1].tobytes()
+    assert all(size == 0 for start, size in f32_unsure if start == 0)
+    assert any(size > 0 for start, size in f32_unsure if start > 0)
+    assert any(size > 0 for size in f64_unsure) and exact
 
 
 def test_certified_assignment_overrules_a_wrong_float32_argmin(monkeypatch):
@@ -624,9 +649,9 @@ def test_gt_clustering_k_equals_n():
 
 @pytest.mark.parametrize("grid", [False, True], ids=["random", "grid"])
 def test_gt_keyframes_equal_the_one_shot_pick(grid):
-    # the member distances run in row blocks of _BLOCK_VALUES // 3 poses; n
+    # the member distances run in row blocks of _block_rows(3) poses; n
     # crosses two block edges, and rounded poses make distance ties
-    n = 2 * (_BLOCK_VALUES // 3) + 1
+    n = 2 * _block_rows(3) + 1
     rng = np.random.default_rng(15)
     poses = np.column_stack([np.cumsum(rng.normal(size=(n, 2)), axis=0), np.zeros(n)])
     if grid:
