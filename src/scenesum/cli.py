@@ -249,69 +249,39 @@ def cmd_sweep(args) -> int:
     cells = list(dict.fromkeys(cell(method, k, seed)
                                for method in methods for k in ks for seed in seeds))
     # The feature baselines and the seeding share one Lloyd layout, allocated
-    # here, on the main thread: the helper's malloc arena would keep what it
+    # here, on the main thread: a worker's malloc arena would keep what it
     # frees, out of reach of the work after the sweep.  A vsumm cell's k-means
     # allocates no (n, k) array, only 256 KB row blocks and O(n) vectors.
     layout = lloyd_layout(ds.features) if "vsumm" in methods or "change" in methods else None
 
-    # Two threads score the cells, this one from the front of the grid and a
-    # helper from the back.  k-means++ picks the same first centres at every k,
-    # so vsumm seeds once per seed, at the largest k, and each cell starts from
-    # a prefix; the helper runs those seedings first, in seed order, and a vsumm
-    # cell on this thread waits for its own seed's rows.  Each cell has its own
-    # random stream and writes only its own AUC, so the CSV does not depend on
-    # how the threads are scheduled.  After a failure no cell past it starts,
-    # every cell before it still runs, and the earliest failing cell's error
-    # is raised: the one a serial sweep would raise.
-    # imported here, not at the top: the other commands never need them
-    import threading
+    def score(method: str, k: int, seed: int) -> float:
+        # k-means++ picks the same first centres at every k, so vsumm seeds once
+        # per seed, at the largest k, and each of its cells starts from a prefix
+        init_rows = pp_rows[seed].result() if method == "vsumm" else None
+        frames = _run_method(ds, method, k, seed, resolved, init_rows, layout)
+        curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
+                                         resolved["steps"])
+        return metrics.auc(curve)
+
+    # Two workers score the cells.  Every seeding is submitted before any cell
+    # and workers take tasks in submission order, so a vsumm cell only ever
+    # waits on a seeding that a worker has already taken: the pool cannot
+    # deadlock.  Each cell has its own random stream and results are read in
+    # grid order, so the CSV does not depend on how the workers are scheduled
+    # and the error raised is the earliest failing cell's, the one a serial
+    # sweep raises.  Imported here: the other commands never need the pool.
     from concurrent.futures import ThreadPoolExecutor
 
-    aucs = {}  # cell -> AUC
-    failures = {}  # index in cells -> exception
-    todo = [0, len(cells)]  # cells[todo[0]:todo[1]] are not taken yet
-    lock = threading.Lock()
-
-    def run_cells(from_back: bool) -> None:
-        while True:
-            with lock:
-                stop = min([todo[1], *failures])
-                if todo[0] >= stop:
-                    return
-                if from_back:
-                    todo[1] = i = stop - 1
-                else:
-                    i = todo[0]
-                    todo[0] += 1
-            method, k, seed = cells[i]
-            try:
-                init_rows = pp_rows[seed].result() if method == "vsumm" else None
-                frames = _run_method(ds, method, k, seed, resolved, init_rows, layout)
-                curve = metrics.divergence_curve(ds.pose_positions(frames), resolved["r_max"],
-                                                 resolved["steps"])
-                aucs[method, k, seed] = metrics.auc(curve)
-            except Exception as exc:  # raised on this thread once both have stopped
-                with lock:
-                    failures[i] = exc
-
-    helper = ThreadPoolExecutor(max_workers=1)
-    pp_rows = {}  # seed -> future of kmeans_pp_rows at max(ks)
-    if "vsumm" in methods:
-        pp_rows = {seed: helper.submit(kmeans_pp_rows, layout, max(ks), seed)
-                   for seed in dict.fromkeys(seeds)}
-    helper_cells = helper.submit(run_cells, True)
+    pool = ThreadPoolExecutor(max_workers=2)
     try:
-        run_cells(False)
-        if not failures:
-            helper_cells.result()
+        pp_rows = {}  # seed -> future of kmeans_pp_rows at max(ks)
+        if "vsumm" in methods:
+            pp_rows = {seed: pool.submit(kmeans_pp_rows, layout, max(ks), seed)
+                       for seed in dict.fromkeys(seeds)}
+        scores = [pool.submit(score, *c) for c in cells]
+        aucs = {c: f.result() for c, f in zip(cells, scores)}
     finally:
-        with lock:
-            todo[1] = todo[0]  # after an interrupt here, the helper takes no further cell
-        # drop the seedings and cells not yet started; either way the helper
-        # has exited before the sweep returns or raises
-        helper.shutdown(cancel_futures=True)
-    if failures:
-        raise failures[min(failures)]
+        pool.shutdown(cancel_futures=True)  # no worker outlives the sweep
 
     rows = []
     for method in methods:

@@ -339,8 +339,9 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
        the clamp are left out).  A row whose argmin j* has every other f_j
        above f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
        a = 16 (d + 6) 2**-149, v = 2**-24 (_tier1_margin), takes j*.
-    2. float64, on the block's rows left: the same with x @ c.T in float64,
-       r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074, u = 2**-53.
+    2. float64, on the block's rows left, 256 KB of x at a time: the same
+       with x @ c.T in float64, r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074,
+       u = 2**-53.
     3. A row left after that, a tie up to rounding, sends the iteration to
        the exact assignment.
     Why a certified j* is the exact argmin: take S = |x|^2 + max_j |c_j|^2,
@@ -406,6 +407,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
         r64, a64 = 32 * (d + 2) * 2.0 ** -53, 32 * (d + 2) * np.finfo(np.float64).smallest_subnormal
         slack_x = r32 * x_sq
         blocks32 = list(_row_blocks(n, k, dtype=np.float32))
+        chunk64 = max(1, _BLOCK_BYTES // (8 * d))
     exact = []  # the exact assignment's (n, k) product and row blocks, made on first use
 
     def assign_exact(cents):
@@ -438,8 +440,9 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
             np.matmul(x32[start:stop], neg2c32, out=f)
             f += c_sq32
             slack = slack_x[start:stop] + (r32 * c_max + a32)
-            rows = _unsure_argmin(f, slack, lab[start:stop]) + start
-            if rows.size:
+            unsure = _unsure_argmin(f, slack, lab[start:stop]) + start
+            for i in range(0, unsure.size, chunk64):  # 256 KB of x per gather
+                rows = unsure[i:i + chunk64]
                 f64 = x[rows] @ cents.T
                 f64 *= -2.0
                 f64 += c_sq

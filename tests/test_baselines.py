@@ -151,7 +151,7 @@ def test_feature_baseline_memory_is_bounded():
 
 
 def test_vsumm_on_a_shared_layout_allocates_no_matrix():
-    # The sweep's helper thread runs vsumm cells on a layout built on the main
+    # The sweep's pool workers run vsumm cells on a layout built on the main
     # thread.  At 5000 x 128 and k = 100 one (n, d) or (n, k) float64 array is
     # 4-5 MB; a cell must allocate none of them (its O(n) label, distance and
     # bin arrays and 256 KB row blocks peak below 2 MB), and give the frames

@@ -585,7 +585,7 @@ def test_sweep_runs_are_byte_identical(scene_dir, tmp_path):
 
 
 def test_sweep_does_not_depend_on_thread_switching(scene_dir, tmp_path):
-    # the sweep's two threads trade the interpreter lock every microsecond
+    # the sweep's two workers trade the interpreter lock every microsecond
     # instead of every 5 ms; the CSV must keep its bytes
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", str(scene_dir / "manifest.json"), "--methods", "vsumm,change,scenesum",
@@ -674,25 +674,27 @@ def test_sweep_stops_its_seeder_when_a_seeding_fails(scene_dir, tmp_path, capsys
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("failing,first", [
-    (range(20), 0),  # every cell fails, the helper's last cell first
-    ((19,), 19),  # only the helper's first cell fails
-    ((7, 19), 7),  # one cell on each thread
-], ids=["every-cell", "helper-only", "one-cell-each"])
+@pytest.mark.parametrize("failing,first,held", [
+    (range(20), 0, None),  # every cell fails
+    ((19,), 19, None),  # only the last cell fails
+    ((7, 19), 7, None),  # two cells fail, in whichever order the workers reach them
+    ((3, 12), 3, 3),  # cell 3 fails only once cell 12 has failed
+], ids=["every-cell", "helper-only", "one-cell-each", "later-fails-first"])
 def test_sweep_stops_its_seeder_when_a_cell_fails(scene_dir, tmp_path, capsys, monkeypatch,
-                                                  failing, first):
-    # the main thread takes the cells from the front, the helper from the back;
-    # a failing cell before the last waits until the last has failed, so both
-    # threads hit a failing cell and the earliest one's error is reported
+                                                  failing, first, held):
+    # whichever worker takes whichever cell, the earliest failing cell's error
+    # is reported and no worker outlives the sweep
+    failed = []
     last_failed = threading.Event()
 
     def pick(features, k, seed, *args):
         if seed not in failing:
             return vsumm_centroid(features, k, seed, *args)
-        if seed == 19:
-            last_failed.set()
-        elif 19 in failing:
+        if seed == held:
             assert last_failed.wait(timeout=60)
+        failed.append(seed)
+        if seed == max(failing):
+            last_failed.set()
         raise ValueError(f"no pick for seed {seed}")
     monkeypatch.setattr("scenesum.baselines.vsumm_centroid", pick)
     threads = threading.active_count()
@@ -701,9 +703,36 @@ def test_sweep_stops_its_seeder_when_a_cell_fails(scene_dir, tmp_path, capsys, m
                "--out", str(tmp_path / "s.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: no pick for seed {first}\n"
-    assert last_failed.is_set()
+    if held is not None:
+        assert failed == [max(failing), held]
     assert not (tmp_path / "s.csv").exists()
     assert threading.active_count() == threads
+
+
+def test_sweep_cannot_deadlock_on_its_seedings(scene_dir, tmp_path, monkeypatch):
+    # Each vsumm cell waits for its seed's k-means++ rows.  Were the cells
+    # submitted before the seedings, both workers would wait on cells whose
+    # seedings no worker takes: the sweep then fails here instead of hanging,
+    # and cancelling the tasks still queued lets the workers exit.
+    from concurrent.futures import ThreadPoolExecutor
+    pools = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordedPool)
+    rc = []
+    sweep = threading.Thread(target=lambda: rc.append(main([
+        "sweep", str(scene_dir / "manifest.json"), "--methods", "vsumm,uniform", "--ks", "3,5",
+        "--seeds", "0,1,2", "--out", str(tmp_path / "s.csv")])))
+    sweep.start()
+    sweep.join(timeout=60)
+    if sweep.is_alive():
+        for pool in pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+        sweep.join()
+    assert len(pools) == 1 and rc == [0]
 
 
 def test_sweep_runs_a_repeated_cell_once(scene_dir, tmp_path, monkeypatch):
@@ -778,7 +807,7 @@ def test_vsumm_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # the sweep's two threads both call BLAS, each with one or two BLAS threads
+    # the sweep's two workers both call BLAS, each with one or two BLAS threads
     sweeps = _outputs_per_blas_thread_count(
         tmp_path, 600, ["sweep", "--methods", "vsumm,change,scenesum", "--ks", "5,20",
                         "--seeds", "0,1,2", "--epochs", "2", "--r-max", "10"])

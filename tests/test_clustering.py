@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -448,6 +449,26 @@ def test_certified_assignment_overrules_a_wrong_float32_argmin(monkeypatch):
     got = kmeans(x, 2, init_rows=[0, 1])
     assert got[1].tolist() == [0, 1, 1] == want[1].tolist()
     assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_float64_tier_gathers_a_bounded_block(k):
+    # float32 resolves none of these rows, so the float64 tier gets them all;
+    # at small k a float32 block holds up to 65536 / k rows, and gathering
+    # them at once would be an (n, d) float64 copy (5 MB here).  On a shared
+    # layout, from seeded rows, a call peaks below 2 MiB.
+    x = 1 + 1e-9 * np.random.default_rng(0).standard_normal((5000, 128))
+    layout = lloyd_layout(x)
+    rows = kmeans_pp_rows(layout, k, 0)
+    tracemalloc.start()
+    try:
+        centroids, labels = kmeans(layout, k, init_rows=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
+    want = kmeans(x, k, init_rows=rows, return_history=True)
+    assert centroids.tobytes() == want[0].tobytes() and labels.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("x,k,seed", [*_kmeans_cases(), *_block_crossing_cases()])
