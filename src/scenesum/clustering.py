@@ -156,15 +156,16 @@ def _tier1_margin(d: int) -> tuple[float, float]:
 
 def _pp_bound(layout: LloydLayout):
     """lower(c, out): kmeans' float32 tier at the one centre x[c], as the
-    bound x_sq + f - slack on every row's exact seeding pass, written to out.
-    kmeans' docstring shows it is at most the exact pass's bytes."""
+    bound x_sq + f - slack on every row's exact seeding pass, written to out;
+    f comes from one GEMV, (-2 x[c]) @ x32.  kmeans' docstring shows the
+    bound is at most the exact pass's bytes."""
     x, x_sq, x32 = layout.x, layout.x_sq, layout.x32
     r, a = _tier1_margin(x.shape[1])
     base = x_sq - r * x_sq  # x_sq less the slack's share of |x|^2
     f = np.empty(x_sq.size, dtype=np.float32)
 
     def lower(c: int, out: np.ndarray) -> np.ndarray:
-        np.matmul(x32, (-2.0 * x[c]).astype(np.float32), out=f)
+        np.matmul((-2.0 * x[c]).astype(np.float32), x32, out=f)
         np.add(f, np.float32(x_sq[c]), out=f)
         np.add(base, f, out=out)
         out -= r * x_sq[c] + a
@@ -252,9 +253,11 @@ def _check_k(k: int, n: int) -> None:
 class LloydLayout:
     """A checked feature matrix in the layout Lloyd's algorithm reads, all of it
     read-only: x, the (n, d) C-order float64 matrix; x_sq, its squared row norms;
-    x_g, the grouped column copy of the cluster sums (see kmeans); x32, x as
-    float32 for the certified assignment and seeding bound, or None when a
-    squared row norm exceeds finfo(float32).max / 16 (see kmeans).  Built by
+    x_g, the grouped column copy of the cluster sums (see kmeans); x32, x.T as
+    a C-order (d, n) float32 copy, one column per frame, for the certified
+    assignment and seeding bound, or None when a squared row norm exceeds
+    finfo(float32).max / 16 (see kmeans); a (k, cols) GEMM fed a transposed
+    view of an (n, d) copy runs far slower.  Built by
     lloyd_layout and shared by any number of calls, on any thread, to kmeans,
     kmeans_pp_rows and the feature baselines, which then neither check nor
     copy the features again."""
@@ -288,7 +291,10 @@ def lloyd_layout(features, k: int = 1) -> LloydLayout:
         group[:, :cols.shape[1]] = cols
     x32 = None
     if x_sq.max() <= np.finfo(np.float32).max / 16:
-        x32 = _read_only(x.astype(np.float32))
+        x32 = np.empty((d, n), dtype=np.float32)
+        for start in range(0, n, 64):  # strips of 64 frames keep the transposing copy in cache
+            x32[:, start:start + 64] = x[start:start + 64].T
+        _read_only(x32)
     # a read-only view leaves the caller's array as it was
     return LloydLayout(_read_only(x.view()), _read_only(x_sq), _read_only(x_g), x32)
 
@@ -307,14 +313,22 @@ def kmeans_pp_rows(features, k: int, seed: int = 0) -> np.ndarray:
 
 
 def _unsure_argmin(f: np.ndarray, slack: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """lab = each row's argmin of f; returns the rows where another value is
-    within slack[row] of the minimum, the threshold rounded to f's dtype."""
-    np.argmin(f, axis=1, out=lab)
-    best = f.reshape(-1)[np.arange(0, f.size, f.shape[1]) + lab]
-    near = f <= (best + slack).astype(f.dtype)[:, None]
-    if np.count_nonzero(near) == f.shape[0]:  # each row's minimum alone
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(near.sum(axis=1) > 1)
+    """lab = each column's argmin of the (k, cols) array f, for the columns
+    where no other value is within slack[col] of the minimum, the threshold
+    rounded to f's dtype; returns the other columns, whose lab is undefined.
+    f is overwritten with the mask of values at most the threshold, and one
+    product of (0, 1, ..., k - 1) and (1, ..., 1) with the mask gives each
+    column's label and count.  A decided column holds a single 1, so in any
+    summation order its label is that one product; the labels and the
+    counts, integer sums at most k, are exact while k <= 2**24 in float32
+    (kmeans certifies no larger k)."""
+    thresh = (f.min(axis=0) + slack).astype(f.dtype)
+    np.less_equal(f, thresh, out=f)
+    tally = np.ones((2, f.shape[0]), dtype=f.dtype)
+    tally[0] = np.arange(f.shape[0])
+    ids, counts = tally @ f  # each column's label and its count of near values
+    lab[:] = ids
+    return np.flatnonzero(counts > 1)
 
 
 def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_rows=None):
@@ -331,18 +345,20 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
 
     The exact assignment is argmin_j max(|x|^2 + |c_j|^2 - 2 x.c_j, 0) in
     float64, from one x @ c.T, its bytes those of the BLAS at hand.  Without
-    return_history, and on a layout with x32, the labels come from a pass
-    that certifies that argmin instead, one row block of 256 KB of float32
-    at a time:
-    1. float32: f_j = |c_j|^2 - 2 x.c_j from one float32 GEMM of the block's
-       rows of x32 and -2 c (|x|^2 is the same for every j, so its add and
-       the clamp are left out).  A row whose argmin j* has every other f_j
-       above f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
+    return_history, on a layout with x32 and for k <= 2**24, the labels come
+    from a pass that certifies that argmin instead, centre-major: one block
+    of 256 KB of float32, k rows by 65536 / k frames, at a time, each frame a
+    column, so every per-frame test is a reduction down the columns
+    (_unsure_argmin):
+    1. float32: f_j = |c_j|^2 - 2 x.c_j from one float32 GEMM of -2 c and the
+       block's columns of x32 (|x|^2 is the same for every j, so its add and
+       the clamp are left out).  A column whose minimum f_j* has every other
+       f_j above f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
        a = 16 (d + 6) 2**-149, v = 2**-24 (_tier1_margin), takes j*.
-    2. float64, on the block's rows left, 256 KB of x at a time: the same
-       with x @ c.T in float64, r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074,
+    2. float64, on the block's frames left, 256 KB of x at a time: the same
+       with c @ x.T in float64, r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074,
        u = 2**-53.
-    3. A row left after that, a tie up to rounding, sends the iteration to
+    3. A frame left after that, a tie up to rounding, sends the iteration to
        the exact assignment.
     Why a certified j* is the exact argmin: take S = |x|^2 + max_j |c_j|^2,
     so 2 |x| |c_j| <= S for every j, the true g_j = |c_j|^2 - 2 x.c_j and
@@ -367,7 +383,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     x32 only when every |x|^2 is below finfo(float32).max / 16, and a
     centroid is a row or a mean of rows, so no float32 value overflows.  So
     the labels, and the centroids computed from them, are the exact
-    assignment's, for any BLAS, summation order, row block and thread count.
+    assignment's, for any BLAS, summation order, block and thread count.
     The exact assignment also gives the inertia history and the distances
     that an empty cluster's reseed needs; its (n, k) product is allocated
     once per call, the first time it runs.
@@ -401,12 +417,15 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     history = []
     groups, _, width = x_g.shape
     bin_offsets = k * np.arange(width)
-    certify = x32 is not None and not return_history
+    # float32 holds every label below 2**24 exactly (see _unsure_argmin)
+    certify = x32 is not None and not return_history and k <= 2 ** 24
     if certify:
         r32, a32 = _tier1_margin(d)
         r64, a64 = 32 * (d + 2) * 2.0 ** -53, 32 * (d + 2) * np.finfo(np.float64).smallest_subnormal
         slack_x = r32 * x_sq
-        blocks32 = list(_row_blocks(n, k, dtype=np.float32))
+        # each block's 256 KB of float32, read as k rows of stop - start columns
+        blocks32 = [(start, stop, f.reshape(k, stop - start))
+                    for start, stop, f in _row_blocks(n, k, dtype=np.float32)]
         chunk64 = max(1, _BLOCK_BYTES // (8 * d))
     exact = []  # the exact assignment's (n, k) product and row blocks, made on first use
 
@@ -434,18 +453,18 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
             return assign_exact(cents)
         c_sq = (cents * cents).sum(axis=1)
         c_max = c_sq.max()
-        neg2c32, c_sq32 = (-2.0 * cents).astype(np.float32).T, c_sq.astype(np.float32)
+        neg2c32, c_sq32 = (-2.0 * cents).astype(np.float32), c_sq.astype(np.float32)[:, None]
         lab = np.empty(n, dtype=np.intp)
         for start, stop, f in blocks32:
-            np.matmul(x32[start:stop], neg2c32, out=f)
+            np.matmul(neg2c32, x32[:, start:stop], out=f)
             f += c_sq32
             slack = slack_x[start:stop] + (r32 * c_max + a32)
             unsure = _unsure_argmin(f, slack, lab[start:stop]) + start
             for i in range(0, unsure.size, chunk64):  # 256 KB of x per gather
                 rows = unsure[i:i + chunk64]
-                f64 = x[rows] @ cents.T
+                f64 = cents @ x[rows].T
                 f64 *= -2.0
-                f64 += c_sq
+                f64 += c_sq[:, None]
                 picks = np.empty(rows.size, dtype=np.intp)
                 if _unsure_argmin(f64, r64 * (x_sq[rows] + c_max) + a64, picks).size:
                     return assign_exact(cents)
@@ -534,24 +553,35 @@ def balance_assignment(features, centroids) -> np.ndarray:
     x_sq = features.x_sq if isinstance(features, LloydLayout) else _row_sq_norms(x)
     dist = _sq_dists_from_cross(x @ c.T, x_sq, _row_sq_norms(c, "centroids"), np.empty((n, k)))
     np.sqrt(dist, out=dist)
-    preference = np.argsort(dist, axis=1, kind="stable")  # ties to lowest id
-    nearest_two = np.take_along_axis(dist, preference[:, :2], axis=1)
-    margin = nearest_two[:, 1] - nearest_two[:, 0]
-    order = np.lexsort((np.arange(n), -margin))
+    # each row's first and second choice, ties to the lowest id: the first two
+    # entries of its stable argsort, which a row needs whole only when both
+    # choices are full
+    rows = np.arange(n)
+    first = np.argmin(dist, axis=1)
+    nearest = dist[rows, first]
+    dist[rows, first] = np.inf
+    second = np.argmin(dist, axis=1)
+    margin = dist[rows, second] - nearest
+    dist[rows, first] = nearest
+    order = np.lexsort((rows, -margin))
 
-    sizes = np.zeros(k, dtype=np.int64)
+    sizes, picks = [0] * k, []
     above_floor = 0
-    for i in order:
+    for i, j, j2 in zip(order.tolist(), first[order].tolist(), second[order].tolist()):
         room = floor + (above_floor < extra)  # an above-floor slot is still free
-        for j in preference[i]:
-            if sizes[j] < room:
-                break
-        else:
-            raise RuntimeError("capacity bookkeeping failed")  # unreachable: room >= frames left
-        labels[i] = j
+        if sizes[j] >= room:
+            j = j2
+        if sizes[j] >= room:
+            for j in np.argsort(dist[i], kind="stable")[2:].tolist():
+                if sizes[j] < room:
+                    break
+            else:
+                raise RuntimeError("capacity bookkeeping failed")  # unreachable: room >= frames left
+        picks.append(j)
         sizes[j] += 1
         if sizes[j] > floor:
             above_floor += 1
+    labels[order] = picks
     return labels
 
 

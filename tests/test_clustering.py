@@ -217,7 +217,10 @@ def test_kmeans_on_a_shared_layout_matches_plain_kmeans(x, k, seed):
     assert not any(a.flags.writeable for a in (layout.x, layout.x_sq, layout.x_g, layout.x32))
     x_c = np.ascontiguousarray(x, dtype=np.float64)
     assert layout.x_sq.tobytes() == (x_c * x_c).sum(axis=1).tobytes()
-    assert layout.x32.tobytes() == x_c.astype(np.float32).tobytes()
+    # x32 is the (d, n) float32 transpose, in C order
+    assert layout.x32.shape == x_c.shape[::-1] and layout.x32.dtype == np.float32
+    assert layout.x32.flags.c_contiguous
+    assert layout.x32.tobytes() == x_c.T.astype(np.float32, order="C").tobytes()
     rows = kmeans_pp_rows(layout, k, seed)
     for kk in (k, k - 1):
         want = kmeans(x, kk, seed, return_history=True)
@@ -253,9 +256,11 @@ def test_pp_init_matches_reference_bit_for_bit(x, k, seed):
 
 
 def _assign_block_cases():
-    """Shapes around the assignment's row blocks: at k = 512 the exact
+    """Shapes around the assignment's blocks: at k = 512 the exact
     assignment's float64 blocks are 64 rows and the certified pass's float32
-    blocks 128, so n crosses several of each."""
+    blocks 128 columns, so n crosses several of each.  At k = 100 a float32
+    block is 655 columns, and n = 1000 splits into 655 and 345; at k = 1100 a
+    block is 59 columns and the labels run past 1000."""
     rng = np.random.default_rng(14)
     for n in (512, 513, 575, 577, 1025):
         for kind in ("normal", "rounded"):
@@ -263,6 +268,9 @@ def _assign_block_cases():
             if kind == "rounded":
                 x = np.round(x)
             yield pytest.param(x, 512, int(rng.integers(100)), id=f"n{n}-k512-{kind}")
+    assert _block_rows(100, itemsize=4) == 655
+    yield pytest.param(rng.normal(size=(1000, 8)), 100, 1, id="n1000-k100")
+    yield pytest.param(rng.normal(size=(1200, 3)), 1100, 3, id="n1200-k1100")
 
 
 @pytest.mark.parametrize("x,k,seed", [*_assign_block_cases()])
@@ -406,11 +414,12 @@ def test_certified_assignment_uses_each_tier(monkeypatch):
 
 
 def test_a_tie_in_a_later_block_falls_back_to_the_exact_assignment(monkeypatch):
-    # k = 512 makes float32 blocks of 128 rows.  The first block is 128 copies
-    # of one far point, which the seeding picks and float32 always decides;
-    # the rows after it are the integers 0 to 599, 511 of them centres, so an
-    # integer between two centres is exactly equidistant from them and only
-    # the exact assignment, reached from a later block, can decide it.
+    # k = 512 makes float32 blocks of 128 columns, one per frame.  The first
+    # block is 128 copies of one far point, which the seeding picks and
+    # float32 always decides; the frames after it are the integers 0 to 599,
+    # 511 of them centres, so an integer between two centres is exactly
+    # equidistant from them and only the exact assignment, reached from a
+    # later block, can decide it.
     assert _block_rows(512, itemsize=4) == 128
     x = np.concatenate([np.full(128, -1e4), np.arange(600.0)])[:, None]
     f32_unsure, f64_unsure, exact = [], [], []
@@ -439,6 +448,16 @@ def test_a_tie_in_a_later_block_falls_back_to_the_exact_assignment(monkeypatch):
     assert any(size > 0 for size in f64_unsure) and exact
 
 
+def test_certified_tiers_decide_labels_past_1000(monkeypatch):
+    # no exact assignment runs, so every label comes from a tally row whose
+    # ids pass 1000, in float32 or, for a near tie, float64; the bytes against
+    # the reference are checked with the other block cases
+    x, k, seed = {p.id: p.values for p in _assign_block_cases()}["n1200-k1100"]
+    tiers, exact = _tiers_used(monkeypatch, x, k, seed)
+    assert np.dtype(np.float32) in tiers and exact == 0
+    assert kmeans(x, k, seed=seed)[1].max() > 1000
+
+
 def test_certified_assignment_overrules_a_wrong_float32_argmin(monkeypatch):
     # row 2 is nearer row 1 than row 0 by 7e-9 in squared distance, but in
     # float32 arithmetic it is nearer row 0: the margin sends it to float64
@@ -454,7 +473,7 @@ def test_certified_assignment_overrules_a_wrong_float32_argmin(monkeypatch):
 @pytest.mark.parametrize("k", [2, 8])
 def test_float64_tier_gathers_a_bounded_block(k):
     # float32 resolves none of these rows, so the float64 tier gets them all;
-    # at small k a float32 block holds up to 65536 / k rows, and gathering
+    # at small k a float32 block holds up to 65536 / k columns, and gathering
     # them at once would be an (n, d) float64 copy (5 MB here).  On a shared
     # layout, from seeded rows, a call peaks below 2 MiB.
     x = 1 + 1e-9 * np.random.default_rng(0).standard_normal((5000, 128))
@@ -616,6 +635,54 @@ def test_balance_sizes_differ_by_at_most_one():
 def test_balance_rejects_bad_inputs(features, centroids, match):
     with pytest.raises(ValueError, match=match):
         balance_assignment(features, centroids)
+
+
+def _reference_balance(x, c):
+    """balance_assignment as first written: every row's full stable argsort of
+    its centroid distances, walked until a cluster has room.  Also returns how
+    many rows went past their second choice."""
+    n, k = x.shape[0], c.shape[0]
+    floor, extra = divmod(n, k)
+    d2 = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    preference = np.argsort(dist, axis=1, kind="stable")
+    nearest_two = np.take_along_axis(dist, preference[:, :2], axis=1)
+    order = np.lexsort((np.arange(n), -(nearest_two[:, 1] - nearest_two[:, 0])))
+    labels, sizes, above_floor, past_second = np.zeros(n, dtype=np.int64), np.zeros(k, int), 0, 0
+    for i in order:
+        room = floor + (above_floor < extra)
+        rank = next(r for r, j in enumerate(preference[i]) if sizes[j] < room)
+        labels[i] = j = preference[i, rank]
+        past_second += rank >= 2
+        sizes[j] += 1
+        above_floor += sizes[j] > floor
+    return labels, past_second
+
+
+def _balance_cases():
+    rng = np.random.default_rng(21)
+    yield pytest.param(rng.normal(size=(300, 4)), rng.normal(size=(7, 4)), id="random")
+    # integer points and centroids: many rows are equally far from two or
+    # more centroids, and two centroids coincide, so first and second tie
+    c = np.round(2 * rng.normal(size=(9, 2)))
+    c[4] = c[1]
+    yield pytest.param(np.round(3 * rng.normal(size=(203, 2))), c, id="grid-ties")
+    # most rows crowd around centroid 0 with the others strung out on a line:
+    # the near clusters fill early and later rows go to their third choice or
+    # further
+    x = np.vstack([0.1 * rng.normal(size=(180, 2)), rng.normal(size=(41, 2)) + [8.0, 0.0]])
+    c = np.column_stack([np.arange(10.0), np.zeros(10)])
+    yield pytest.param(x, c, id="fill-early")
+    scene = generate_synthetic(SyntheticConfig(n_frames=1000, dim=16, seed=7))
+    x = scene.features.astype(np.float64)
+    yield pytest.param(x, kmeans(x, 100, seed=0)[0], id="scene-k100")
+
+
+@pytest.mark.parametrize("x,c", [*_balance_cases()])
+def test_balance_matches_the_full_argsort_reference(x, c):
+    want, past_second = _reference_balance(x, c)
+    assert balance_assignment(x, c).tobytes() == want.tobytes()
+    assert past_second > 0  # each case has rows whose first two choices are full
 
 
 def test_balance_single_cluster():
