@@ -97,17 +97,6 @@ class ClusterSample:
         return self.table.ravel()
 
 
-def _sq_dists_from_cross(cross: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray,
-                         out: np.ndarray) -> np.ndarray:
-    """out = max(x_sq[:, None] + c_sq - 2 * cross, 0), the squared distances
-    |x_i|^2 + |c_j|^2 - 2 x_i.c_j clamped at 0, given cross = x @ c.T, which
-    is doubled in place."""
-    np.add(x_sq[:, None], c_sq[None, :], out=out)
-    cross *= 2.0
-    out -= cross
-    return np.maximum(out, 0.0, out=out)
-
-
 def _row_blocks(n: int, width: int, buffers: int = 1, dtype=np.float64):
     """(start, stop, *views) per block of rows start to stop of an n-row pass,
     one (stop - start, width) view of each of `buffers` reused buffers of dtype
@@ -129,6 +118,18 @@ def _member_sq_dists(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -
         np.subtract(x[start:stop], diff, out=diff)
         np.square(diff, out=diff).sum(axis=1, out=dist[start:stop])
     return dist
+
+
+def _nearest_exact(x: np.ndarray, centroids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of x[rows], argmin_j ((x - centroids[j]) ** 2).sum(), ties to
+    the lowest id, one block of 256 KB of differences at a time."""
+    k, d = centroids.shape
+    lab = np.empty(rows.size, dtype=np.intp)
+    for start, stop, diff in _row_blocks(rows.size, k * d):
+        diff = diff.reshape(stop - start, k, d)
+        np.subtract(x[rows[start:stop], None], centroids, out=diff)
+        np.square(diff, out=diff).sum(axis=2).argmin(axis=1, out=lab[start:stop])
+    return lab
 
 
 def _row_sq_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
@@ -321,7 +322,7 @@ def _unsure_argmin(f: np.ndarray, slack: np.ndarray, lab: np.ndarray) -> np.ndar
     column's label and count.  A decided column holds a single 1, so in any
     summation order its label is that one product; the labels and the
     counts, integer sums at most k, are exact while k <= 2**24 in float32
-    (kmeans certifies no larger k)."""
+    (kmeans runs no float32 tier at a larger k)."""
     thresh = (f.min(axis=0) + slack).astype(f.dtype)
     np.less_equal(f, thresh, out=f)
     tally = np.ones((2, f.shape[0]), dtype=f.dtype)
@@ -343,31 +344,31 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     Returns (centroids, labels), plus the per-assignment inertia history when
     return_history is set.
 
-    The exact assignment is argmin_j max(|x|^2 + |c_j|^2 - 2 x.c_j, 0) in
-    float64, from one x @ c.T, its bytes those of the BLAS at hand.  Without
-    return_history, on a layout with x32 and for k <= 2**24, the labels come
-    from a pass that certifies that argmin instead, centre-major: one block
-    of 256 KB of float32, k rows by 65536 / k frames, at a time, each frame a
-    column, so every per-frame test is a reduction down the columns
-    (_unsure_argmin):
-    1. float32: f_j = |c_j|^2 - 2 x.c_j from one float32 GEMM of -2 c and the
-       block's columns of x32 (|x|^2 is the same for every j, so its add and
-       the clamp are left out).  A column whose minimum f_j* has every other
-       f_j above f_j* + r (|x|^2 + max_j |c_j|^2) + a, r = 8 (d + 6) v,
-       a = 16 (d + 6) 2**-149, v = 2**-24 (_tier1_margin), takes j*.
-    2. float64, on the block's frames left, 256 KB of x at a time: the same
-       with c @ x.T in float64, r = 32 (d + 2) u, a = 32 (d + 2) 2**-1074,
-       u = 2**-53.
-    3. A frame left after that, a tie up to rounding, sends the iteration to
-       the exact assignment.
+    The exact assignment is argmin_j ((x - c_j) ** 2).sum() in float64, the
+    direct form that the seeding and the member distances (_member_sq_dists)
+    also use.  Every assignment certifies that argmin in three tiers,
+    centre-major: one block of 256 KB of float32, k rows by 65536 / k frames,
+    at a time, each frame a column, so every per-frame test is a reduction
+    down the columns (_unsure_argmin):
+    1. float32, on a layout with x32 and for k <= 2**24: f_j = |c_j|^2 -
+       2 x.c_j from one float32 GEMM of -2 c and the block's columns of x32
+       (|x|^2 is the same for every j, so its add is left out).  A column
+       whose minimum f_j* has every other f_j above f_j* + r (|x|^2 +
+       max_j |c_j|^2) + a, r = 8 (d + 6) v, a = 16 (d + 6) 2**-149,
+       v = 2**-24 (_tier1_margin), takes j*.
+    2. float64, on the block's frames left, gathered 256 KB of x at a time,
+       or without tier 1 on all of the block's frames, read in place: the
+       same with c @ x.T in float64, r = 32 (d + 2) u, a = 32 (d + 2)
+       2**-1074, u = 2**-53.
+    3. A frame left after that, a tie up to rounding, takes the exact
+       assignment itself (_nearest_exact).
     Why a certified j* is the exact argmin: take S = |x|^2 + max_j |c_j|^2,
-    so 2 |x| |c_j| <= S for every j, the true g_j = |c_j|^2 - 2 x.c_j and
-    D_j = |x - c_j|^2 = |x|^2 + g_j, and let every rounding be v (or u)
-    relative plus at most 2**-150 (or 2**-1075) absolute.  Then
-    - the exact value is within E64 = (2 d + 3) u S of D_j: the norms and
-      their sum (d + 1) u S, twice a dot product in any order, with or
-      without FMA, d u S, the subtraction 2 u S, and the clamp moves no
-      value away from D_j >= 0; underflow adds at most 3 d 2**-1075;
+    so 2 |x| |c_j| <= S and D_j = |x - c_j|^2 <= 2 S for every j, the true
+    g_j = |c_j|^2 - 2 x.c_j and D_j = |x|^2 + g_j, and let every rounding be
+    v (or u) relative plus at most 2**-150 (or 2**-1075) absolute.  Then
+    - the exact pass is within E64 = 2 (d + 2) u S of D_j: the d
+      subtractions, the d squares and a sum of d values >= 0 in any order
+      move D_j by at most (d + 2) u D_j; underflow adds at most d 2**-1075;
     - tier 1's f_j is within E32 = (d + 5) v S of g_j: x and -2 c rounded to
       float32 move the products by 2 v S in all, the float32 sum in any
       order, with or without FMA, by d v S, |c_j|^2 rounded to float32 by
@@ -377,25 +378,24 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     If every f_j - f_j* (j != j*) exceeds twice the tier's error plus 2 E64,
     then D_j - D_j* > 2 E64, so the exact value at j exceeds the one at j*,
     whatever the tie rule.  r S + a is at least 4 times that: (2 d + 11) v S
-    and (5 d + 2) 2**-150 in tier 1 (2 E64 < v S), (8 d + 10) u S and
-    12 d 2**-1075 in tier 2.  The surplus covers the second-order terms and
-    the threshold's rounding to float32 (at most 2 v S).  lloyd_layout keeps
-    x32 only when every |x|^2 is below finfo(float32).max / 16, and a
-    centroid is a row or a mean of rows, so no float32 value overflows.  So
-    the labels, and the centroids computed from them, are the exact
-    assignment's, for any BLAS, summation order, block and thread count.
-    The exact assignment also gives the inertia history and the distances
-    that an empty cluster's reseed needs; its (n, k) product is allocated
-    once per call, the first time it runs.
+    and (5 d + 3) 2**-150 in tier 1 (2 E64 < v S for d < 2**27),
+    (8 d + 12) u S and 8 d 2**-1075 in tier 2.  The surplus covers the
+    second-order terms and the threshold's rounding to float32 (at most
+    2 v S).  lloyd_layout keeps x32 only when every |x|^2 is below
+    finfo(float32).max / 16, and a centroid is a row or a mean of rows, so no
+    float32 value overflows.  So the labels, and the centroids computed from
+    them, are the exact assignment's, for any BLAS, summation order, block and
+    thread count, with or without the history.  The inertia history and an
+    empty cluster's reseed read each frame's exact distance to its own
+    centroid (_member_sq_dists).
 
     The seeding's bound (_pp_bound) is tier 1 at one centre c, a row of x,
     so S = |x|^2 + |c|^2 and D = |x - c|^2 <= 2 S: lower = x_sq + f - slack
-    in float64, f within E32 of g.  It is at most the exact pass's bytes
-    ((x - c) ** 2).sum(), which are at least D - 2 (d + 2) u S (d
-    subtractions, d squares, a sum in any order) less d 2**-1075 of
-    underflow: x_sq is within d u S of |x|^2, and subtracting r x_sq, adding
-    f and subtracting r |c|^2 + a, each in float64 near at most 2 S, add
-    5 u S.  So lower - exact <= (d + 5) v S + (3 d + 9) u S - slack, plus
+    in float64, f within E32 of g.  It is at most the exact pass's bytes,
+    which are at least D - E64 less d 2**-1075 of underflow: x_sq is within
+    d u S of |x|^2, and subtracting r x_sq, adding f and subtracting
+    r |c|^2 + a, each in float64 near at most 2 S, add 5 u S.  So
+    lower - exact <= (d + 5) v S + (3 d + 9) u S - slack, plus
     (2.5 d + 2) 2**-150 of underflow, and slack = r S + a is at least 8
     times that ((3 d + 9) u < v for d < 2**27), which covers the slack's
     own rounding and the second-order terms.
@@ -418,65 +418,50 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
     groups, _, width = x_g.shape
     bin_offsets = k * np.arange(width)
     # float32 holds every label below 2**24 exactly (see _unsure_argmin)
-    certify = x32 is not None and not return_history and k <= 2 ** 24
-    if certify:
-        r32, a32 = _tier1_margin(d)
-        r64, a64 = 32 * (d + 2) * 2.0 ** -53, 32 * (d + 2) * np.finfo(np.float64).smallest_subnormal
-        slack_x = r32 * x_sq
-        # each block's 256 KB of float32, read as k rows of stop - start columns
-        blocks32 = [(start, stop, f.reshape(k, stop - start))
-                    for start, stop, f in _row_blocks(n, k, dtype=np.float32)]
-        chunk64 = max(1, _BLOCK_BYTES // (8 * d))
-    exact = []  # the exact assignment's (n, k) product and row blocks, made on first use
-
-    def assign_exact(cents):
-        # One full x @ c.T product, since BLAS gives other bytes on row blocks;
-        # the elementwise passes after it, the argmin and the gather run over
-        # the row blocks of one (n, k) pass.
-        if not exact:
-            exact.extend((np.empty((n, k)), list(_row_blocks(n, k))))
-        cross, blocks = exact
-        np.matmul(x, cents.T, out=cross)
-        c_sq = (cents * cents).sum(axis=1)
-        lab, dmin = np.empty(n, dtype=np.intp), np.empty(n)
-        block_rows = np.arange(blocks[0][1])
-        for start, stop, buf in blocks:
-            d2 = _sq_dists_from_cross(cross[start:stop], x_sq[start:stop], c_sq, buf)
-            np.argmin(d2, axis=1, out=lab[start:stop])  # argmin keeps the lowest id on ties
-            dmin[start:stop] = d2[block_rows[:stop - start], lab[start:stop]]
-        return lab, dmin
+    tier1 = x32 is not None and k <= 2 ** 24
+    r32, a32 = _tier1_margin(d)
+    r64, a64 = 32 * (d + 2) * 2.0 ** -53, 32 * (d + 2) * np.finfo(np.float64).smallest_subnormal
+    slack_x = r32 * x_sq
+    # each block's 256 KB of float32, read as k rows of stop - start columns
+    blocks32 = [(start, stop, f.reshape(k, stop - start))
+                for start, stop, f in _row_blocks(n, k, dtype=np.float32)]
+    chunk64 = max(1, _BLOCK_BYTES // (8 * d))
 
     def assign(cents):
-        """(labels, dmin) of the exact assignment; dmin is None when the
-        labels come from the certified pass."""
-        if not certify:
-            return assign_exact(cents)
+        """Each frame's exact nearest centroid, through the tiers above."""
         c_sq = (cents * cents).sum(axis=1)
         c_max = c_sq.max()
-        neg2c32, c_sq32 = (-2.0 * cents).astype(np.float32), c_sq.astype(np.float32)[:, None]
+        if tier1:
+            neg2c32, c_sq32 = (-2.0 * cents).astype(np.float32), c_sq.astype(np.float32)[:, None]
         lab = np.empty(n, dtype=np.intp)
         for start, stop, f in blocks32:
-            np.matmul(neg2c32, x32[:, start:stop], out=f)
-            f += c_sq32
-            slack = slack_x[start:stop] + (r32 * c_max + a32)
-            unsure = _unsure_argmin(f, slack, lab[start:stop]) + start
-            for i in range(0, unsure.size, chunk64):  # 256 KB of x per gather
-                rows = unsure[i:i + chunk64]
-                f64 = cents @ x[rows].T
+            if tier1:
+                np.matmul(neg2c32, x32[:, start:stop], out=f)
+                f += c_sq32
+                slack = slack_x[start:stop] + (r32 * c_max + a32)
+                unsure = _unsure_argmin(f, slack, lab[start:stop]) + start
+                # the frames left, 256 KB of x per gather
+                parts = ((rows, x[rows]) for rows in
+                         (unsure[i:i + chunk64] for i in range(0, unsure.size, chunk64)))
+            else:  # every frame of the block, read in place
+                parts = ((np.arange(start, stop), x[start:stop]),)
+            for rows, block in parts:
+                f64 = cents @ block.T
                 f64 *= -2.0
                 f64 += c_sq[:, None]
                 picks = np.empty(rows.size, dtype=np.intp)
-                if _unsure_argmin(f64, r64 * (x_sq[rows] + c_max) + a64, picks).size:
-                    return assign_exact(cents)
+                left = _unsure_argmin(f64, r64 * (x_sq[rows] + c_max) + a64, picks)
+                if left.size:
+                    picks[left] = _nearest_exact(x, cents, rows[left])
                 lab[rows] = picks
-        return lab, None
+        return lab
 
     sums_t, gathered = np.empty((groups, width * k)), np.empty((n, width))
     owner = None  # the labels whose cluster sums sums_t holds
     for _ in range(_MAX_ITER):
-        labels, dmin = assign(centroids)
+        labels = assign(centroids)
         if return_history:
-            history.append(float(dmin.sum()))
+            history.append(float(_member_sq_dists(x, centroids, labels).sum()))
         counts = np.bincount(labels, minlength=k)
         if owner is None:
             changed = np.ones(k, dtype=bool)
@@ -506,9 +491,7 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         empty = np.flatnonzero(~nonempty)
         if empty.size:
-            if dmin is None:
-                dmin = assign_exact(centroids)[1]
-            farthest = np.argsort(-dmin, kind="stable")
+            farthest = np.argsort(-_member_sq_dists(x, centroids, labels), kind="stable")
             for j, idx in zip(empty, farthest):
                 new_centroids[j] = x[idx]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
@@ -518,9 +501,9 @@ def kmeans(features, k: int, seed: int = 0, return_history: bool = False, init_r
 
     # when no centroid moved, the last assignment already is the final one
     if shift != 0.0:
-        labels, dmin = assign(centroids)
+        labels = assign(centroids)
     if return_history:
-        history.append(float(dmin.sum()))
+        history.append(float(_member_sq_dists(x, centroids, labels).sum()))
         return centroids, labels, history
     return centroids, labels
 
@@ -551,8 +534,14 @@ def balance_assignment(features, centroids) -> np.ndarray:
         return labels
 
     x_sq = features.x_sq if isinstance(features, LloydLayout) else _row_sq_norms(x)
-    dist = _sq_dists_from_cross(x @ c.T, x_sq, _row_sq_norms(c, "centroids"), np.empty((n, k)))
-    np.sqrt(dist, out=dist)
+    # |x|^2 + |c|^2 - 2 x.c, clamped at 0; the product is freed at once, so
+    # the work below can reuse its memory
+    cross = x @ c.T
+    dist = np.add(x_sq[:, None], _row_sq_norms(c, "centroids"))
+    cross *= 2.0
+    dist -= cross
+    del cross
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
     # each row's first and second choice, ties to the lowest id: the first two
     # entries of its stable argsort, which a row needs whole only when both
     # choices are full

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,16 +54,20 @@ def _reference_pp_init(x, k, rng):
     return x[chosen].copy()
 
 
-def _reference_kmeans(x, k, seed):
-    """Lloyd's algorithm as first written: np.add.at cluster sums and row norms
-    recomputed on every assignment.  kmeans must reproduce it bit for bit."""
+def _reference_kmeans(x, k, seed, init_rows=None):
+    """Lloyd's algorithm spelled out: np.add.at cluster sums and every squared
+    distance ((x - c) ** 2).sum(axis=1), one centroid at a time, on every
+    assignment, with no BLAS product.  Lloyd starts from x[init_rows] when
+    given, else from its own seeding.  kmeans must reproduce it bit for bit."""
     n = x.shape[0]
-    centroids = _reference_pp_init(x, k, np.random.default_rng(seed))
+    if init_rows is None:
+        centroids = _reference_pp_init(x, k, np.random.default_rng(seed))
+    else:
+        centroids = x[np.asarray(init_rows)[:k]]
     history = []
 
     def assign(cents):
-        d2 = (x * x).sum(axis=1)[:, None] + (cents * cents).sum(axis=1)[None, :] - 2.0 * (x @ cents.T)
-        d2 = np.maximum(d2, 0.0)
+        d2 = np.stack([((x - c) ** 2).sum(axis=1) for c in cents], axis=1)
         lab = np.argmin(d2, axis=1)
         return lab, d2[np.arange(n), lab]
 
@@ -223,9 +228,9 @@ def test_kmeans_on_a_shared_layout_matches_plain_kmeans(x, k, seed):
     assert layout.x32.tobytes() == x_c.T.astype(np.float32, order="C").tobytes()
     rows = kmeans_pp_rows(layout, k, seed)
     for kk in (k, k - 1):
-        want = kmeans(x, kk, seed, return_history=True)
+        # the seeding's picks at kk are the first kk rows at k
+        want = _reference_kmeans(x_c, kk, seed)
         _assert_same_kmeans(kmeans(layout, kk, seed, return_history=True, init_rows=rows), want)
-        # without the history the labels come from the certified float32 pass
         got = kmeans(layout, kk, seed, init_rows=rows)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     # balancing reads the layout's row norms, which have the raw matrix's bytes
@@ -335,9 +340,11 @@ def _certificate_cases():
     # noise of 1e-2 on an offset of 1: float32 leaves about one row in eight
     # to float64, which decides them all
     yield pytest.param(1.0 + 1e-2 * rng.normal(size=(300, 4)), 6, 1, id="offset-1e-2")
-    # noise below float32's precision: neither tier resolves it
+    # noise below float32's precision: neither float tier resolves it, so
+    # the exact tier decides
     yield pytest.param(1.0 + 1e-9 * rng.normal(size=(300, 4)), 6, 2, id="offset-1e-9")
-    # float32 squares would overflow, so x32 is None and the exact pass runs
+    # float32 squares would overflow, so x32 is None and every row starts
+    # at float64
     yield pytest.param(1e30 * rng.normal(size=(300, 5)), 7, 3, id="scale-1e30")
     # products of 1e-60 underflow in float32
     yield pytest.param(1e-30 * rng.normal(size=(300, 5)), 7, 4, id="scale-1e-30")
@@ -348,7 +355,7 @@ def _certificate_cases():
                                       *_assign_block_cases(), _big_scene_case(),
                                       *_certificate_cases()])
 def test_kmeans_without_history_matches_reference_bit_for_bit(x, k, seed):
-    # without return_history the labels come from the certified pass
+    # the same certified tiers as with the history, which is left out
     centroids, labels, _ = _reference_kmeans(x, k, seed)
     got = kmeans(x, k, seed=seed)
     assert got[0].tobytes() == centroids.tobytes()
@@ -380,37 +387,54 @@ def test_seeding_bound_is_at_most_the_exact_pass(x):
         assert (lower(c, out) <= exact).all()
 
 
-def _tiers_used(monkeypatch, x, k, seed):
-    """The dtypes the certified tiers ran in and the number of exact
-    assignments, over one kmeans call without history."""
-    tiers, exact = [], []
-    unsure_argmin, sq_dists = clustering._unsure_argmin, clustering._sq_dists_from_cross
+def _tiers_used(monkeypatch, x, k, seed, return_history=False):
+    """The dtypes the certified tiers ran in over one kmeans call, and the
+    (rows, centroids) of each call of the exact tier.  The exact tier must
+    receive exactly as many rows as float64 left and, when float32 ran, only
+    rows that float32 left too."""
+    tiers, f32_left, f64_left, exact = [], [], [], []
+    unsure_argmin, nearest_exact = clustering._unsure_argmin, clustering._nearest_exact
 
-    def spy_unsure(f, *args):
+    def spy_unsure(f, slack, lab):
+        rows = unsure_argmin(f, slack, lab)
         tiers.append(f.dtype)
-        return unsure_argmin(f, *args)
+        if f.dtype == np.float32:  # lab is the block's slice of the labels
+            start = lab.__array_interface__["data"][0] - lab.base.__array_interface__["data"][0]
+            f32_left.append(rows + start // lab.itemsize)
+        else:
+            f64_left.append(rows.size)
+        return rows
 
-    def spy_exact(*args):
-        exact.append(1)
-        return sq_dists(*args)
+    def spy_exact(x, centroids, rows):
+        exact.append((rows.copy(), centroids.copy()))
+        return nearest_exact(x, centroids, rows)
 
     monkeypatch.setattr(clustering, "_unsure_argmin", spy_unsure)
-    monkeypatch.setattr(clustering, "_sq_dists_from_cross", spy_exact)
-    kmeans(x, k, seed=seed)
-    return set(tiers), len(exact)
+    monkeypatch.setattr(clustering, "_nearest_exact", spy_exact)
+    kmeans(x, k, seed=seed, return_history=return_history)
+    monkeypatch.undo()
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *(r for r, _ in exact)])
+    assert rows.size == sum(f64_left)
+    if f32_left:
+        assert np.isin(rows, np.concatenate(f32_left)).all()
+    return set(tiers), exact
 
 
 def test_certified_assignment_uses_each_tier(monkeypatch):
-    # separated blobs: float32 decides every row and the exact pass never runs
+    # separated blobs: float32 decides every row and the exact tier never runs
     cases = {p.id: p.values for p in _certificate_cases()}
-    tiers, exact = _tiers_used(monkeypatch, _blobs([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]), 3, 1)
-    assert tiers == {np.dtype(np.float32)} and exact == 0
+    blobs = _blobs([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)])
+    for history in (False, True):  # every call takes the same tiers
+        assert _tiers_used(monkeypatch, blobs, 3, 1, history) == ({np.dtype(np.float32)}, [])
     # float64 decides the rows float32 leaves
     tiers, exact = _tiers_used(monkeypatch, *cases["offset-1e-2"])
-    assert tiers == {np.dtype(np.float32), np.dtype(np.float64)} and exact == 0
-    # an exact tie goes to the exact assignment, which gives it the lower id
+    assert tiers == {np.dtype(np.float32), np.dtype(np.float64)} and not exact
+    # an exact tie goes to the exact tier, which gives it the lower id
     tiers, exact = _tiers_used(monkeypatch, *cases["equidistant"])
-    assert np.dtype(np.float64) in tiers and exact > 0
+    assert np.dtype(np.float64) in tiers and exact
+    # without x32 every row starts at float64
+    tiers, exact = _tiers_used(monkeypatch, *cases["scale-1e30"])
+    assert tiers == {np.dtype(np.float64)}
 
 
 def test_a_tie_in_a_later_block_falls_back_to_the_exact_assignment(monkeypatch):
@@ -418,56 +442,62 @@ def test_a_tie_in_a_later_block_falls_back_to_the_exact_assignment(monkeypatch):
     # block is 128 copies of one far point, which the seeding picks and
     # float32 always decides; the frames after it are the integers 0 to 599,
     # 511 of them centres, so an integer between two centres is exactly
-    # equidistant from them and only the exact assignment, reached from a
-    # later block, can decide it.
+    # equidistant from them and only the exact tier, reached from a later
+    # block, can decide it.
     assert _block_rows(512, itemsize=4) == 128
     x = np.concatenate([np.full(128, -1e4), np.arange(600.0)])[:, None]
-    f32_unsure, f64_unsure, exact = [], [], []
-    unsure_argmin, sq_dists = clustering._unsure_argmin, clustering._sq_dists_from_cross
-
-    def spy_unsure(f, slack, lab):
-        rows = unsure_argmin(f, slack, lab)
-        if f.dtype == np.float32:  # lab is the block's slice of the labels
-            start = lab.__array_interface__["data"][0] - lab.base.__array_interface__["data"][0]
-            f32_unsure.append((start // lab.itemsize, rows.size))
-        else:
-            f64_unsure.append(rows.size)
-        return rows
-
-    def spy_exact(*args):
-        exact.append(1)
-        return sq_dists(*args)
-
-    monkeypatch.setattr(clustering, "_unsure_argmin", spy_unsure)
-    monkeypatch.setattr(clustering, "_sq_dists_from_cross", spy_exact)
     centroids, labels = kmeans(x, 512, seed=0)
     want = _reference_kmeans(x, 512, 0)
     assert centroids.tobytes() == want[0].tobytes() and labels.tobytes() == want[1].tobytes()
-    assert all(size == 0 for start, size in f32_unsure if start == 0)
-    assert any(size > 0 for start, size in f32_unsure if start > 0)
-    assert any(size > 0 for size in f64_unsure) and exact
+    _, exact = _tiers_used(monkeypatch, x, 512, 0)
+    assert exact
+    # each row the exact tier receives lies past the first block, exactly
+    # halfway between its two nearest centroids
+    for rows, cents in exact:
+        assert (rows >= 128).all()
+        dist = np.sort(np.abs(x[rows] - cents[:, 0]), axis=1)
+        assert (dist[:, 0] == dist[:, 1]).all()
 
 
 def test_certified_tiers_decide_labels_past_1000(monkeypatch):
-    # no exact assignment runs, so every label comes from a tally row whose
+    # the exact tier never runs, so every label comes from a tally row whose
     # ids pass 1000, in float32 or, for a near tie, float64; the bytes against
     # the reference are checked with the other block cases
     x, k, seed = {p.id: p.values for p in _assign_block_cases()}["n1200-k1100"]
     tiers, exact = _tiers_used(monkeypatch, x, k, seed)
-    assert np.dtype(np.float32) in tiers and exact == 0
+    assert np.dtype(np.float32) in tiers and not exact
     assert kmeans(x, k, seed=seed)[1].max() > 1000
 
 
-def test_certified_assignment_overrules_a_wrong_float32_argmin(monkeypatch):
+def test_certified_assignment_overrules_a_wrong_float32_argmin():
     # row 2 is nearer row 1 than row 0 by 7e-9 in squared distance, but in
     # float32 arithmetic it is nearer row 0: the margin sends it to float64
     x = np.array([[1.3040000451301372, 0.9470809631292422],
                   [-0.7037352358069926, -1.2654214710460525],
                   [-1.0788638616913342, 1.0921998732706257]])
-    want = kmeans(x, 2, init_rows=[0, 1], return_history=True)
-    got = kmeans(x, 2, init_rows=[0, 1])
-    assert got[1].tolist() == [0, 1, 1] == want[1].tolist()
-    assert got[0].tobytes() == want[0].tobytes()
+    want = _reference_kmeans(x, 2, 0, init_rows=[0, 1])
+    for history in (False, True):
+        got = kmeans(x, 2, init_rows=[0, 1], return_history=history)
+        assert got[1].tolist() == [0, 1, 1] == want[1].tolist()
+        assert got[0].tobytes() == want[0].tobytes()
+
+
+def _exact_sq_dist(a, b):
+    return sum((Fraction(float(p)) - Fraction(float(q))) ** 2 for p, q in zip(a, b))
+
+
+@pytest.mark.parametrize("offset,scale", [(1e8, 1.0), (1.0, 1e-9)], ids=["offset-1e8", "offset-1e-9"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_labels_are_the_nearest_centroid_in_rational_arithmetic(offset, scale, seed):
+    # on a large common offset |x|^2 + |c|^2 - 2 x.c rounds away the
+    # distances, and an assignment from it mislabelled 194 to 228 of the 300
+    # rows; each label must be a nearest returned centroid, computed exactly
+    x = offset + scale * np.random.default_rng(20).normal(size=(300, 4))
+    for history in (False, True):
+        centroids, labels = kmeans(x, 6, seed=seed, return_history=history)[:2]
+        for row, label in zip(x, labels.tolist()):
+            d2 = [_exact_sq_dist(row, c) for c in centroids]
+            assert d2[label] == min(d2)
 
 
 @pytest.mark.parametrize("k", [2, 8])
@@ -486,7 +516,7 @@ def test_float64_tier_gathers_a_bounded_block(k):
     finally:
         tracemalloc.stop()
     assert peak < 2**21
-    want = kmeans(x, k, init_rows=rows, return_history=True)
+    want = _reference_kmeans(x, k, 0, init_rows=rows)
     assert centroids.tobytes() == want[0].tobytes() and labels.tobytes() == want[1].tobytes()
 
 

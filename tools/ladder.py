@@ -1,6 +1,6 @@
-"""The quality ladder: divergence AUC of four summarizers on a fixed set of
-synthetic scenes, so that a change to stage one or stage two is judged on more
-than the acceptance scene.
+"""The quality ladder: divergence AUC of four summarizers and one untrained
+pick on a fixed set of synthetic scenes, so that a change to stage one or
+stage two is judged on more than the acceptance scene.
 
     OPENBLAS_NUM_THREADS=1 python tools/ladder.py
 
@@ -12,7 +12,10 @@ file.  The cells:
 - k = 10 and k = 20;
 - each summary is cli._run_method with cli._DEFAULTS, exactly what
   `summarize --method M --k K --seed S` writes, scored by AUC at r_max 3 over
-  100 steps, lower is better.
+  100 steps, lower is better;
+- the pose-centroid row is no summarize method but the untrained pick that
+  scenesum-supervised trains towards: gt_pose_clustering(poses, K, seed=S)
+  .gt_keyframes, the frame nearest each pose centroid.
 
 It prints, per method, the mean AUC per k on scenes 11-20 and on scene 23;
 then "d +- se (m/30)" against scenesum on scenes 11-20: the mean paired
@@ -34,7 +37,7 @@ from scenesum.cli import _DEFAULTS, _run_method  # noqa: E402
 from scenesum.clustering import gt_pose_clustering  # noqa: E402
 from scenesum.dataset import SyntheticConfig, generate_synthetic  # noqa: E402
 
-METHODS = ("scenesum", "scenesum-supervised", "vsumm", "uniform")
+METHODS = ("scenesum", "scenesum-supervised", "pose-centroid", "vsumm", "uniform")
 REFERENCE = "scenesum"
 KS = (10, 20)
 GROUPS = {"scenes 11-20": (range(11, 21), range(3)), "scene 23": ((23,), range(5))}
@@ -50,13 +53,14 @@ def run_group(scenes, seeds) -> tuple[dict, dict]:
         ds = generate_synthetic(SyntheticConfig(n_frames=500, dim=64, seed=scene))
         for k in KS:
             for seed in seeds:
+                gt = gt_pose_clustering(ds.poses, k, seed=seed).gt_keyframes.tolist()
                 for method in METHODS:
-                    frames = _run_method(ds, method, k, seed, _DEFAULTS)
+                    frames = (gt if method == "pose-centroid"
+                              else _run_method(ds, method, k, seed, _DEFAULTS))
                     curve = metrics.divergence_curve(ds.pose_positions(frames), R_MAX, STEPS)
                     aucs[method, k].append(metrics.auc(curve))
                     if method == "scenesum-supervised":
-                        gt = gt_pose_clustering(ds.poses, k, seed=seed).gt_keyframes
-                        gt_hits[k][0] += sum(f == g for f, g in zip(frames, gt.tolist()))
+                        gt_hits[k][0] += sum(f == g for f, g in zip(frames, gt))
                         gt_hits[k][1] += k
     return aucs, gt_hits
 
